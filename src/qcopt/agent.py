@@ -92,11 +92,6 @@ class EncoderAbstraction:
         return key
 
 
-def state_of(c: Circuit, abstraction) -> StateKey:
-    """Apply the state abstraction function to a circuit."""
-    return abstraction(c)
-
-
 def available_actions(c: Circuit, cfg: AgentConfig):
     """The agent's layered action space, paired with the canonical keys.
 

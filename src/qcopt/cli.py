@@ -36,7 +36,7 @@ from .circuit import (
     unitary,
 )
 from .dag import dag_from_debug_text, to_dag, validate
-from .dvae import DvaeConfig, DvaeModel, load_checkpoint, loss
+from .dvae import DvaeConfig, DvaeModel, backward, load_checkpoint, loss
 from .nn import finite_diff_check
 from .rewrite import enumerate_actions, apply
 
@@ -85,18 +85,6 @@ class RunConfig:
             dvae_batch=self.vae_batch,
             dvae_beta=self.beta,
             bin_width=self.bin_width,
-        )
-
-    def dvae_config(self) -> DvaeConfig:
-        return DvaeConfig(
-            d_h=self.d_h,
-            d_z=self.d_z,
-            epochs=self.vae_epochs,
-            lr=self.vae_lr,
-            batch_size=self.vae_batch,
-            beta=self.beta,
-            bin_width=self.bin_width,
-            seed=self.seed,
         )
 
 
@@ -203,7 +191,10 @@ def cmd_train_vae(cfg: RunConfig, args) -> int:
     _echo_config(cfg, out)
     ckpt = os.path.join(out, "model.ckpt")
     model, stats = harness.train_encoder_from_corpus(
-        corpus, cfg.dvae_config(), cfg.corpus_cap, checkpoint_path=ckpt
+        corpus,
+        harness.dvae_config(cfg.harness_config(), cfg.seed),
+        cfg.corpus_cap,
+        checkpoint_path=ckpt,
     )
     print(
         f"trained on {min(len(corpus), cfg.corpus_cap)} of {len(corpus)} DAGs; "
@@ -273,7 +264,8 @@ def cmd_grad_check(args) -> int:
     for i in range(args.dags):
         dag = to_dag(random_icmh_circuit(2, 2 + i, args.seed + i))
         noise = rng.standard_normal(cfg.d_z)
-        err = finite_diff_check(lambda: loss(model, dag, noise, cfg)[0], params)
+        grads = backward(model, loss(model, dag, noise, cfg)[2])
+        err = finite_diff_check(lambda: loss(model, dag, noise, cfg)[0], params, grads)
         print(f"dag {i}: max relative gradient error {err:.3e}")
         worst = max(worst, err)
     print(f"worst: {worst:.3e} (tolerance 1e-4)")
@@ -299,12 +291,6 @@ def _add_config_flags(p: argparse.ArgumentParser):
     p.add_argument("--vae-batch", dest="vae_batch", type=int)
     p.add_argument("--beta", type=float)
     p.add_argument("--bin-width", dest="bin_width", type=float)
-
-
-_CONFIG_KEYS = (
-    "n", "secret", "epochs", "seed", "seeds", "out_dir", "corpus_cap",
-    "d_h", "d_z", "vae_epochs", "vae_lr", "vae_batch", "beta", "bin_width",
-)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -355,7 +341,7 @@ def dispatch(argv: list[str]) -> int:
         if args.command == "grad-check":
             return cmd_grad_check(args)
 
-        overrides = {k: getattr(args, k, None) for k in _CONFIG_KEYS}
+        overrides = {k: getattr(args, k, None) for k in _FIELD_TYPES}
         if args.command == "gen-bv":
             overrides["out_dir"] = None
         cfg = load_config(args.config, overrides)

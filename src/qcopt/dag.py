@@ -16,8 +16,6 @@ import heapq
 from dataclasses import dataclass, field
 from enum import Enum
 
-import numpy as np
-
 from .circuit import Circuit
 
 
@@ -44,9 +42,9 @@ class CircuitDag:
     """Nodes are ids 0..n-1 with a type each; edges are ordered pairs.
 
     ``wire_of_edge`` labels each edge with its wire (real wires 0..n-1, fake
-    wire n) when the DAG came from a circuit; structure-only DAGs produced by
-    the decoder leave it empty.  ``order_hints`` carries (wire, program
-    position) per node for deterministic topological tie-breaking.
+    wire n) when the DAG came from a circuit; structure-only DAGs leave it
+    empty.  ``order_hints`` carries (wire, program position) per node for
+    deterministic topological tie-breaking.
     """
 
     types: tuple[NodeType, ...]
@@ -69,21 +67,6 @@ class CircuitDag:
         for u, v in self.edges:
             out[v].append(u)
         return out
-
-    def permuted(self, perm: list[int]) -> "CircuitDag":
-        """Relabel node ids: node i becomes perm[i]."""
-        n = self.n_nodes
-        types = [NodeType.INPUT] * n
-        hints = [None] * n if self.order_hints is not None else None
-        for i, t in enumerate(self.types):
-            types[perm[i]] = t
-            if hints is not None:
-                hints[perm[i]] = self.order_hints[i]
-        edges = tuple(sorted((perm[u], perm[v]) for u, v in self.edges))
-        wires = {(perm[u], perm[v]): w for (u, v), w in self.wire_of_edge.items()}
-        return CircuitDag(
-            tuple(types), edges, wires, tuple(hints) if hints is not None else None
-        )
 
 
 def to_dag(c: Circuit) -> CircuitDag:
@@ -226,106 +209,6 @@ def topo_order(d: CircuitDag) -> list[int]:
     return order
 
 
-def node_features(t: NodeType) -> np.ndarray:
-    """One-hot feature vector of length 6 (fixed index assignment)."""
-    v = np.zeros(N_NODE_TYPES)
-    v[t.value] = 1.0
-    return v
-
-
-# --- isomorphism -----------------------------------------------------------
-
-
-def _joint_refine(a: CircuitDag, b: CircuitDag, rounds: int):
-    """Colour refinement on (colour, pred colours, succ colours), interned
-    jointly so ids are comparable across the two DAGs."""
-    pa, sa = a.predecessors(), a.successors()
-    pb, sb = b.predecessors(), b.successors()
-    ca = [t.value for t in a.types]
-    cb = [t.value for t in b.types]
-
-    def signature(colors, pred, succ, i):
-        return (
-            colors[i],
-            tuple(sorted(colors[p] for p in pred[i])),
-            tuple(sorted(colors[s] for s in succ[i])),
-        )
-
-    for _ in range(rounds):
-        table: dict[tuple, int] = {}
-        na = [
-            table.setdefault(signature(ca, pa, sa, i), len(table))
-            for i in range(a.n_nodes)
-        ]
-        nb = [
-            table.setdefault(signature(cb, pb, sb, i), len(table))
-            for i in range(b.n_nodes)
-        ]
-        if na == ca and nb == cb:
-            break
-        ca, cb = na, nb
-    return ca, cb
-
-
-def is_isomorphic(a: CircuitDag, b: CircuitDag) -> bool:
-    """True iff a type- and edge-preserving bijection of node ids exists.
-
-    Colour refinement prunes, exact backtracking decides; intended for the
-    small DAGs of this artifact (<= ~60 nodes).  With equal edge counts it is
-    enough to check that every a-edge maps onto a b-edge: node injectivity
-    makes the induced edge map injective, so it is onto as well.
-    """
-    if a.n_nodes != b.n_nodes or len(a.edges) != len(b.edges):
-        return False
-    if sorted(t.value for t in a.types) != sorted(t.value for t in b.types):
-        return False
-
-    n = a.n_nodes
-    ca, cb = _joint_refine(a, b, rounds=max(4, n))
-    if sorted(ca) != sorted(cb):
-        return False
-
-    cand: dict[int, list[int]] = {}
-    for j in range(n):
-        cand.setdefault(cb[j], []).append(j)
-
-    adj_a_out = [set(s) for s in a.successors()]
-    adj_a_in = [set(s) for s in a.predecessors()]
-    adj_b_out = [set(s) for s in b.successors()]
-    adj_b_in = [set(s) for s in b.predecessors()]
-    # most-constrained-first: rarest colour class, then high degree
-    order = sorted(
-        range(n),
-        key=lambda i: (len(cand[ca[i]]), -(len(adj_a_out[i]) + len(adj_a_in[i]))),
-    )
-
-    mapping = [-1] * n
-    used = [False] * n
-
-    def extend(k: int) -> bool:
-        if k == n:
-            return True
-        u = order[k]
-        for v in cand[ca[u]]:
-            if used[v]:
-                continue
-            ok = all(
-                mapping[w] == -1 or mapping[w] in adj_b_out[v] for w in adj_a_out[u]
-            ) and all(
-                mapping[w] == -1 or mapping[w] in adj_b_in[v] for w in adj_a_in[u]
-            )
-            if ok:
-                mapping[u] = v
-                used[v] = True
-                if extend(k + 1):
-                    return True
-                mapping[u] = -1
-                used[v] = False
-        return False
-
-    return extend(0)
-
-
 # --- debug export ----------------------------------------------------------
 
 
@@ -337,7 +220,11 @@ def dag_to_debug_text(d: CircuitDag) -> str:
     return "\n".join(lines) + "\n"
 
 
+_DEBUG_FIELDS = {"node": 3, "edge": 4}
+
+
 def dag_from_debug_text(text: str) -> CircuitDag:
+    """Parse dag_to_debug_text output; a malformed line raises ValueError."""
     types: list[NodeType] = []
     edges: list[tuple[int, int]] = []
     wires: dict[tuple[int, int], int] = {}
@@ -346,6 +233,8 @@ def dag_from_debug_text(text: str) -> CircuitDag:
         if not line:
             continue
         parts = line.split()
+        if len(parts) != _DEBUG_FIELDS.get(parts[0], len(parts)):
+            raise ValueError(f"malformed debug line {line!r}")
         if parts[0] == "node":
             idx, label = int(parts[1]), parts[2]
             if idx != len(types):

@@ -6,20 +6,27 @@ depends only on DAG structure and node types (isomorphic DAGs encode
 identically).  The graph embedding is a gated sum over the output-node
 hiddens, mapped to a latent mean and log-variance.
 
-The decoder mirrors the scheme in reverse: node by node it predicts a type
-distribution (6 node types plus an END symbol) from the previous node's
-hidden state, predicts an edge probability to every earlier node from the
-new node's provisional hidden, then recomputes the node's hidden from a
-gated sum of its (true or sampled) predecessors.  Sourceless nodes take the
-running context instead -- initially the latent-derived state, so z reaches
-every chain, and repeated source nodes stay distinguishable by sequence
-position.
+The decoder mirrors the scheme in reverse, teacher-forced on the target's
+topological order: node by node it predicts a type distribution (6 node
+types plus an END symbol) from the previous node's hidden state, predicts an
+edge probability to every earlier node from the new node's provisional
+hidden, then recomputes the node's hidden from a gated sum of its true
+predecessors.  Sourceless nodes take the running context instead --
+initially the latent-derived state, so z reaches every chain, and repeated
+source nodes stay distinguishable by sequence position.
 
 Training minimises  alpha * R + gamma * E (+ beta * KL)  where R is the
 cross-entropy reconstruction term over node types and edge indicators and E
 is the expected edge edit distance sum |p - t| (differentiable a.e.).
 Quantising the latent mean per dimension turns encodings into discrete RL
 state keys.
+
+Each network has one numpy forward that returns its outputs together with
+the activations it computed: ``encoder_forward`` serves both ``loss`` and
+the inference-only ``encode_np``, and ``decoder_forward`` is the one
+decoder.  ``loss`` runs both forwards and the loss heads and returns the
+value, its parts and a cache; ``backward`` walks that cache in reverse and
+returns the parameter gradients.
 """
 
 from __future__ import annotations
@@ -35,27 +42,15 @@ from .dag import CircuitDag, N_NODE_TYPES, NodeType, topo_order
 from .nn import (
     AdamState,
     GruCell,
-    Tensor,
-    absolute,
+    Param,
     adam_step,
-    add,
-    backward,
     bce_with_logits,
-    exp,
-    gated_sum,
-    gru_step,
-    matmat,
-    matvec,
-    mul,
-    scale,
-    sigmoid,
+    gated_sum_backward,
+    gated_sum_forward,
+    gru_backward,
+    gru_forward,
+    gru_weight_grads,
     softmax_cross_entropy,
-    stack,
-    sub,
-    tanh,
-    total,
-    transpose,
-    zero_grads,
     _sigmoid_np,
 )
 
@@ -99,42 +94,52 @@ class DvaeModel:
     d_h: int
     d_z: int
     enc: GruCell
-    enc_gate_a: Tensor
-    enc_gate_b: Tensor
-    readout_a: Tensor
-    readout_b: Tensor
-    w_mu: Tensor
-    b_mu: Tensor
-    w_logvar: Tensor
-    b_logvar: Tensor
+    enc_gate_a: Param
+    enc_gate_b: Param
+    readout_a: Param
+    readout_b: Param
+    w_mu: Param
+    b_mu: Param
+    w_logvar: Param
+    b_logvar: Param
     dec: GruCell
-    dec_gate_a: Tensor
-    dec_gate_b: Tensor
-    w_init: Tensor
-    b_init: Tensor
-    w_type: Tensor
-    b_type: Tensor
+    dec_gate_a: Param
+    dec_gate_b: Param
+    w_init: Param
+    b_init: Param
+    w_type: Param
+    b_type: Param
     # two-layer edge head over the concatenated pair (h_earlier, h_new);
     # the first layer is stored as the two halves of its weight matrix
-    w_edge_prev: Tensor
-    b_edge: Tensor
-    w_edge_new: Tensor
-    w_edge_out: Tensor
-    b_edge_out: Tensor
+    w_edge_prev: Param
+    b_edge: Param
+    w_edge_new: Param
+    w_edge_out: Param
+    b_edge_out: Param
 
     @staticmethod
     def create(cfg: DvaeConfig) -> "DvaeModel":
         rng = np.random.default_rng(cfg.seed)
-        d_h, d_z = cfg.d_h, cfg.d_z
-        bound = 1.0 / math.sqrt(d_h)
+        bound = 1.0 / math.sqrt(cfg.d_h)
+        return DvaeModel._build(
+            cfg.d_h, cfg.d_z, lambda *shape: rng.uniform(-bound, bound, size=shape)
+        )
 
+    def zeros_like(self) -> "DvaeModel":
+        """A model of the same shapes with every array zero: the gradient
+        accumulator of ``backward``."""
+        return DvaeModel._build(self.d_h, self.d_z, lambda *shape: np.zeros(shape))
+
+    @staticmethod
+    def _build(d_h: int, d_z: int, init) -> "DvaeModel":
+        # arrays are drawn from init in field order
         def t(*shape):
-            return Tensor(rng.uniform(-bound, bound, size=shape))
+            return Param(init(*shape))
 
         return DvaeModel(
             d_h=d_h,
             d_z=d_z,
-            enc=GruCell.create(N_NODE_TYPES, d_h, rng),
+            enc=GruCell.create(N_NODE_TYPES, d_h, init),
             enc_gate_a=t(d_h, d_h),
             enc_gate_b=t(d_h, d_h),
             readout_a=t(d_h, d_h),
@@ -143,7 +148,7 @@ class DvaeModel:
             b_mu=t(d_z),
             w_logvar=t(d_z, d_h),
             b_logvar=t(d_z),
-            dec=GruCell.create(N_NODE_TYPES, d_h, rng),
+            dec=GruCell.create(N_NODE_TYPES, d_h, init),
             dec_gate_a=t(d_h, d_h),
             dec_gate_b=t(d_h, d_h),
             w_init=t(d_h, d_z),
@@ -157,7 +162,7 @@ class DvaeModel:
             b_edge_out=t(1),
         )
 
-    def params(self) -> dict[str, Tensor]:
+    def params(self) -> dict[str, Param]:
         out = {f"enc.{k}": v for k, v in self.enc.params().items()}
         out.update(
             enc_gate_a=self.enc_gate_a,
@@ -189,62 +194,68 @@ class DvaeModel:
 # --- encoding ---------------------------------------------------------------
 
 
-def _encode_tensors(m: DvaeModel, d: CircuitDag, order=None):
-    """Tape-building encoder pass; returns (mu, logvar) tensors."""
+class EncoderActs(NamedTuple):
+    order: list[int]
+    preds: list[list[int]]
+    steps: list[tuple]  # per visited node: (gated-sum acts or None, GRU acts)
+    sinks: list[int]
+    readout: tuple | None
+    hg: np.ndarray
+
+
+def encoder_forward(m: DvaeModel, d: CircuitDag, order=None) -> tuple[Latent, EncoderActs]:
+    """Latent distribution of one DAG (mean and log-variance vectors) and the
+    activations ``backward`` needs; ``order`` defaults to ``topo_order(d)``."""
     if order is None:
         order = topo_order(d)
     preds = d.predecessors()
-    hidden: dict[int, Tensor] = {}
+    hidden: dict[int, np.ndarray] = {}
+    steps = []
     for v in order:
-        incoming = gated_sum(
+        incoming, gated = gated_sum_forward(
             m.enc_gate_a, m.enc_gate_b, [hidden[u] for u in preds[v]]
         )
-        hidden[v] = gru_step(m.enc, _EYE[d.types[v].value], incoming)
-    sinks = [hidden[v] for v in order if d.types[v] is NodeType.OUTPUT]
-    hg = gated_sum(m.readout_a, m.readout_b, sinks)
-    mu = add(matvec(m.w_mu, hg), m.b_mu)
-    logvar = add(matvec(m.w_logvar, hg), m.b_logvar)
-    return mu, logvar
-
-
-def encode(m: DvaeModel, d: CircuitDag, order=None) -> Latent:
-    """Latent distribution of one DAG (mean and log-variance vectors)."""
-    mu, logvar = _encode_tensors(m, d, order)
-    return Latent(mu.value.copy(), logvar.value.copy())
-
-
-def _gru_np(cell: GruCell, x: np.ndarray, h: np.ndarray) -> np.ndarray:
-    z = _sigmoid_np(cell.w_z.value @ x + cell.u_z.value @ h + cell.b_z.value)
-    r = _sigmoid_np(cell.w_r.value @ x + cell.u_r.value @ h + cell.b_r.value)
-    t = np.tanh(cell.w_h.value @ x + cell.u_h.value @ (r * h) + cell.b_h.value)
-    return (1.0 - z) * h + z * t
-
-
-def _gated_sum_np(a: np.ndarray, b: np.ndarray, hs: list[np.ndarray]) -> np.ndarray:
-    if not hs:
-        return np.zeros(a.shape[0])
-    hmat = np.stack(hs)
-    return (_sigmoid_np(hmat @ a.T) * np.tanh(hmat @ b.T)).sum(axis=0)
-
-
-def encode_np(m: DvaeModel, d: CircuitDag) -> Latent:
-    """Tape-free encoder forward; bit-identical to encode() and faster.
-
-    Used by the RL loop, where no gradients are needed.
-    """
-    order = topo_order(d)
-    preds = d.predecessors()
-    hidden: dict[int, np.ndarray] = {}
-    ga, gb = m.enc_gate_a.value, m.enc_gate_b.value
-    for v in order:
-        incoming = _gated_sum_np(ga, gb, [hidden[u] for u in preds[v]])
-        hidden[v] = _gru_np(m.enc, _EYE[d.types[v].value], incoming)
-    sinks = [hidden[v] for v in order if d.types[v] is NodeType.OUTPUT]
-    hg = _gated_sum_np(m.readout_a.value, m.readout_b.value, sinks)
-    return Latent(
+        hidden[v], gru = gru_forward(m.enc, _EYE[d.types[v].value], incoming)
+        steps.append((gated, gru))
+    sinks = [v for v in order if d.types[v] is NodeType.OUTPUT]
+    hg, readout = gated_sum_forward(m.readout_a, m.readout_b, [hidden[v] for v in sinks])
+    latent = Latent(
         m.w_mu.value @ hg + m.b_mu.value,
         m.w_logvar.value @ hg + m.b_logvar.value,
     )
+    return latent, EncoderActs(order, preds, steps, sinks, readout, hg)
+
+
+def encode_np(m: DvaeModel, d: CircuitDag) -> Latent:
+    """Latent distribution of one DAG; used by the RL loop, which needs no
+    gradients."""
+    return encoder_forward(m, d)[0]
+
+
+def _encoder_backward(
+    m: DvaeModel, acts: EncoderActs, dmu: np.ndarray, dlogvar: np.ndarray, g: DvaeModel
+):
+    g.w_mu.value += dmu[:, None] * acts.hg
+    g.b_mu.value += dmu
+    g.w_logvar.value += dlogvar[:, None] * acts.hg
+    g.b_logvar.value += dlogvar
+    dhidden = np.zeros((len(acts.order), m.d_h))
+    if acts.readout is not None:
+        dhg = m.w_mu.value.T @ dmu + m.w_logvar.value.T @ dlogvar
+        dhidden[acts.sinks] += gated_sum_backward(
+            m.readout_a, m.readout_b, acts.readout, dhg, g.readout_a, g.readout_b
+        )
+    dpre = []
+    for v, (gated, gru) in zip(reversed(acts.order), reversed(acts.steps)):
+        dincoming, d = gru_backward(m.enc, gru, dhidden[v])
+        dpre.append(d)
+        if gated is not None:
+            rows = gated_sum_backward(
+                m.enc_gate_a, m.enc_gate_b, gated, dincoming, g.enc_gate_a, g.enc_gate_b
+            )
+            for u, row in zip(acts.preds[v], rows):
+                dhidden[u] += row
+    gru_weight_grads(g.enc, [gru for _, gru in reversed(acts.steps)], dpre)
 
 
 def reparameterize(l: Latent, rng: np.random.Generator) -> np.ndarray:
@@ -255,72 +266,109 @@ def reparameterize(l: Latent, rng: np.random.Generator) -> np.ndarray:
 # --- decoding ---------------------------------------------------------------
 
 
-def _decode_tf_tensors(m: DvaeModel, z: Tensor, target: CircuitDag, order=None):
-    """Teacher-forced decoder pass over the tape.
+class DecoderActs(NamedTuple):
+    z: np.ndarray
+    states: np.ndarray        # (n+1, d_h): the initial context, then one hidden per node
+    type_logits: np.ndarray   # (n+1, 7): one row per node plus the END step
+    steps: list[tuple]        # per node: (pred positions, gated-sum acts or None,
+                              #            GRU acts, edge-head acts or None)
+    edge_logits: list[np.ndarray]   # for each step k >= 1, logits over the k earlier nodes
+    edge_targets: list[np.ndarray]  # matching 0/1 arrays
 
-    Returns (type_logits, edge_logits, edge_targets):
-      type_logits   one (7,) tensor per node plus a final END step
-      edge_logits   for each step k >= 1 a (k,) tensor over earlier nodes
-      edge_targets  matching 0/1 arrays
-    """
+
+def decoder_forward(m: DvaeModel, z: np.ndarray, target: CircuitDag, order=None) -> DecoderActs:
+    """Teacher-forced decoder pass over the target's topological order."""
     if order is None:
         order = topo_order(target)
     pos_of = {v: k for k, v in enumerate(order)}
     preds = target.predecessors()
-
-    h_init = add(matvec(m.w_init, z), m.b_init)
-    ctx = h_init
-    hiddens: list[Tensor] = []
-    type_logits: list[Tensor] = []
-    edge_logits: list[Tensor] = []
-    edge_targets: list[np.ndarray] = []
+    states = np.empty((len(order) + 1, m.d_h))
+    states[0] = m.w_init.value @ z + m.b_init.value
+    steps = []
+    edge_logits = []
+    edge_targets = []
 
     for k, v in enumerate(order):
-        type_logits.append(add(matvec(m.w_type, ctx), m.b_type))
+        ctx = states[k]
         x = _EYE[target.types[v].value]
+        pred_pos = [pos_of[u] for u in preds[v]]
+        edge = None
         if k > 0:
-            provisional = gru_step(m.dec, x, ctx)
-            hmat = stack(hiddens)  # (k, d_h)
-            pre = add(
-                matmat(hmat, transpose(m.w_edge_prev)),
-                add(matvec(m.w_edge_new, provisional), m.b_edge),
+            provisional, provisional_gru = gru_forward(m.dec, x, ctx)
+            th = np.tanh(
+                states[1 : k + 1] @ m.w_edge_prev.value.T
+                + (m.w_edge_new.value @ provisional + m.b_edge.value)
             )
-            logits = add(matvec(tanh(pre), m.w_edge_out), m.b_edge_out)
-            edge_logits.append(logits)
+            edge_logits.append(th @ m.w_edge_out.value + m.b_edge_out.value)
             tgt = np.zeros(k)
-            for u in preds[v]:
-                tgt[pos_of[u]] = 1.0
+            tgt[pred_pos] = 1.0
             edge_targets.append(tgt)
-        true_pred_hiddens = [hiddens[pos_of[u]] for u in preds[v]]
-        if true_pred_hiddens:
-            incoming = gated_sum(m.dec_gate_a, m.dec_gate_b, true_pred_hiddens)
+            edge = (provisional_gru, provisional, th)
+        if pred_pos:
+            incoming, gated = gated_sum_forward(
+                m.dec_gate_a, m.dec_gate_b, [states[1 + j] for j in pred_pos]
+            )
         else:
             # sourceless nodes take the running context; this injects z into
             # every chain and keeps repeated source nodes distinguishable
-            incoming = ctx
-        hk = gru_step(m.dec, x, incoming)
-        hiddens.append(hk)
-        ctx = hk
+            incoming, gated = ctx, None
+        states[k + 1], gru = gru_forward(m.dec, x, incoming)
+        steps.append((pred_pos, gated, gru, edge))
 
-    type_logits.append(add(matvec(m.w_type, ctx), m.b_type))  # END step
-    return type_logits, edge_logits, edge_targets
+    type_logits = states @ m.w_type.value.T + m.b_type.value
+    return DecoderActs(z, states, type_logits, steps, edge_logits, edge_targets)
 
 
-def decode_teacher_forced(
-    m: DvaeModel, z: np.ndarray, target: CircuitDag, max_nodes: int = 80
-):
-    """Type logits per step (incl. the END step) and edge probabilities per
-    (earlier node, new node) pair, teacher-forced on the target's canonical
-    topological order."""
-    if target.n_nodes > max_nodes:
-        raise ValueError(
-            f"target has {target.n_nodes} nodes, over the decode cap {max_nodes}"
-        )
-    tl, el, _ = _decode_tf_tensors(m, Tensor(z), target)
-    return (
-        [t.value.copy() for t in tl],
-        [_sigmoid_np(e.value) for e in el],
-    )
+def _decoder_backward(
+    m: DvaeModel,
+    acts: DecoderActs,
+    d_type_logits: np.ndarray,
+    d_edge_logits: list[np.ndarray],
+    g: DvaeModel,
+) -> np.ndarray:
+    """Add the decoder's parameter gradients into g; return d(loss)/dz."""
+    states = acts.states
+    g.w_type.value += d_type_logits.T @ states
+    g.b_type.value += d_type_logits.sum(axis=0)
+    dstates = d_type_logits @ m.w_type.value
+    # step k reads states[:k+1] and writes states[k+1], so every use of
+    # states[k+1] has been visited before step k in reverse
+    gru_calls, dpre = [], []
+    for k in range(len(acts.steps) - 1, -1, -1):
+        pred_pos, gated, gru, edge = acts.steps[k]
+        dincoming, d = gru_backward(m.dec, gru, dstates[k + 1])
+        gru_calls.append(gru)
+        dpre.append(d)
+        if gated is None:
+            dstates[k] += dincoming
+        else:
+            rows = gated_sum_backward(
+                m.dec_gate_a, m.dec_gate_b, gated, dincoming, g.dec_gate_a, g.dec_gate_b
+            )
+            for j, row in zip(pred_pos, rows):
+                dstates[1 + j] += row
+        if edge is not None:
+            provisional_gru, provisional, th = edge
+            dlogits = d_edge_logits[k - 1]
+            g.w_edge_out.value += dlogits @ th
+            g.b_edge_out.value += dlogits.sum()
+            dth = dlogits[:, None] * m.w_edge_out.value * (1.0 - th * th)  # (k, d_h)
+            g.w_edge_prev.value += dth.T @ states[1 : k + 1]
+            dstates[1 : k + 1] += dth @ m.w_edge_prev.value
+            dnew = dth.sum(axis=0)
+            g.w_edge_new.value += dnew[:, None] * provisional
+            g.b_edge.value += dnew
+            dctx, d = gru_backward(m.dec, provisional_gru, m.w_edge_new.value.T @ dnew)
+            dstates[k] += dctx
+            gru_calls.append(provisional_gru)
+            dpre.append(d)
+    gru_weight_grads(g.dec, gru_calls, dpre)
+    g.w_init.value += dstates[0][:, None] * acts.z
+    g.b_init.value += dstates[0]
+    return m.w_init.value.T @ dstates[0]
+
+
+# --- loss -------------------------------------------------------------------
 
 
 class LossParts(NamedTuple):
@@ -335,126 +383,97 @@ class LossParts(NamedTuple):
     n_edge_correct: int
 
 
-def loss(m: DvaeModel, d: CircuitDag, noise: np.ndarray, cfg: DvaeConfig):
-    """Build the loss tape for one DAG with fixed reparameterisation noise.
+class LossCache(NamedTuple):
+    """Both forwards' activations plus the gradient of the loss with respect
+    to the decoder logits and the latent, as ``backward`` needs them."""
 
-    Returns (loss tensor, LossParts); call nn.backward on the tensor for
+    encoder: EncoderActs
+    decoder: DecoderActs
+    d_type_logits: np.ndarray
+    d_edge_logits: list[np.ndarray]
+    d_mu: np.ndarray          # of the KL term
+    d_logvar: np.ndarray      # of the KL term
+    dz_dlogvar: np.ndarray    # 0.5 * exp(logvar / 2) * noise
+
+
+def loss(m: DvaeModel, d: CircuitDag, noise: np.ndarray, cfg: DvaeConfig):
+    """Forward pass of the loss for one DAG with fixed reparameterisation noise.
+
+    Returns (value, LossParts, LossCache); ``backward`` turns the cache into
     gradients.  R sums categorical cross-entropy over node types (with the
     END step) and binary cross-entropy over edge indicators; E is the
     expected edge edit distance sum |p - t|; the KL term regularises the
     latent towards a standard normal.
     """
     order = topo_order(d)
-    mu, logvar = _encode_tensors(m, d, order)
-    z = add(mu, mul(exp(scale(logvar, 0.5)), noise))
-    type_logits, edge_logits, edge_targets = _decode_tf_tensors(m, z, d, order)
+    latent, enc = encoder_forward(m, d, order)
+    mu, logvar = latent
+    std = np.exp(0.5 * logvar)
+    dec = decoder_forward(m, mu + std * noise, d, order)
 
     true_types = [d.types[v].value for v in order] + [END_TYPE]
-    r_types = None
+    d_types = np.empty_like(dec.type_logits)
+    r_types = 0.0
     n_type_correct = 0
-    for logits, t in zip(type_logits, true_types):
-        ce = softmax_cross_entropy(logits, t)
-        r_types = ce if r_types is None else add(r_types, ce)
-        if int(np.argmax(logits.value)) == t:
+    for k, (logits, t) in enumerate(zip(dec.type_logits, true_types)):
+        ce, d_types[k] = softmax_cross_entropy(logits, t)
+        r_types += ce
+        if int(np.argmax(logits)) == t:
             n_type_correct += 1
 
-    r_edges = Tensor(np.zeros(()))
-    e_term = Tensor(np.zeros(()))
+    r_edges = 0.0
+    e_term = 0.0
+    d_edges = []
     n_edges = 0
     n_edge_correct = 0
-    for logits, tgt in zip(edge_logits, edge_targets):
-        r_edges = add(r_edges, bce_with_logits(logits, tgt))
-        probs = sigmoid(logits)
-        e_term = add(e_term, total(absolute(sub(probs, tgt))))
+    for logits, tgt in zip(dec.edge_logits, dec.edge_targets):
+        bce, d_bce = bce_with_logits(logits, tgt)
+        r_edges += bce
+        probs = _sigmoid_np(logits)
+        e_term += np.abs(probs - tgt).sum()
+        d_edit = np.sign(probs - tgt) * probs * (1.0 - probs)
+        d_edges.append(cfg.alpha * d_bce + cfg.gamma_loss * d_edit)
         n_edges += len(tgt)
-        n_edge_correct += int(((probs.value > 0.5) == (tgt > 0.5)).sum())
+        n_edge_correct += int(((probs > 0.5) == (tgt > 0.5)).sum())
 
-    kl = scale(
-        total(
-            sub(
-                add(mul(mu, mu), exp(logvar)),
-                add(Tensor(np.ones(m.d_z)), logvar),
-            )
-        ),
-        0.5,
-    )
+    var = np.exp(logvar)
+    kl = 0.5 * ((mu * mu + var) - (1.0 + logvar)).sum()
 
-    out = add(
-        scale(add(r_types, r_edges), cfg.alpha),
-        add(scale(e_term, cfg.gamma_loss), scale(kl, cfg.beta)),
+    value = float(
+        cfg.alpha * (r_types + r_edges) + (cfg.gamma_loss * e_term + cfg.beta * kl)
     )
     parts = LossParts(
-        total=float(out.value),
-        recon_types=float(r_types.value),
-        recon_edges=float(r_edges.value),
-        edit=float(e_term.value),
-        kl=float(kl.value),
+        total=value,
+        recon_types=float(r_types),
+        recon_edges=float(r_edges),
+        edit=float(e_term),
+        kl=float(kl),
         n_types=len(true_types),
         n_type_correct=n_type_correct,
         n_edges=n_edges,
         n_edge_correct=n_edge_correct,
     )
-    return out, parts
+    cache = LossCache(
+        enc,
+        dec,
+        cfg.alpha * d_types,
+        d_edges,
+        cfg.beta * mu,
+        0.5 * cfg.beta * (var - 1.0),
+        0.5 * std * noise,
+    )
+    return value, parts, cache
 
 
-def decode_sample(
-    m: DvaeModel,
-    z: np.ndarray,
-    rng: np.random.Generator,
-    max_nodes: int = 80,
-    greedy: bool = False,
-) -> CircuitDag:
-    """Free-running generation: sample types until END (or the node cap),
-    sample each edge to earlier nodes as an independent Bernoulli.
-
-    The result is a structure-only DAG, possibly not a valid circuit; with
-    greedy=True types are argmax and edges are thresholded at 0.5.
-    """
-    h_init = m.w_init.value @ z + m.b_init.value
-    ctx = h_init
-    hiddens: list[np.ndarray] = []
-    types: list[NodeType] = []
-    edges: list[tuple[int, int]] = []
-
-    for k in range(max_nodes):
-        logits = m.w_type.value @ ctx + m.b_type.value
-        if greedy:
-            t = int(np.argmax(logits))
-        else:
-            p = np.exp(logits - logits.max())
-            p /= p.sum()
-            t = int(rng.choice(N_NODE_TYPES + 1, p=p))
-        if t == END_TYPE:
-            break
-        x = _EYE[t]
-        pred_ids: list[int] = []
-        if k > 0:
-            provisional = _gru_np(m.dec, x, ctx)
-            hmat = np.stack(hiddens)
-            pre = np.tanh(
-                hmat @ m.w_edge_prev.value.T
-                + m.w_edge_new.value @ provisional
-                + m.b_edge.value
-            )
-            probs = _sigmoid_np(pre @ m.w_edge_out.value + m.b_edge_out.value[0])
-            if greedy:
-                picks = probs > 0.5
-            else:
-                picks = rng.random(k) < probs
-            pred_ids = [u for u in range(k) if picks[u]]
-        types.append(NodeType(t))
-        edges.extend((u, k) for u in pred_ids)
-        if pred_ids:
-            incoming = _gated_sum_np(
-                m.dec_gate_a.value, m.dec_gate_b.value, [hiddens[u] for u in pred_ids]
-            )
-        else:
-            incoming = ctx
-        hk = _gru_np(m.dec, x, incoming)
-        hiddens.append(hk)
-        ctx = hk
-
-    return CircuitDag(tuple(types), tuple(edges), {}, None)
+def backward(m: DvaeModel, cache: LossCache) -> list[np.ndarray]:
+    """Reverse pass of ``loss``: gradients aligned with ``m.params()``."""
+    g = m.zeros_like()
+    dz = _decoder_backward(m, cache.decoder, cache.d_type_logits, cache.d_edge_logits, g)
+    # z = mu + exp(logvar / 2) * noise
+    _encoder_backward(
+        m, cache.encoder, cache.d_mu + dz, cache.d_logvar + dz * cache.dz_dlogvar, g
+    )
+    return [p.value for p in g.params().values()]
 
 
 # --- latent quantisation ------------------------------------------------------
@@ -506,39 +525,23 @@ def train(dataset: list[CircuitDag], cfg: DvaeConfig):
         edit = 0.0
         for start in range(0, len(perm), cfg.batch_size):
             batch = perm[start : start + cfg.batch_size]
-            zero_grads(params)
+            grads = [np.zeros_like(p.value) for p in params]
             for idx in batch:
                 noise = rng.standard_normal(cfg.d_z)
-                out, parts = loss(model, dataset[idx], noise, cfg)
-                backward(out)
+                _, parts, cache = loss(model, dataset[idx], noise, cfg)
+                for acc, g in zip(grads, backward(model, cache)):
+                    acc += g
                 losses.append(parts.total)
                 hits += parts.n_type_correct + parts.n_edge_correct
                 preds += parts.n_types + parts.n_edges
                 edit += parts.n_edges - parts.n_edge_correct
-            grads = [
-                (p.grad if p.grad is not None else np.zeros_like(p.value))
-                / len(batch)
-                for p in params
-            ]
-            adam_step(params, grads, adam)
+            adam_step(params, [g / len(batch) for g in grads], adam)
         stats.append(
             EpochStats(epoch, float(np.mean(losses)), hits / preds, edit)
         )
         if not math.isfinite(stats[-1].mean_loss):
             raise FloatingPointError(f"loss diverged at epoch {epoch}")
     return model, stats
-
-
-def reconstruction_accuracy(m: DvaeModel, dataset: list[CircuitDag], cfg: DvaeConfig) -> float:
-    """Teacher-forced accuracy of a frozen model over a dataset (noise-free,
-    z = mu)."""
-    hits = 0
-    preds = 0
-    for d in dataset:
-        out, parts = loss(m, d, np.zeros(cfg.d_z), cfg)
-        hits += parts.n_type_correct + parts.n_edge_correct
-        preds += parts.n_types + parts.n_edges
-    return hits / preds
 
 
 # --- checkpointing --------------------------------------------------------------
@@ -559,6 +562,8 @@ def save_checkpoint(m: DvaeModel, path: str):
 
 
 def load_checkpoint(path: str) -> DvaeModel:
+    """Read a checkpoint written by save_checkpoint; a missing dim or tensor,
+    a truncated line or a shape mismatch raises ValueError."""
     with open(path, encoding="utf-8") as fh:
         lines = fh.read().splitlines()
     if not lines or lines[0] != _CKPT_HEADER:
@@ -566,28 +571,40 @@ def load_checkpoint(path: str) -> DvaeModel:
     dims = {}
     i = 1
     while i < len(lines) and lines[i].startswith("dim "):
-        _, name, value = lines[i].split()
-        dims[name] = int(value)
+        parts = lines[i].split()
+        if len(parts) != 3:
+            raise ValueError(f"bad checkpoint line: {lines[i]!r}")
+        dims[parts[1]] = int(parts[2])
         i += 1
+    missing_dims = {"d_h", "d_z"} - set(dims)
+    if missing_dims:
+        raise ValueError(f"checkpoint lacks dims {sorted(missing_dims)}: {path}")
     cfg = DvaeConfig(d_h=dims["d_h"], d_z=dims["d_z"])
     model = DvaeModel.create(cfg)
     params = model.params()
+    loaded = set()
     while i < len(lines):
         if not lines[i].strip():
             i += 1
             continue
         head = lines[i].split()
-        if head[0] != "tensor":
+        if len(head) < 2 or head[0] != "tensor":
             raise ValueError(f"bad checkpoint line: {lines[i]!r}")
         name = head[1]
-        shape = tuple(int(x) for x in head[2:])
-        values = np.array([float.fromhex(tok) for tok in lines[i + 1].split()])
         if name not in params:
             raise ValueError(f"unknown tensor {name!r} in checkpoint")
+        if i + 1 >= len(lines):
+            raise ValueError(f"checkpoint ends before the values of tensor {name!r}")
+        shape = tuple(int(x) for x in head[2:])
+        values = np.array([float.fromhex(tok) for tok in lines[i + 1].split()])
         if values.size != int(np.prod(shape)) or params[name].value.shape != shape:
             raise ValueError(f"shape mismatch for tensor {name!r}")
         params[name].value = values.reshape(shape)
+        loaded.add(name)
         i += 2
+    missing = [name for name in params if name not in loaded]
+    if missing:
+        raise ValueError(f"checkpoint lacks tensors {missing}: {path}")
     return model
 
 

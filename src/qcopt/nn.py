@@ -1,9 +1,15 @@
-"""Minimal dense numerical kernel for the DAG autoencoder.
+"""Dense numerical kernels for the DAG autoencoder.
 
-Reverse-mode autodiff over a recorded tape of numpy float64 arrays, a GRU
-cell, the gated-sum aggregator, Adam, and a central-difference gradient
-checker.  Sized for desk-scale training (hidden dims <= 128); correctness is
-the contract and the finite-difference suite enforces it.
+Parameters are float64 arrays boxed in ``Param`` so that a model, its
+optimiser and a checkpoint loader share them.  Each layer comes as a pair of
+kernels: a forward that returns its output together with the activations it
+computed, and a backward that takes those activations and the gradient of
+the output and returns the gradient of the layer's input.  Parameter
+gradients are added into a zero-initialised copy of the layer; the GRU's are
+gathered over many updates and added by one ``gru_weight_grads`` call.  The
+loss heads return their value and the gradient with respect to their
+logits.  Adam and a central-difference gradient checker complete the set;
+correctness is the contract and the finite-difference suite enforces it.
 """
 
 from __future__ import annotations
@@ -14,253 +20,18 @@ from dataclasses import dataclass
 import numpy as np
 
 
-class Tensor:
-    """A float64 array with an optional gradient buffer.
+class Param:
+    """A float64 parameter array."""
 
-    Leaf tensors are parameters; non-leaf tensors remember their parents and
-    a backward closure so ``backward()`` can replay the tape in reverse.
-    """
+    __slots__ = ("value",)
 
-    __slots__ = ("value", "grad", "_parents", "_bwd")
-
-    def __init__(self, value, _parents=(), _bwd=None):
+    def __init__(self, value):
         self.value = np.asarray(value, dtype=np.float64)
-        self.grad = None
-        self._parents = _parents
-        self._bwd = _bwd
-
-    @property
-    def shape(self):
-        return self.value.shape
-
-    def _accumulate(self, g):
-        if self.grad is None:
-            self.grad = np.array(g, dtype=np.float64)
-        else:
-            self.grad += g
-
-    def __add__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __mul__(self, other):
-        return mul(self, other)
 
 
-def _as_tensor(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(x)
-
-
-def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
-    """Reduce a broadcast gradient back to the operand's shape."""
-    while g.ndim > len(shape):
-        g = g.sum(axis=0)
-    for axis, n in enumerate(shape):
-        if n == 1 and g.shape[axis] != 1:
-            g = g.sum(axis=axis, keepdims=True)
-    return g
-
-
-def backward(root: Tensor):
-    """Accumulate d(root)/d(leaf) into every reachable tensor's ``grad``."""
-    order = []
-    seen = set()
-    stack = [(root, False)]
-    while stack:
-        node, expanded = stack.pop()
-        if expanded:
-            order.append(node)
-            continue
-        if id(node) in seen:
-            continue
-        seen.add(id(node))
-        stack.append((node, True))
-        for p in node._parents:
-            stack.append((p, False))
-    root._accumulate(np.ones_like(root.value))
-    for node in reversed(order):
-        if node._bwd is not None and node.grad is not None:
-            node._bwd(node.grad)
-
-
-def zero_grads(params):
-    for p in params:
-        p.grad = None
-
-
-# --- tape ops ----------------------------------------------------------------
-
-
-def add(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
-    out = Tensor(a.value + b.value, (a, b))
-    out._bwd = lambda g: (
-        a._accumulate(_unbroadcast(g, a.value.shape)),
-        b._accumulate(_unbroadcast(g, b.value.shape)),
-    )
-    return out
-
-
-def sub(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
-    out = Tensor(a.value - b.value, (a, b))
-    out._bwd = lambda g: (
-        a._accumulate(_unbroadcast(g, a.value.shape)),
-        b._accumulate(_unbroadcast(-g, b.value.shape)),
-    )
-    return out
-
-
-def mul(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
-    out = Tensor(a.value * b.value, (a, b))
-    out._bwd = lambda g: (
-        a._accumulate(_unbroadcast(g * b.value, a.value.shape)),
-        b._accumulate(_unbroadcast(g * a.value, b.value.shape)),
-    )
-    return out
-
-
-def scale(a, k: float) -> Tensor:
-    a = _as_tensor(a)
-    out = Tensor(a.value * k, (a,))
-    out._bwd = lambda g: a._accumulate(g * k)
-    return out
-
-
-def matvec(w: Tensor, x) -> Tensor:
-    """w (m,n) @ x (n,) -> (m,)."""
-    x = _as_tensor(x)
-    out = Tensor(w.value @ x.value, (w, x))
-    def bwd(g):
-        w._accumulate(g[:, None] * x.value)
-        x._accumulate(w.value.T @ g)
-
-    out._bwd = bwd
-    return out
-
-
-def matmat(a: Tensor, b: Tensor) -> Tensor:
-    """a (m,n) @ b (n,k) -> (m,k)."""
-    out = Tensor(a.value @ b.value, (a, b))
-    out._bwd = lambda g: (
-        a._accumulate(g @ b.value.T),
-        b._accumulate(a.value.T @ g),
-    )
-    return out
-
-
-def transpose(a: Tensor) -> Tensor:
-    out = Tensor(a.value.T, (a,))
-    out._bwd = lambda g: a._accumulate(g.T)
-    return out
-
-
-def sigmoid(a) -> Tensor:
-    a = _as_tensor(a)
-    s = _sigmoid_np(a.value)
-    out = Tensor(s, (a,))
-    out._bwd = lambda g: a._accumulate(g * s * (1.0 - s))
-    return out
-
-
-def tanh(a) -> Tensor:
-    a = _as_tensor(a)
-    t = np.tanh(a.value)
-    out = Tensor(t, (a,))
-    out._bwd = lambda g: a._accumulate(g * (1.0 - t * t))
-    return out
-
-
-def absolute(a) -> Tensor:
-    a = _as_tensor(a)
-    out = Tensor(np.abs(a.value), (a,))
-    out._bwd = lambda g: a._accumulate(g * np.sign(a.value))
-    return out
-
-
-def exp(a) -> Tensor:
-    a = _as_tensor(a)
-    e = np.exp(a.value)
-    out = Tensor(e, (a,))
-    out._bwd = lambda g: a._accumulate(g * e)
-    return out
-
-
-def total(a, axis=None) -> Tensor:
-    a = _as_tensor(a)
-    out = Tensor(a.value.sum(axis=axis), (a,))
-
-    def bwd(g):
-        if axis is None:
-            a._accumulate(np.broadcast_to(g, a.value.shape).copy())
-        else:
-            a._accumulate(np.broadcast_to(np.expand_dims(g, axis), a.value.shape).copy())
-
-    out._bwd = bwd
-    return out
-
-
-def concat(parts: list) -> Tensor:
-    parts = [_as_tensor(p) for p in parts]
-    sizes = [p.value.shape[0] for p in parts]
-    out = Tensor(np.concatenate([p.value for p in parts]), tuple(parts))
-
-    def bwd(g):
-        off = 0
-        for p, s in zip(parts, sizes):
-            p._accumulate(g[off : off + s])
-            off += s
-
-    out._bwd = bwd
-    return out
-
-
-def stack(rows: list) -> Tensor:
-    """Stack 1D tensors into a (len(rows), d) matrix."""
-    rows = [_as_tensor(r) for r in rows]
-    out = Tensor(np.stack([r.value for r in rows]), tuple(rows))
-
-    def bwd(g):
-        for i, r in enumerate(rows):
-            r._accumulate(g[i])
-
-    out._bwd = bwd
-    return out
-
-
-def softmax_cross_entropy(logits: Tensor, target: int) -> Tensor:
-    """Categorical cross-entropy of one sample straight from logits."""
-    z = logits.value
-    zmax = z.max()
-    logsumexp = zmax + math.log(np.exp(z - zmax).sum())
-    out = Tensor(logsumexp - z[target], (logits,))
-
-    def bwd(g):
-        p = np.exp(z - logsumexp)
-        p[target] -= 1.0
-        logits._accumulate(g * p)
-
-    out._bwd = bwd
-    return out
-
-
-def bce_with_logits(logits: Tensor, targets: np.ndarray) -> Tensor:
-    """Summed binary cross-entropy, stable in the logit domain.
-
-    loss_i = softplus(x_i) - t_i * x_i  with  softplus(x) = log(1 + e^x).
-    """
-    x = logits.value
-    sp = np.logaddexp(0.0, x)
-    out = Tensor((sp - targets * x).sum(), (logits,))
-
-    def bwd(g):
-        logits._accumulate(g * (_sigmoid_np(x) - targets))
-
-    out._bwd = bwd
-    return out
+def _sigmoid_np(x: np.ndarray) -> np.ndarray:
+    # stable for all x: sigma(x) = (1 + tanh(x/2)) / 2
+    return 0.5 * (1.0 + np.tanh(0.5 * x))
 
 
 # --- layers --------------------------------------------------------------------
@@ -272,25 +43,24 @@ class GruCell:
 
     d_x: int
     d_h: int
-    w_z: Tensor
-    u_z: Tensor
-    b_z: Tensor
-    w_r: Tensor
-    u_r: Tensor
-    b_r: Tensor
-    w_h: Tensor
-    u_h: Tensor
-    b_h: Tensor
+    w_z: Param
+    u_z: Param
+    b_z: Param
+    w_r: Param
+    u_r: Param
+    b_r: Param
+    w_h: Param
+    u_h: Param
+    b_h: Param
 
     @staticmethod
-    def create(d_x: int, d_h: int, rng: np.random.Generator) -> "GruCell":
-        bound = 1.0 / math.sqrt(d_h)
-
+    def create(d_x: int, d_h: int, init) -> "GruCell":
+        """A cell whose arrays come from ``init(*shape)``, drawn in field order."""
         def w(rows, cols):
-            return Tensor(rng.uniform(-bound, bound, size=(rows, cols)))
+            return Param(init(rows, cols))
 
         def b():
-            return Tensor(rng.uniform(-bound, bound, size=d_h))
+            return Param(init(d_h))
 
         return GruCell(
             d_x, d_h,
@@ -299,7 +69,7 @@ class GruCell:
             w(d_h, d_x), w(d_h, d_h), b(),
         )
 
-    def params(self) -> dict[str, Tensor]:
+    def params(self) -> dict[str, Param]:
         return {
             "w_z": self.w_z, "u_z": self.u_z, "b_z": self.b_z,
             "w_r": self.w_r, "u_r": self.u_r, "b_r": self.b_r,
@@ -307,97 +77,106 @@ class GruCell:
         }
 
 
-def _sigmoid_np(x: np.ndarray) -> np.ndarray:
-    # stable for all x: sigma(x) = (1 + tanh(x/2)) / 2
-    return 0.5 * (1.0 + np.tanh(0.5 * x))
-
-
-def gru_step(cell: GruCell, x, h_prev) -> Tensor:
-    """One GRU update; x and h_prev may be raw arrays or tape tensors.
+def gru_forward(cell: GruCell, x: np.ndarray, h: np.ndarray):
+    """One GRU update; returns (h', activations (x, h, z, r, r*h, h~)).
 
     z = sigma(Wz x + Uz h + bz),  r = sigma(Wr x + Ur h + br),
     h~ = tanh(Wh x + Uh (r*h) + bh),  h' = (1-z)*h + z*h~.
-    Fused into a single tape node with a hand-derived backward; the
-    finite-difference suite pins its correctness.
+    The activations are a plain tuple: this runs once per node on the
+    encoder's inference path.
     """
-    xt = x if isinstance(x, Tensor) else None
-    ht = h_prev if isinstance(h_prev, Tensor) else None
-    xv = xt.value if xt is not None else np.asarray(x, dtype=np.float64)
-    hv = ht.value if ht is not None else np.asarray(h_prev, dtype=np.float64)
-    if xv.shape != (cell.d_x,) or hv.shape != (cell.d_h,):
-        raise ValueError(
-            f"gru_step expects x ({cell.d_x},) and h ({cell.d_h},), "
-            f"got {xv.shape} and {hv.shape}"
-        )
-
-    z = _sigmoid_np(cell.w_z.value @ xv + cell.u_z.value @ hv + cell.b_z.value)
-    r = _sigmoid_np(cell.w_r.value @ xv + cell.u_r.value @ hv + cell.b_r.value)
-    rh = r * hv
-    t = np.tanh(cell.w_h.value @ xv + cell.u_h.value @ rh + cell.b_h.value)
-    parents = tuple(cell.params().values())
-    if xt is not None:
-        parents += (xt,)
-    if ht is not None:
-        parents += (ht,)
-    out = Tensor((1.0 - z) * hv + z * t, parents)
-
-    def bwd(g):
-        da_h = (g * z) * (1.0 - t * t)
-        drh = cell.u_h.value.T @ da_h
-        da_r = (drh * hv) * r * (1.0 - r)
-        da_z = (g * (t - hv)) * z * (1.0 - z)
-        cell.w_z._accumulate(da_z[:, None] * xv)
-        cell.u_z._accumulate(da_z[:, None] * hv)
-        cell.b_z._accumulate(da_z)
-        cell.w_r._accumulate(da_r[:, None] * xv)
-        cell.u_r._accumulate(da_r[:, None] * hv)
-        cell.b_r._accumulate(da_r)
-        cell.w_h._accumulate(da_h[:, None] * xv)
-        cell.u_h._accumulate(da_h[:, None] * rh)
-        cell.b_h._accumulate(da_h)
-        if xt is not None:
-            xt._accumulate(
-                cell.w_z.value.T @ da_z
-                + cell.w_r.value.T @ da_r
-                + cell.w_h.value.T @ da_h
-            )
-        if ht is not None:
-            ht._accumulate(
-                g * (1.0 - z)
-                + drh * r
-                + cell.u_z.value.T @ da_z
-                + cell.u_r.value.T @ da_r
-            )
-
-    out._bwd = bwd
-    return out
+    z = _sigmoid_np(cell.w_z.value @ x + cell.u_z.value @ h + cell.b_z.value)
+    r = _sigmoid_np(cell.w_r.value @ x + cell.u_r.value @ h + cell.b_r.value)
+    rh = r * h
+    t = np.tanh(cell.w_h.value @ x + cell.u_h.value @ rh + cell.b_h.value)
+    return (1.0 - z) * h + z * t, (x, h, z, r, rh, t)
 
 
-def gated_sum(a: Tensor, b: Tensor, hs: list) -> Tensor:
-    """sum_u sigmoid(A h_u) * tanh(B h_u); the empty set maps to zeros.
+def gru_backward(cell: GruCell, acts: tuple, g: np.ndarray):
+    """Reverse of one GRU update: given the gradient ``g`` of h', return
+    d(loss)/dh and the gradients of the z, r and h~ pre-activations.
 
-    Fused single tape node, like gru_step.
+    ``gru_weight_grads`` turns the pre-activation gradients of many updates
+    into weight gradients at once.  The input x is a constant feature
+    vector, so no gradient is returned for it.
+    """
+    _, h, z, r, _, t = acts
+    da_h = (g * z) * (1.0 - t * t)
+    drh = cell.u_h.value.T @ da_h
+    da_r = (drh * h) * r * (1.0 - r)
+    da_z = (g * (t - h)) * z * (1.0 - z)
+    dh = g * (1.0 - z) + drh * r + cell.u_z.value.T @ da_z + cell.u_r.value.T @ da_r
+    return dh, (da_z, da_r, da_h)
+
+
+def gru_weight_grads(grad: GruCell, acts: list[tuple], dpre: list[tuple]):
+    """Add the weight gradients of the GRU updates ``acts``, with the
+    pre-activation gradients ``dpre`` from gru_backward, into ``grad``."""
+    if not acts:
+        return
+    x = np.stack([a[0] for a in acts])
+    h = np.stack([a[1] for a in acts])
+    rh = np.stack([a[4] for a in acts])
+    da_z, da_r, da_h = (np.stack(col) for col in zip(*dpre))
+    grad.w_z.value += da_z.T @ x
+    grad.u_z.value += da_z.T @ h
+    grad.b_z.value += da_z.sum(axis=0)
+    grad.w_r.value += da_r.T @ x
+    grad.u_r.value += da_r.T @ h
+    grad.b_r.value += da_r.sum(axis=0)
+    grad.w_h.value += da_h.T @ x
+    grad.u_h.value += da_h.T @ rh
+    grad.b_h.value += da_h.sum(axis=0)
+
+
+def gated_sum_forward(a: Param, b: Param, hs: list[np.ndarray]):
+    """sum_u sigmoid(A h_u) * tanh(B h_u); returns (sum, activations
+    (stacked h_u, gates, values)).
+
+    The empty set maps to zeros and to activations None.
     """
     if not hs:
-        return Tensor(np.zeros(a.value.shape[0]))
-    tensors = [h for h in hs if isinstance(h, Tensor)]
-    hmat = np.stack([h.value if isinstance(h, Tensor) else np.asarray(h) for h in hs])
+        return np.zeros(a.value.shape[0]), None
+    hmat = np.stack(hs)
     gates = _sigmoid_np(hmat @ a.value.T)  # (m, d)
     vals = np.tanh(hmat @ b.value.T)
-    out = Tensor((gates * vals).sum(axis=0), (a, b, *tensors))
+    return (gates * vals).sum(axis=0), (hmat, gates, vals)
 
-    def bwd(g):
-        dgate_pre = (g * vals) * gates * (1.0 - gates)  # (m, d)
-        dval_pre = (g * gates) * (1.0 - vals * vals)
-        a._accumulate(dgate_pre.T @ hmat)
-        b._accumulate(dval_pre.T @ hmat)
-        dh = dgate_pre @ a.value + dval_pre @ b.value
-        for i, h in enumerate(hs):
-            if isinstance(h, Tensor):
-                h._accumulate(dh[i])
 
-    out._bwd = bwd
-    return out
+def gated_sum_backward(
+    a: Param, b: Param, acts: tuple, g: np.ndarray, grad_a: Param, grad_b: Param
+) -> np.ndarray:
+    """Add the gradients of A and B into grad_a and grad_b; return the
+    (m, d) gradient of the summed vectors, one row per input."""
+    hmat, gates, vals = acts
+    dgate_pre = (g * vals) * gates * (1.0 - gates)  # (m, d)
+    dval_pre = (g * gates) * (1.0 - vals * vals)
+    grad_a.value += dgate_pre.T @ hmat
+    grad_b.value += dval_pre.T @ hmat
+    return dgate_pre @ a.value + dval_pre @ b.value
+
+
+# --- loss heads ------------------------------------------------------------------
+
+
+def softmax_cross_entropy(logits: np.ndarray, target: int):
+    """Categorical cross-entropy of one sample straight from logits;
+    returns (value, gradient with respect to the logits)."""
+    zmax = logits.max()
+    logsumexp = zmax + math.log(np.exp(logits - zmax).sum())
+    grad = np.exp(logits - logsumexp)
+    grad[target] -= 1.0
+    return logsumexp - logits[target], grad
+
+
+def bce_with_logits(logits: np.ndarray, targets: np.ndarray):
+    """Summed binary cross-entropy, stable in the logit domain; returns
+    (value, gradient with respect to the logits).
+
+    loss_i = softplus(x_i) - t_i * x_i  with  softplus(x) = log(1 + e^x).
+    """
+    value = (np.logaddexp(0.0, logits) - targets * logits).sum()
+    return value, _sigmoid_np(logits) - targets
 
 
 # --- optimiser -------------------------------------------------------------------
@@ -414,7 +193,7 @@ class AdamState:
     v: list[np.ndarray]
 
     @staticmethod
-    def create(params: list[Tensor], lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8):
+    def create(params: list[Param], lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8):
         return AdamState(
             lr, beta1, beta2, eps, 0,
             [np.zeros_like(p.value) for p in params],
@@ -422,7 +201,7 @@ class AdamState:
         )
 
 
-def adam_step(params: list[Tensor], grads: list[np.ndarray], state: AdamState):
+def adam_step(params: list[Param], grads: list[np.ndarray], state: AdamState):
     """Standard Adam update with bias correction, in place on the params."""
     if len(params) != len(grads) or len(params) != len(state.m):
         raise ValueError("parameter/gradient/state length mismatch")
@@ -443,32 +222,33 @@ def adam_step(params: list[Tensor], grads: list[np.ndarray], state: AdamState):
 # --- gradient checking --------------------------------------------------------------
 
 
-def finite_diff_check(loss_fn, params: list[Tensor], eps: float = 1e-5) -> float:
-    """Max relative error between analytic and central-difference gradients.
+def finite_diff_check(
+    loss_fn, params: list[Param], grads: list[np.ndarray], eps: float = 1e-5
+) -> float:
+    """Max relative error between the analytic gradients ``grads`` (aligned
+    with ``params``, taken at the current values) and central differences.
 
-    ``loss_fn`` must rebuild the tape from the current parameter values and be
-    deterministic (any sampling noise held fixed).  The per-coordinate
+    ``loss_fn()`` must return the loss value for the current parameter values
+    and be deterministic (any sampling noise held fixed).  The per-coordinate
     denominator is floored at the roundoff noise of the central difference,
     which scales with the loss magnitude: coordinates whose true gradient
     sits below that floor cannot be resolved to relative precision in double
     arithmetic and are compared absolutely against it instead.
     """
-    zero_grads(params)
-    loss = loss_fn()
-    backward(loss)
-    analytic = [np.zeros_like(p.value) if p.grad is None else p.grad.copy() for p in params]
-    noise_floor = 1e-6 * (1.0 + abs(float(loss.value)))
+    if len(grads) != len(params):
+        raise ValueError("need one gradient per parameter")
+    noise_floor = 1e-6 * (1.0 + abs(float(loss_fn())))
 
     worst = 0.0
-    for p, ga in zip(params, analytic):
+    for p, ga in zip(params, grads):
         flat = p.value.reshape(-1)
-        gflat = ga.reshape(-1)
+        gflat = np.asarray(ga, dtype=np.float64).reshape(-1)
         for i in range(flat.size):
             orig = flat[i]
             flat[i] = orig + eps
-            up = float(loss_fn().value)
+            up = float(loss_fn())
             flat[i] = orig - eps
-            down = float(loss_fn().value)
+            down = float(loss_fn())
             flat[i] = orig
             numeric = (up - down) / (2.0 * eps)
             denom = max(abs(gflat[i]), abs(numeric), noise_floor)

@@ -1,4 +1,5 @@
-"""Shared test oracles: forward-action BFS to a target depth.
+"""Shared test oracles: DAG isomorphism, node relabelling and forward-action
+BFS to a target depth.
 
 The search is restricted to the gate-count-nonincreasing or structurally
 necessary directions (all four templates forward, plus CX_REV reverse which
@@ -10,8 +11,43 @@ reachability for the agent.
 
 from __future__ import annotations
 
+import networkx as nx
+
 from qcopt.circuit import Circuit, depth, state_string
+from qcopt.dag import CircuitDag, NodeType
 from qcopt.rewrite import REVERSE, Action, TemplateKind, apply, enumerate_actions
+
+
+def _digraph(d: CircuitDag) -> nx.MultiDiGraph:
+    g = nx.MultiDiGraph()
+    g.add_nodes_from((i, {"type": t}) for i, t in enumerate(d.types))
+    g.add_edges_from(d.edges)
+    return g
+
+
+def is_isomorphic(a: CircuitDag, b: CircuitDag) -> bool:
+    """True iff a bijection of node ids maps a's types and edges onto b's."""
+    return nx.is_isomorphic(
+        _digraph(a), _digraph(b), node_match=lambda x, y: x["type"] is y["type"]
+    )
+
+
+def relabelled(d: CircuitDag, perm: list[int]) -> CircuitDag:
+    """The same DAG with node i renamed perm[i]; edges, wire labels and
+    topological-order hints travel with their nodes."""
+    n = d.n_nodes
+    types = [NodeType.INPUT] * n
+    hints = [None] * n
+    for i, t in enumerate(d.types):
+        types[perm[i]] = t
+        if d.order_hints is not None:
+            hints[perm[i]] = d.order_hints[i]
+    return CircuitDag(
+        tuple(types),
+        tuple(sorted((perm[u], perm[v]) for u, v in d.edges)),
+        {(perm[u], perm[v]): w for (u, v), w in d.wire_of_edge.items()},
+        tuple(hints) if d.order_hints is not None else None,
+    )
 
 
 def _oracle_actions(c: Circuit) -> list[Action]:

@@ -13,7 +13,6 @@ from qcopt.agent import (
     qtable_to_tsv,
     reward,
     run_episode,
-    state_of,
     train_agent,
 )
 from qcopt.circuit import (
@@ -50,14 +49,14 @@ CFG = AgentConfig(epochs=10, seed=0)
 
 def test_exact_abstraction_is_gate_string():
     c = circ(2, Gate.cx(0, 1), Gate.cx(1, 0))
-    assert state_of(c, ExactAbstraction()) == "cx 0 1, cx 1 0"
+    assert ExactAbstraction()(c) == "cx 0 1, cx 1 0"
 
 
 def test_exact_abstraction_injective():
     seen = {}
     for seed in range(200):
         c = random_icmh_circuit(3, seed % 8, seed)
-        key = state_of(c, ExactAbstraction())
+        key = ExactAbstraction()(c)
         if key in seen:
             assert seen[key] == c
         seen[key] = c

@@ -1,14 +1,13 @@
 import numpy as np
 import pytest
 
+from oracles import is_isomorphic, relabelled
 from qcopt.circuit import BvSpec, Circuit, Gate, bv_circuit, random_icmh_circuit
 from qcopt.dag import (
     CircuitDag,
     NodeType,
     dag_from_debug_text,
     dag_to_debug_text,
-    is_isomorphic,
-    node_features,
     to_dag,
     topo_order,
     validate,
@@ -161,20 +160,6 @@ def test_topo_raises_on_cycle():
         topo_order(d)
 
 
-# --- node features ----------------------------------------------------------------
-
-
-def test_node_feature_indices():
-    assert node_features(NodeType.INPUT).tolist() == [1, 0, 0, 0, 0, 0]
-    assert node_features(NodeType.HELPER).tolist() == [0, 0, 0, 0, 0, 1]
-
-
-def test_node_features_orthogonal():
-    feats = [node_features(t) for t in NodeType]
-    gram = np.array([[a @ b for b in feats] for a in feats])
-    assert np.array_equal(gram, np.eye(6))
-
-
 # --- isomorphism ----------------------------------------------------------------
 
 
@@ -183,7 +168,7 @@ def test_isomorphic_to_permutation_of_itself():
     for seed in range(20):
         d = to_dag(random_icmh_circuit(3, 8, seed))
         perm = list(rng.permutation(d.n_nodes))
-        assert is_isomorphic(d, d.permuted(perm))
+        assert is_isomorphic(d, relabelled(d, perm))
 
 
 def test_wire_relabelling_is_isomorphism():
@@ -233,3 +218,10 @@ def test_debug_text_format():
     lines = dag_to_debug_text(d).splitlines()
     assert lines[0].startswith("node 0 ")
     assert any(line.startswith("edge ") and len(line.split()) == 4 for line in lines)
+
+
+def test_debug_text_rejects_short_lines():
+    good = dag_to_debug_text(to_dag(circ(1, Gate.h(0))))
+    for bad in ("edge 0 1", "node 0", "edge", "node"):
+        with pytest.raises(ValueError, match="malformed"):
+            dag_from_debug_text(good + bad + "\n")

@@ -3,20 +3,20 @@ import math
 import numpy as np
 import pytest
 
+from oracles import relabelled
 from qcopt.circuit import Circuit, Gate, random_icmh_circuit
-from qcopt.dag import CircuitDag, NodeType, is_isomorphic, to_dag, topo_order
+from qcopt.dag import CircuitDag, NodeType, to_dag, topo_order
 from qcopt.dvae import (
     DvaeConfig,
     DvaeModel,
     Latent,
-    decode_sample,
-    decode_teacher_forced,
-    encode,
+    backward,
+    decoder_forward,
     encode_np,
+    encoder_forward,
     latent_key,
     load_checkpoint,
     loss,
-    reconstruction_accuracy,
     reparameterize,
     save_checkpoint,
     train,
@@ -53,8 +53,8 @@ def test_encode_isomorphism_invariance():
     for seed in range(50):
         d = to_dag(random_icmh_circuit(2 + seed % 3, seed % 10, seed))
         perm = list(rng.permutation(d.n_nodes))
-        a = encode(m, d)
-        b = encode(m, d.permuted(perm))
+        a = encode_np(m, d)
+        b = encode_np(m, relabelled(d, perm))
         assert np.allclose(a.mu, b.mu, atol=1e-9)
         assert np.allclose(a.logvar, b.logvar, atol=1e-9)
 
@@ -79,8 +79,8 @@ def test_encode_dual_topological_orders_agree():
                 if indeg[v] == 0:
                     stack.append(v)
         assert alt != canonical or seed < 2  # orders genuinely differ somewhere
-        a = encode(m, d, order=canonical)
-        b = encode(m, d, order=alt)
+        a, _ = encoder_forward(m, d, order=canonical)
+        b, _ = encoder_forward(m, d, order=alt)
         assert np.allclose(a.mu, b.mu, atol=1e-9)
 
 
@@ -89,17 +89,19 @@ def test_encode_zero_model_returns_mu_bias():
     m.b_mu.value[:] = [0.5, -1.5]
     for seed in range(5):
         d = to_dag(random_icmh_circuit(2, seed, seed))
-        assert np.allclose(encode(m, d).mu, [0.5, -1.5], atol=1e-12)
+        assert np.allclose(encode_np(m, d).mu, [0.5, -1.5], atol=1e-12)
 
 
-def test_encode_np_matches_tape_encoder():
-    m = small_model(d_h=16, d_z=5, seed=7)
+def test_encode_np_matches_loss_encoder():
+    # the KL term of the loss reads the same latent that encode_np returns
+    cfg = DvaeConfig(d_h=16, d_z=5, seed=7)
+    m = DvaeModel.create(cfg)
     for seed in range(20):
         d = to_dag(random_icmh_circuit(3, seed % 12, seed))
-        a = encode(m, d)
-        b = encode_np(m, d)
-        assert np.array_equal(a.mu, b.mu)
-        assert np.array_equal(a.logvar, b.logvar)
+        mu, logvar = encode_np(m, d)
+        _, parts, cache = loss(m, d, np.zeros(cfg.d_z), cfg)
+        assert parts.kl == 0.5 * ((mu * mu + np.exp(logvar)) - (1.0 + logvar)).sum()
+        assert np.array_equal(cache.decoder.z, mu)
 
 
 # --- reparameterisation -----------------------------------------------------------
@@ -132,25 +134,27 @@ def test_reparameterize_sample_mean():
 
 def test_decode_tf_structure_minimal_dag():
     m = small_model()
-    tl, el = decode_teacher_forced(m, np.zeros(3), two_node_dag())
-    assert len(tl) == 3  # two nodes plus the END step
-    assert all(t.shape == (7,) for t in tl)
-    assert len(el) == 1 and el[0].shape == (1,)
+    acts = decoder_forward(m, np.zeros(3), two_node_dag())
+    assert acts.type_logits.shape == (3, 7)  # two nodes plus the END step
+    assert len(acts.edge_logits) == 1 and acts.edge_logits[0].shape == (1,)
+    assert acts.edge_targets[0].tolist() == [1.0]
 
 
 def test_decode_tf_zero_model_uniform():
     m = zeroed_model()
-    tl, el = decode_teacher_forced(m, np.zeros(2), two_node_dag())
-    for t in tl:
+    acts = decoder_forward(m, np.zeros(2), two_node_dag())
+    for t in acts.type_logits:
         assert np.allclose(t, t[0], atol=1e-12)
-    assert np.allclose(el[0], 0.5, atol=1e-12)
+    assert np.allclose(acts.edge_logits[0], 0.0, atol=1e-12)  # p = 0.5
 
 
 def test_decode_tf_node_cap():
-    m = small_model()
+    # the decode cap admits a DAG of exactly max_decode_nodes nodes
     d = to_dag(circ(2, Gate.h(0)))
+    cfg = DvaeConfig(d_h=4, d_z=2, epochs=1, max_decode_nodes=d.n_nodes)
+    train([d], cfg)
     with pytest.raises(ValueError, match="decode cap"):
-        decode_teacher_forced(m, np.zeros(3), d, max_nodes=3)
+        train([d], DvaeConfig(d_h=4, d_z=2, epochs=1, max_decode_nodes=d.n_nodes - 1))
 
 
 # --- loss -----------------------------------------------------------------------
@@ -159,12 +163,19 @@ def test_decode_tf_node_cap():
 def test_loss_zero_model_closed_form():
     m = zeroed_model()
     cfg = DvaeConfig(d_h=6, d_z=2, beta=0.0)
-    out, parts = loss(m, two_node_dag(), np.zeros(2), cfg)
+    value, parts, cache = loss(m, two_node_dag(), np.zeros(2), cfg)
     assert abs(parts.recon_edges - math.log(2.0)) < 1e-12  # p=0.5 against t=1
     assert abs(parts.edit - 0.5) < 1e-12
     assert abs(parts.recon_types - 3 * math.log(7.0)) < 1e-12
     assert abs(parts.kl) < 1e-12
-    assert abs(float(out.value) - parts.total) < 1e-12
+    assert abs(value - parts.total) < 1e-12
+    grads = dict(zip(m.params(), backward(m, cache)))
+    # BCE (sigma(0) - 1) plus the edit term's sign(p - t) * p * (1 - p)
+    assert np.allclose(grads["b_edge_out"], [-0.5 - 0.25], atol=1e-12)
+    # softmax CE over three steps: 3/7 per class minus one per true type
+    want = np.full(7, 3.0 / 7.0)
+    want[[NodeType.INPUT.value, NodeType.OUTPUT.value, 6]] -= 1.0
+    assert np.allclose(grads["b_type"], want, atol=1e-12)
 
 
 def test_loss_gradient_finite_difference():
@@ -172,8 +183,8 @@ def test_loss_gradient_finite_difference():
     m = DvaeModel.create(cfg)
     d = to_dag(circ(2, Gate.cx(0, 1)))
     noise = np.random.default_rng(3).standard_normal(cfg.d_z)
-    params = list(m.params().values())
-    err = finite_diff_check(lambda: loss(m, d, noise, cfg)[0], params)
+    grads = backward(m, loss(m, d, noise, cfg)[2])
+    err = finite_diff_check(lambda: loss(m, d, noise, cfg)[0], list(m.params().values()), grads)
     assert err <= 1e-4
 
 
@@ -182,7 +193,7 @@ def test_loss_saturates_towards_zero_on_overfit():
     d = to_dag(circ(2, Gate.h(0)))
     cfg = DvaeConfig(d_h=24, d_z=3, epochs=400, lr=5e-3, batch_size=1, seed=2, beta=0.0)
     model, stats = train([d], cfg)
-    out, parts = loss(model, d, np.zeros(3), cfg)
+    _, parts, _ = loss(model, d, np.zeros(3), cfg)
     assert stats[-1].accuracy == 1.0
     assert parts.recon_edges < 0.5
     assert parts.edit < 0.5
@@ -246,34 +257,15 @@ def test_train_rejects_oversized_dag():
         train([to_dag(circ(2, Gate.h(0)))], cfg)
 
 
-# --- generation ---------------------------------------------------------------------
-
-
-def test_decode_sample_end_first_gives_empty_dag():
-    m = zeroed_model()
-    m.b_type.value[:] = 0.0
-    m.b_type.value[6] = 30.0  # END wins immediately
-    d = decode_sample(m, np.zeros(2), np.random.default_rng(0))
-    assert d.n_nodes == 0 and d.edges == ()
-
-
-def test_decode_sample_respects_node_cap():
-    m = small_model(d_h=10, d_z=3, seed=5)
-    for seed in range(5):
-        rng = np.random.default_rng(seed)
-        z = rng.standard_normal(3)
-        d = decode_sample(m, z, rng, max_nodes=12)
-        assert d.n_nodes <= 12
-
-
 def test_overfit_one_greedy_reconstruction():
     target = to_dag(circ(2, Gate.cx(0, 1), Gate.h(1)))
     cfg = DvaeConfig(d_h=32, d_z=4, epochs=300, lr=4e-3, batch_size=1, seed=4, beta=0.0)
     model, stats = train([target], cfg)
     assert stats[-1].accuracy == 1.0
-    mu = encode(model, target).mu
-    generated = decode_sample(model, mu, np.random.default_rng(0), greedy=True)
-    assert is_isomorphic(generated, target)
+    # at z = mu every teacher-forced type argmax and thresholded edge is right
+    _, parts, _ = loss(model, target, np.zeros(cfg.d_z), cfg)
+    assert parts.n_type_correct == parts.n_types
+    assert parts.n_edge_correct == parts.n_edges
 
 
 # --- checkpointing ------------------------------------------------------------------
@@ -288,7 +280,7 @@ def test_checkpoint_roundtrip_bit_exact(tmp_path):
         assert na == nb
         assert np.array_equal(a.value, b.value), na
     d = to_dag(circ(2, Gate.cx(1, 0)))
-    assert np.array_equal(encode(m, d).mu, encode(loaded, d).mu)
+    assert np.array_equal(encode_np(m, d).mu, encode_np(loaded, d).mu)
 
 
 def test_checkpoint_rejects_foreign_file(tmp_path):
@@ -298,9 +290,41 @@ def test_checkpoint_rejects_foreign_file(tmp_path):
         load_checkpoint(str(path))
 
 
+def _saved_lines(tmp_path):
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(small_model(d_h=4, d_z=2), str(path))
+    return path, path.read_text().splitlines()
+
+
+def test_checkpoint_rejects_missing_tensor(tmp_path):
+    path, lines = _saved_lines(tmp_path)
+    path.write_text("\n".join(lines[:-2]) + "\n")  # cut at a tensor boundary
+    with pytest.raises(ValueError, match="lacks tensors"):
+        load_checkpoint(str(path))
+
+
+def test_checkpoint_rejects_truncated_tensor(tmp_path):
+    path, lines = _saved_lines(tmp_path)
+    assert lines[3].startswith("tensor enc.w_z ")
+    path.write_text("\n".join(lines[:4]) + "\n")  # header without its values
+    with pytest.raises(ValueError, match="ends before"):
+        load_checkpoint(str(path))
+    path.write_text("\n".join(lines[:4] + [" ".join(lines[4].split()[:5])]) + "\n")
+    with pytest.raises(ValueError, match="shape mismatch"):
+        load_checkpoint(str(path))
+
+
+def test_checkpoint_rejects_missing_dim(tmp_path):
+    path, lines = _saved_lines(tmp_path)
+    path.write_text("\n".join(line for line in lines if not line.startswith("dim d_z")) + "\n")
+    with pytest.raises(ValueError, match="lacks dims"):
+        load_checkpoint(str(path))
+
+
 def test_reconstruction_accuracy_range():
     m = small_model(d_h=8, d_z=3, seed=1)
     cfg = DvaeConfig(d_h=8, d_z=3)
-    corpus = _mixed_corpus(4)
-    acc = reconstruction_accuracy(m, corpus, cfg)
-    assert 0.0 <= acc <= 1.0
+    for d in _mixed_corpus(4):
+        _, parts, _ = loss(m, d, np.zeros(cfg.d_z), cfg)
+        assert 0 <= parts.n_type_correct <= parts.n_types == d.n_nodes + 1
+        assert 0 <= parts.n_edge_correct <= parts.n_edges == d.n_nodes * (d.n_nodes - 1) // 2

@@ -6,25 +6,16 @@ import pytest
 from qcopt.nn import (
     AdamState,
     GruCell,
-    Tensor,
-    absolute,
+    Param,
     adam_step,
-    backward,
     bce_with_logits,
-    concat,
     finite_diff_check,
-    gated_sum,
-    gru_step,
-    matmat,
-    matvec,
-    mul,
-    sigmoid,
+    gated_sum_backward,
+    gated_sum_forward,
+    gru_backward,
+    gru_forward,
+    gru_weight_grads,
     softmax_cross_entropy,
-    stack,
-    tanh,
-    total,
-    transpose,
-    zero_grads,
 )
 
 
@@ -32,26 +23,28 @@ def _sigmoid(x):
     return 1.0 / (1.0 + np.exp(-x))
 
 
-# --- gru ----------------------------------------------------------------------
-
-
 def _zero_cell(d_x, d_h):
-    z = lambda r, c: Tensor(np.zeros((r, c)))
-    b = lambda: Tensor(np.zeros(d_h))
-    return GruCell(d_x, d_h, z(d_h, d_x), z(d_h, d_h), b(), z(d_h, d_x), z(d_h, d_h), b(), z(d_h, d_x), z(d_h, d_h), b())
+    return GruCell.create(d_x, d_h, lambda *shape: np.zeros(shape))
+
+
+def _random_cell(d_x, d_h, rng):
+    return GruCell.create(d_x, d_h, lambda *shape: rng.uniform(-0.5, 0.5, size=shape))
+
+
+# --- gru ----------------------------------------------------------------------
 
 
 def test_gru_zero_weights_halves_state():
     cell = _zero_cell(2, 2)
-    h = gru_step(cell, np.zeros(2), np.array([1.0, 1.0]))
-    assert np.allclose(h.value, [0.5, 0.5], atol=1e-12)
+    h, _ = gru_forward(cell, np.zeros(2), np.array([1.0, 1.0]))
+    assert np.allclose(h, [0.5, 0.5], atol=1e-12)
 
 
 def test_gru_gate_saturation():
     cell = _zero_cell(2, 2)
     cell.b_z.value[:] = 10.0  # z ~ 1, h~ = 0 -> h' ~ 0
-    h = gru_step(cell, np.zeros(2), np.array([1.0, -1.0]))
-    assert np.all(np.abs(h.value) < 1e-3)
+    h, _ = gru_forward(cell, np.zeros(2), np.array([1.0, -1.0]))
+    assert np.all(np.abs(h) < 1e-3)
 
 
 def _scalar_gru_reference(cell, x, h_prev):
@@ -87,11 +80,11 @@ def _scalar_gru_reference(cell, x, h_prev):
 
 def test_gru_matches_scalar_reference():
     rng = np.random.default_rng(0)
-    cell = GruCell.create(3, 4, rng)
+    cell = _random_cell(3, 4, rng)
     for _ in range(5):
         x = rng.normal(size=3)
         h = rng.normal(size=4)
-        got = gru_step(cell, x, h).value
+        got, _ = gru_forward(cell, x, h)
         want = _scalar_gru_reference(cell, x, h)
         assert np.allclose(got, want, atol=1e-12)
 
@@ -100,27 +93,28 @@ def test_gru_matches_scalar_reference():
 
 
 def test_gated_sum_empty_is_zero():
-    a = Tensor(np.ones((3, 3)))
-    assert np.array_equal(gated_sum(a, a, []).value, np.zeros(3))
+    a = Param(np.ones((3, 3)))
+    out, acts = gated_sum_forward(a, a, [])
+    assert np.array_equal(out, np.zeros(3)) and acts is None
 
 
 def test_gated_sum_permutation_invariant():
     rng = np.random.default_rng(1)
-    a = Tensor(rng.normal(size=(4, 4)))
-    b = Tensor(rng.normal(size=(4, 4)))
-    hs = [Tensor(rng.normal(size=4)) for _ in range(5)]
-    fwd = gated_sum(a, b, hs).value
-    rev = gated_sum(a, b, hs[::-1]).value
+    a = Param(rng.normal(size=(4, 4)))
+    b = Param(rng.normal(size=(4, 4)))
+    hs = [rng.normal(size=4) for _ in range(5)]
+    fwd, _ = gated_sum_forward(a, b, hs)
+    rev, _ = gated_sum_forward(a, b, hs[::-1])
     assert np.allclose(fwd, rev, atol=1e-12)
 
 
 def test_gated_sum_zero_vector_contributes_nothing():
     rng = np.random.default_rng(2)
-    a = Tensor(rng.normal(size=(4, 4)))
-    b = Tensor(rng.normal(size=(4, 4)))
-    h = Tensor(rng.normal(size=4))
-    lone = gated_sum(a, b, [h]).value
-    padded = gated_sum(a, b, [h, Tensor(np.zeros(4))]).value
+    a = Param(rng.normal(size=(4, 4)))
+    b = Param(rng.normal(size=(4, 4)))
+    h = rng.normal(size=4)
+    lone, _ = gated_sum_forward(a, b, [h])
+    padded, _ = gated_sum_forward(a, b, [h, np.zeros(4)])
     assert np.allclose(lone, padded, atol=1e-12)
 
 
@@ -130,7 +124,7 @@ def test_gated_sum_formula():
     b = rng.normal(size=(3, 3))
     hs = [rng.normal(size=3) for _ in range(4)]
     want = sum(_sigmoid(a @ h) * np.tanh(b @ h) for h in hs)
-    got = gated_sum(Tensor(a), Tensor(b), [Tensor(h) for h in hs]).value
+    got, _ = gated_sum_forward(Param(a), Param(b), hs)
     assert np.allclose(got, want, atol=1e-12)
 
 
@@ -138,14 +132,14 @@ def test_gated_sum_formula():
 
 
 def test_adam_first_step_is_minus_lr():
-    p = Tensor(np.array([0.0, 0.0]))
+    p = Param(np.array([0.0, 0.0]))
     state = AdamState.create([p], lr=0.001)
     adam_step([p], [np.ones(2)], state)
     assert np.all(np.abs(p.value + 0.001) < 1e-6)
 
 
 def test_adam_zero_grad_keeps_params():
-    p = Tensor(np.array([1.5, -2.0]))
+    p = Param(np.array([1.5, -2.0]))
     state = AdamState.create([p])
     adam_step([p], [np.zeros(2)], state)
     assert np.array_equal(p.value, np.array([1.5, -2.0]))
@@ -154,7 +148,7 @@ def test_adam_zero_grad_keeps_params():
 def test_adam_deterministic_trajectories():
     def run():
         rng = np.random.default_rng(9)
-        p = Tensor(rng.normal(size=4))
+        p = Param(rng.normal(size=4))
         state = AdamState.create([p], lr=0.01)
         for _ in range(25):
             adam_step([p], [2.0 * p.value], state)
@@ -164,112 +158,113 @@ def test_adam_deterministic_trajectories():
 
 
 def test_adam_shape_mismatch_raises():
-    p = Tensor(np.zeros(3))
+    p = Param(np.zeros(3))
     state = AdamState.create([p])
     with pytest.raises(ValueError):
         adam_step([p], [np.zeros(4)], state)
 
 
-# --- autodiff spot checks ------------------------------------------------------------
-
-
-def test_backward_square():
-    w = Tensor(np.array([3.0]))
-    loss = total(mul(w, w))
-    backward(loss)
-    assert np.allclose(w.grad, [6.0], atol=1e-12)
-
-
-def test_backward_accumulates_shared_subgraphs():
-    w = Tensor(np.array([2.0]))
-    y = mul(w, w)  # w^2
-    loss = total(y + y)  # 2 w^2 -> d/dw = 4w = 8
-    backward(loss)
-    assert np.allclose(w.grad, [8.0], atol=1e-12)
+# --- loss heads -----------------------------------------------------------------------
 
 
 def test_bce_matches_closed_form():
-    logit = Tensor(np.array([0.0]))
-    loss = bce_with_logits(logit, np.array([1.0]))
-    assert abs(loss.value - math.log(2.0)) < 1e-12
-    backward(loss)
-    assert np.allclose(logit.grad, [-0.5], atol=1e-12)  # sigma(0) - 1
+    value, grad = bce_with_logits(np.array([0.0]), np.array([1.0]))
+    assert abs(value - math.log(2.0)) < 1e-12
+    assert np.allclose(grad, [-0.5], atol=1e-12)  # sigma(0) - 1
 
 
 def test_softmax_ce_uniform_logits():
-    logits = Tensor(np.zeros(7))
-    loss = softmax_cross_entropy(logits, 3)
-    assert abs(loss.value - math.log(7.0)) < 1e-12
+    value, grad = softmax_cross_entropy(np.zeros(7), 3)
+    assert abs(value - math.log(7.0)) < 1e-12
+    want = np.full(7, 1.0 / 7.0)
+    want[3] -= 1.0
+    assert np.allclose(grad, want, atol=1e-12)
+
+
+# --- gradient checks ---------------------------------------------------------------
 
 
 def test_finite_diff_square():
-    w = Tensor(np.array([3.0]))
-    err = finite_diff_check(lambda: total(mul(w, w)), [w])
+    w = Param(np.array([3.0]))
+    err = finite_diff_check(lambda: (w.value * w.value).sum(), [w], [2.0 * w.value])
     assert err < 1e-8
 
 
 def test_finite_diff_flat_region():
-    w = Tensor(np.array([0.5, -0.5]))
+    w = Param(np.array([0.5, -0.5]))
     # constant loss: gradient must vanish on both routes
-    err = finite_diff_check(lambda: Tensor(np.array(1.0)) + total(mul(w, Tensor(np.zeros(2)))), [w])
+    err = finite_diff_check(lambda: 1.0 + (w.value * 0.0).sum(), [w], [np.zeros(2)])
     assert err < 1e-8
 
 
+def test_finite_diff_catches_wrong_gradient():
+    w = Param(np.array([3.0]))
+    err = finite_diff_check(lambda: (w.value * w.value).sum(), [w], [w.value.copy()])
+    assert err > 0.1
+
+
 def test_finite_diff_composite_ops():
+    # the three loss heads of the autoencoder on one linear layer
     rng = np.random.default_rng(4)
-    w = Tensor(rng.normal(size=(3, 3)))
-    b = Tensor(rng.normal(size=3))
+    w = Param(rng.normal(size=(3, 3)))
+    b = Param(rng.normal(size=3))
     x = rng.normal(size=3)
     t = np.array([1.0, 0.0, 1.0])
 
-    def loss_fn():
-        h = tanh(matvec(w, x) + b)
-        m = stack([h, mul(h, h)])
-        s = total(mul(sigmoid(matmat(m, transpose(w))), tanh(m)), axis=0)
-        e = total(absolute(sigmoid(concat([s, b])) - Tensor(np.concatenate([t, t]))))
-        return e + bce_with_logits(s, t) + softmax_cross_entropy(s, 1)
+    def value_and_grads():
+        s = w.value @ x + b.value
+        bce, d_bce = bce_with_logits(s, t)
+        ce, d_ce = softmax_cross_entropy(s, 1)
+        p = _sigmoid(s)
+        ds = d_bce + d_ce + np.sign(p - t) * p * (1.0 - p)
+        return bce + ce + np.abs(p - t).sum(), [np.outer(ds, x), ds]
 
-    err = finite_diff_check(loss_fn, [w, b])
+    err = finite_diff_check(lambda: value_and_grads()[0], [w, b], value_and_grads()[1])
     assert err < 1e-6
 
 
 def test_gated_sum_gradient():
     rng = np.random.default_rng(6)
-    a = Tensor(rng.normal(size=(3, 3)))
-    b = Tensor(rng.normal(size=(3, 3)))
-    h0 = Tensor(rng.normal(size=3))
-    cell = GruCell.create(3, 3, rng)
+    a = Param(rng.normal(size=(3, 3)))
+    b = Param(rng.normal(size=(3, 3)))
+    h0 = Param(rng.normal(size=3))
+    cell = _random_cell(3, 3, rng)
     t = np.array([1.0, 1.0, 0.0])
+    x = np.array([1.0, 0.0, 0.0])
 
-    def loss_fn():
-        h1 = gru_step(cell, np.array([1.0, 0.0, 0.0]), h0)
-        agg = gated_sum(a, b, [h0, h1, np.ones(3)])
-        return bce_with_logits(agg, t)
+    def value_and_grads():
+        h1, gru = gru_forward(cell, x, h0.value)
+        agg, acts = gated_sum_forward(a, b, [h0.value, h1, np.ones(3)])
+        value, d_agg = bce_with_logits(agg, t)
+        ga, gb, gcell = Param(np.zeros((3, 3))), Param(np.zeros((3, 3))), _zero_cell(3, 3)
+        rows = gated_sum_backward(a, b, acts, d_agg, ga, gb)
+        dh, dpre = gru_backward(cell, gru, rows[1])
+        gru_weight_grads(gcell, [gru], [dpre])
+        dh0 = rows[0] + dh
+        return value, [ga.value, gb.value, dh0, *(p.value for p in gcell.params().values())]
 
-    err = finite_diff_check(loss_fn, [a, b, h0, *cell.params().values()])
+    params = [a, b, h0, *cell.params().values()]
+    err = finite_diff_check(lambda: value_and_grads()[0], params, value_and_grads()[1])
     assert err < 1e-6
 
 
 def test_gru_gradient():
     rng = np.random.default_rng(5)
-    cell = GruCell.create(2, 3, rng)
+    cell = _random_cell(2, 3, rng)
     params = list(cell.params().values())
     x = rng.normal(size=2)
     h0 = rng.normal(size=3)
     t = np.array([1.0, 0.0, 1.0])
 
-    def loss_fn():
-        h1 = gru_step(cell, x, h0)
-        h2 = gru_step(cell, x, h1)
-        return bce_with_logits(h2, t)
+    def value_and_grads():
+        h1, gru1 = gru_forward(cell, x, h0)
+        h2, gru2 = gru_forward(cell, x, h1)
+        value, dh2 = bce_with_logits(h2, t)
+        dh1, dpre2 = gru_backward(cell, gru2, dh2)
+        _, dpre1 = gru_backward(cell, gru1, dh1)
+        grad = _zero_cell(2, 3)
+        gru_weight_grads(grad, [gru2, gru1], [dpre2, dpre1])
+        return value, [p.value for p in grad.params().values()]
 
-    err = finite_diff_check(loss_fn, params)
+    err = finite_diff_check(lambda: value_and_grads()[0], params, value_and_grads()[1])
     assert err < 1e-6
-
-
-def test_zero_grads():
-    w = Tensor(np.array([1.0]))
-    backward(total(mul(w, w)))
-    assert w.grad is not None
-    zero_grads([w])
-    assert w.grad is None
