@@ -95,7 +95,7 @@ class EncoderAbstraction:
 def available_actions(c: Circuit, cfg: AgentConfig):
     """The agent's layered action space, paired with the canonical keys.
 
-    Every forward match and the CX_REV moves are offered, but Hadamard-pair
+    Every forward match is offered, but Hadamard-pair
     insertion only as a layer on all wires at either end of the circuit, and
     CNOT-pair insertion only on the empty circuit.  Per-wire insertions at
     arbitrary positions spawn a huge lattice of depth-neutral states that

@@ -11,7 +11,25 @@ Subcommands:
 
 Settings come from defaults, then an optional flat `key = value` config
 file, then command-line flags (later wins).  Every run directory receives
-the fully resolved configuration, so a run can be reproduced byte-exactly.
+the fully resolved configuration as `config.txt`, which `--config` reads
+back, so a run can be reproduced byte-exactly.  The keys are the fields of
+`harness.HarnessConfig`, each with the flag that sets it:
+
+    n             --n            data-wire count of the BV instance
+    secret        --secret       hidden bit string (default all ones)
+    epochs        --epochs       episodes per agent (default per size)
+    seeds         --seeds        compare runs seeds 0 .. seeds-1
+    seed          --seed         seed of the single-phase subcommands
+    out_dir       --out          output directory
+    corpus_cap    --corpus-cap   DAGs sampled from the corpus for phase 2
+    dvae_d_h      --d-h          autoencoder hidden width
+    dvae_d_z      --d-z          latent width
+    dvae_epochs   --vae-epochs   autoencoder training epochs
+    dvae_lr       --vae-lr       Adam learning rate
+    dvae_batch    --vae-batch    mini-batch size
+    dvae_beta     --beta         KL weight
+    bin_width     --bin-width    latent quantisation step
+
 Exit codes: 0 success, 1 validation failure, 2 usage error.
 """
 
@@ -20,14 +38,13 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import dataclass, fields, replace
+from dataclasses import fields, replace
 
 import numpy as np
 
 from . import harness
 from .agent import qtable_to_tsv
 from .circuit import (
-    BvSpec,
     bv_circuit,
     depth,
     random_icmh_circuit,
@@ -37,6 +54,7 @@ from .circuit import (
 )
 from .dag import dag_from_debug_text, to_dag, validate
 from .dvae import DvaeConfig, DvaeModel, backward, load_checkpoint, loss
+from .harness import HarnessConfig
 from .nn import finite_diff_check
 from .rewrite import enumerate_actions, apply
 
@@ -47,48 +65,7 @@ class ConfigError(ValueError):
     pass
 
 
-@dataclass
-class RunConfig:
-    n: int = 2
-    secret: int | None = None        # default: all-ones for n data wires
-    epochs: int | None = None        # default: the per-size benchmark budget
-    seeds: int = 5                   # number of seeds for compare
-    seed: int = 0                    # seed for single-run subcommands
-    out_dir: str = ""
-    corpus_cap: int = 160
-    d_h: int = 32
-    d_z: int = 8
-    vae_epochs: int = 16
-    vae_lr: float = 3e-3
-    vae_batch: int = 16
-    beta: float = 0.005
-    bin_width: float = 0.5
-
-    def bv_spec(self) -> BvSpec:
-        secret = self.secret if self.secret is not None else (1 << self.n) - 1
-        return BvSpec(self.n, secret)
-
-    def resolved_epochs(self) -> int:
-        if self.epochs is not None:
-            return self.epochs
-        return harness.DEFAULT_EPOCHS.get(self.n, 3000)
-
-    def harness_config(self) -> harness.HarnessConfig:
-        return harness.HarnessConfig(
-            seeds=tuple(range(self.seeds)),
-            epochs_by_size={self.n: self.resolved_epochs()},
-            corpus_cap=self.corpus_cap,
-            dvae_d_h=self.d_h,
-            dvae_d_z=self.d_z,
-            dvae_epochs=self.vae_epochs,
-            dvae_lr=self.vae_lr,
-            dvae_batch=self.vae_batch,
-            dvae_beta=self.beta,
-            bin_width=self.bin_width,
-        )
-
-
-_FIELD_TYPES = {f.name: f for f in fields(RunConfig)}
+_FIELD_TYPES = {f.name: f for f in fields(HarnessConfig)}
 
 
 def _parse_value(key: str, raw: str):
@@ -107,9 +84,10 @@ def _parse_value(key: str, raw: str):
     return raw
 
 
-def load_config(path: str | None, overrides: dict) -> RunConfig:
-    """Defaults, overridden by the config file, overridden by flags."""
-    cfg = RunConfig()
+def load_config(path: str | None, overrides: dict) -> HarnessConfig:
+    """Defaults, overridden by the config file, overridden by flags; the
+    default secret and episode budget are then filled in for the size."""
+    cfg = HarnessConfig()
     if path:
         if not os.path.exists(path):
             raise ConfigError(f"config file not found: {path}")
@@ -128,15 +106,15 @@ def load_config(path: str | None, overrides: dict) -> RunConfig:
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
     cfg = replace(cfg, **{k: v for k, v in overrides.items() if v is not None})
-    return cfg
+    return replace(cfg, secret=cfg.bv_spec().secret, epochs=cfg.resolved_epochs())
 
 
-def config_text(cfg: RunConfig) -> str:
-    lines = [f"{f.name} = {getattr(cfg, f.name)}" for f in fields(RunConfig)]
+def config_text(cfg: HarnessConfig) -> str:
+    lines = [f"{f.name} = {getattr(cfg, f.name)}" for f in fields(HarnessConfig)]
     return "\n".join(lines) + "\n"
 
 
-def _out_dir(cfg: RunConfig, fallback: str) -> str:
+def _out_dir(cfg: HarnessConfig, fallback: str) -> str:
     if cfg.out_dir:
         return cfg.out_dir
     root = os.environ.get(OUT_ROOT_ENV, "runs")
@@ -149,14 +127,14 @@ def _write(path: str, text: str):
         fh.write(text)
 
 
-def _echo_config(cfg: RunConfig, out_dir: str):
+def _echo_config(cfg: HarnessConfig, out_dir: str):
     _write(os.path.join(out_dir, "config.txt"), config_text(cfg))
 
 
 # --- subcommands -----------------------------------------------------------------
 
 
-def cmd_gen_bv(cfg: RunConfig, args) -> int:
+def cmd_gen_bv(cfg: HarnessConfig, args) -> int:
     circuit = bv_circuit(cfg.bv_spec())
     text = serialize_qasm(circuit)
     if args.out:
@@ -167,11 +145,10 @@ def cmd_gen_bv(cfg: RunConfig, args) -> int:
     return 0
 
 
-def cmd_train_baseline(cfg: RunConfig, args) -> int:
+def cmd_train_baseline(cfg: HarnessConfig, args) -> int:
     spec = cfg.bv_spec()
-    epochs = cfg.resolved_epochs()
     out = _out_dir(cfg, f"bv{cfg.n}-baseline-seed{cfg.seed}")
-    agent_cfg = harness.benchmark_agent_config(spec, epochs, cfg.seed)
+    agent_cfg = harness.benchmark_agent_config(spec, cfg.epochs, cfg.seed)
     result = harness.run_baseline(spec, agent_cfg)
     os.makedirs(out, exist_ok=True)
     _echo_config(cfg, out)
@@ -182,7 +159,7 @@ def cmd_train_baseline(cfg: RunConfig, args) -> int:
     return 0
 
 
-def cmd_train_vae(cfg: RunConfig, args) -> int:
+def cmd_train_vae(cfg: HarnessConfig, args) -> int:
     with open(args.corpus, encoding="utf-8") as fh:
         blocks = [b for b in fh.read().split("\n\n") if b.strip()]
     corpus = [dag_from_debug_text(b) for b in blocks]
@@ -192,7 +169,7 @@ def cmd_train_vae(cfg: RunConfig, args) -> int:
     ckpt = os.path.join(out, "model.ckpt")
     model, stats = harness.train_encoder_from_corpus(
         corpus,
-        harness.dvae_config(cfg.harness_config(), cfg.seed),
+        harness.dvae_config(cfg, cfg.seed),
         cfg.corpus_cap,
         checkpoint_path=ckpt,
     )
@@ -204,12 +181,11 @@ def cmd_train_vae(cfg: RunConfig, args) -> int:
     return 0
 
 
-def cmd_train_encoded(cfg: RunConfig, args) -> int:
+def cmd_train_encoded(cfg: HarnessConfig, args) -> int:
     spec = cfg.bv_spec()
-    epochs = cfg.resolved_epochs()
     out = _out_dir(cfg, f"bv{cfg.n}-encoded-seed{cfg.seed}")
     model = load_checkpoint(args.model)
-    agent_cfg = harness.benchmark_agent_config(spec, epochs, cfg.seed)
+    agent_cfg = harness.benchmark_agent_config(spec, cfg.epochs, cfg.seed)
     result = harness.run_encoded(spec, model, agent_cfg, cfg.bin_width)
     os.makedirs(out, exist_ok=True)
     _echo_config(cfg, out)
@@ -219,9 +195,9 @@ def cmd_train_encoded(cfg: RunConfig, args) -> int:
     return 0
 
 
-def cmd_compare(cfg: RunConfig, args) -> int:
+def cmd_compare(cfg: HarnessConfig, args) -> int:
     out = _out_dir(cfg, f"bv{cfg.n}-compare")
-    reports = harness.run_benchmark([cfg.n], cfg.harness_config())
+    reports = harness.run_benchmark(cfg)
     harness.write_artifacts(reports, out)
     _echo_config(cfg, out)
     sys.stdout.write(harness.report_text(reports))
@@ -284,12 +260,12 @@ def _add_config_flags(p: argparse.ArgumentParser):
     p.add_argument("--seeds", type=int, help="seed count for compare")
     p.add_argument("--out", dest="out_dir", help="output directory")
     p.add_argument("--corpus-cap", dest="corpus_cap", type=int)
-    p.add_argument("--d-h", dest="d_h", type=int)
-    p.add_argument("--d-z", dest="d_z", type=int)
-    p.add_argument("--vae-epochs", dest="vae_epochs", type=int)
-    p.add_argument("--vae-lr", dest="vae_lr", type=float)
-    p.add_argument("--vae-batch", dest="vae_batch", type=int)
-    p.add_argument("--beta", type=float)
+    p.add_argument("--d-h", dest="dvae_d_h", type=int)
+    p.add_argument("--d-z", dest="dvae_d_z", type=int)
+    p.add_argument("--vae-epochs", dest="dvae_epochs", type=int)
+    p.add_argument("--vae-lr", dest="dvae_lr", type=float)
+    p.add_argument("--vae-batch", dest="dvae_batch", type=int)
+    p.add_argument("--beta", dest="dvae_beta", type=float)
     p.add_argument("--bin-width", dest="bin_width", type=float)
 
 

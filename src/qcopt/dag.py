@@ -43,14 +43,12 @@ class CircuitDag:
 
     ``wire_of_edge`` labels each edge with its wire (real wires 0..n-1, fake
     wire n) when the DAG came from a circuit; structure-only DAGs leave it
-    empty.  ``order_hints`` carries (wire, program position) per node for
-    deterministic topological tie-breaking.
+    empty.
     """
 
     types: tuple[NodeType, ...]
     edges: tuple[tuple[int, int], ...]
     wire_of_edge: dict = field(default_factory=dict)
-    order_hints: tuple | None = None
 
     @property
     def n_nodes(self) -> int:
@@ -74,34 +72,32 @@ def to_dag(c: Circuit) -> CircuitDag:
     n = c.n_wires
     fake = n
     types: list[NodeType] = []
-    hints: list[tuple[int, int]] = []
     edges: list[tuple[int, int]] = []
     wires: dict[tuple[int, int], int] = {}
 
-    def add_node(t: NodeType, wire: int, pos: int) -> int:
+    def add_node(t: NodeType) -> int:
         types.append(t)
-        hints.append((wire, pos))
         return len(types) - 1
 
     def add_edge(u: int, v: int, wire: int):
         edges.append((u, v))
         wires[(u, v)] = wire
 
-    last = [add_node(NodeType.INPUT, w, -1) for w in range(n + 1)]
+    last = [add_node(NodeType.INPUT) for _ in range(n + 1)]
     fake_last = last[fake]
 
-    for pos, g in enumerate(c.gates):
+    for g in c.gates:
         if g.is_cx:
             cq, tq = g.qubits
             if fake_last == last[cq]:
                 # fake edge would parallel the real edge into the ctrl node
-                helper = add_node(NodeType.HELPER, fake, pos)
+                helper = add_node(NodeType.HELPER)
                 add_edge(fake_last, helper, fake)
                 fake_last = helper
-            ctrl = add_node(NodeType.CTRL_OP, cq, pos)
+            ctrl = add_node(NodeType.CTRL_OP)
             add_edge(last[cq], ctrl, cq)
             add_edge(fake_last, ctrl, fake)
-            trgt = add_node(NodeType.TRGT_OP, tq, pos)
+            trgt = add_node(NodeType.TRGT_OP)
             add_edge(last[tq], trgt, tq)
             add_edge(ctrl, trgt, fake)
             last[cq] = ctrl
@@ -109,16 +105,16 @@ def to_dag(c: Circuit) -> CircuitDag:
             fake_last = trgt
         else:
             q = g.qubits[0]
-            node = add_node(NodeType.HADAMARD, q, pos)
+            node = add_node(NodeType.HADAMARD)
             add_edge(last[q], node, q)
             last[q] = node
 
     last[fake] = fake_last
     for w in range(n + 1):
-        out = add_node(NodeType.OUTPUT, w, len(c.gates))
+        out = add_node(NodeType.OUTPUT)
         add_edge(last[w], out, w)
 
-    return CircuitDag(tuple(types), tuple(edges), wires, tuple(hints))
+    return CircuitDag(tuple(types), tuple(edges), wires)
 
 
 def validate(d: CircuitDag) -> list[str]:
@@ -177,11 +173,10 @@ def validate(d: CircuitDag) -> list[str]:
 
 
 def topo_order(d: CircuitDag) -> list[int]:
-    """Deterministic topological order.
+    """Deterministic topological order; ties go to the lowest node id.
 
-    Ties are broken by the (wire, program position) node hints, compared
-    position-first so that all inputs precede all outputs on the empty
-    circuit; DAGs without hints fall back to node-id order.
+    ``to_dag`` numbers nodes in program order, inputs by wire first and
+    outputs by wire last, so on a circuit's DAG this follows the gate list.
     """
     n = d.n_nodes
     indeg = [0] * n
@@ -189,21 +184,16 @@ def topo_order(d: CircuitDag) -> list[int]:
     for _, v in d.edges:
         indeg[v] += 1
 
-    if d.order_hints is not None:
-        key = lambda i: (d.order_hints[i][1], d.order_hints[i][0], i)
-    else:
-        key = lambda i: (i,)
-
-    heap = [(key(i), i) for i in range(n) if indeg[i] == 0]
+    heap = [i for i in range(n) if indeg[i] == 0]
     heapq.heapify(heap)
     order = []
     while heap:
-        _, u = heapq.heappop(heap)
+        u = heapq.heappop(heap)
         order.append(u)
         for v in succ[u]:
             indeg[v] -= 1
             if indeg[v] == 0:
-                heapq.heappush(heap, (key(v), v))
+                heapq.heappush(heap, v)
     if len(order) != n:
         raise ValueError("cycle detected in DAG")
     return order
@@ -249,4 +239,4 @@ def dag_from_debug_text(text: str) -> CircuitDag:
                 wires[(u, v)] = w
         else:
             raise ValueError(f"unknown debug line {line!r}")
-    return CircuitDag(tuple(types), tuple(edges), wires, None)
+    return CircuitDag(tuple(types), tuple(edges), wires)

@@ -15,11 +15,10 @@ predecessors.  Sourceless nodes take the running context instead --
 initially the latent-derived state, so z reaches every chain, and repeated
 source nodes stay distinguishable by sequence position.
 
-Training minimises  alpha * R + gamma * E (+ beta * KL)  where R is the
-cross-entropy reconstruction term over node types and edge indicators and E
-is the expected edge edit distance sum |p - t| (differentiable a.e.).
-Quantising the latent mean per dimension turns encodings into discrete RL
-state keys.
+Training minimises  R + E + beta * KL  where R is the cross-entropy
+reconstruction term over node types and edge indicators and E is the
+expected edge edit distance sum |p - t| (differentiable a.e.).  Quantising
+the latent mean per dimension turns encodings into discrete RL state keys.
 
 Each network has one numpy forward that returns its outputs together with
 the activations it computed: ``encoder_forward`` serves both ``loss`` and
@@ -33,7 +32,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import NamedTuple
 
 import numpy as np
@@ -68,14 +67,11 @@ class Latent(NamedTuple):
 class DvaeConfig:
     d_h: int = 64
     d_z: int = 8
-    alpha: float = 1.0          # reconstruction scale
-    gamma_loss: float = 1.0     # edit-distance scale
-    beta: float = 0.005         # KL scale; 0 recovers the bare alpha*R + gamma*E loss
+    beta: float = 0.005         # KL scale; 0 recovers the bare R + E loss
     lr: float = 1e-3
     epochs: int = 50
     batch_size: int = 16
     bin_width: float = 0.5      # latent quantisation step
-    max_decode_nodes: int = 80
     seed: int = 0
 
     def __post_init__(self):
@@ -83,8 +79,8 @@ class DvaeConfig:
             raise ValueError("dimensions, epochs and batch size must be positive")
         if self.bin_width <= 0 or self.lr <= 0:
             raise ValueError("bin_width and lr must be positive")
-        if self.beta < 0 or self.alpha <= 0 or self.gamma_loss < 0:
-            raise ValueError("bad loss scales")
+        if self.beta < 0:
+            raise ValueError("beta must be non-negative")
 
 
 @dataclass
@@ -163,31 +159,15 @@ class DvaeModel:
         )
 
     def params(self) -> dict[str, Param]:
-        out = {f"enc.{k}": v for k, v in self.enc.params().items()}
-        out.update(
-            enc_gate_a=self.enc_gate_a,
-            enc_gate_b=self.enc_gate_b,
-            readout_a=self.readout_a,
-            readout_b=self.readout_b,
-            w_mu=self.w_mu,
-            b_mu=self.b_mu,
-            w_logvar=self.w_logvar,
-            b_logvar=self.b_logvar,
-        )
-        out.update({f"dec.{k}": v for k, v in self.dec.params().items()})
-        out.update(
-            dec_gate_a=self.dec_gate_a,
-            dec_gate_b=self.dec_gate_b,
-            w_init=self.w_init,
-            b_init=self.b_init,
-            w_type=self.w_type,
-            b_type=self.b_type,
-            w_edge_prev=self.w_edge_prev,
-            b_edge=self.b_edge,
-            w_edge_new=self.w_edge_new,
-            w_edge_out=self.w_edge_out,
-            b_edge_out=self.b_edge_out,
-        )
+        """Every parameter array by name in field order; a GRU cell's arrays
+        are named ``<cell>.<array>``."""
+        out = {}
+        for f in fields(self):
+            if f.type == "GruCell":
+                cell = getattr(self, f.name)
+                out.update({f"{f.name}.{k}": p for k, p in cell.params().items()})
+            elif f.type == "Param":
+                out[f.name] = getattr(self, f.name)
         return out
 
 
@@ -432,16 +412,14 @@ def loss(m: DvaeModel, d: CircuitDag, noise: np.ndarray, cfg: DvaeConfig):
         probs = _sigmoid_np(logits)
         e_term += np.abs(probs - tgt).sum()
         d_edit = np.sign(probs - tgt) * probs * (1.0 - probs)
-        d_edges.append(cfg.alpha * d_bce + cfg.gamma_loss * d_edit)
+        d_edges.append(d_bce + d_edit)
         n_edges += len(tgt)
         n_edge_correct += int(((probs > 0.5) == (tgt > 0.5)).sum())
 
     var = np.exp(logvar)
     kl = 0.5 * ((mu * mu + var) - (1.0 + logvar)).sum()
 
-    value = float(
-        cfg.alpha * (r_types + r_edges) + (cfg.gamma_loss * e_term + cfg.beta * kl)
-    )
+    value = float((r_types + r_edges) + (e_term + cfg.beta * kl))
     parts = LossParts(
         total=value,
         recon_types=float(r_types),
@@ -456,7 +434,7 @@ def loss(m: DvaeModel, d: CircuitDag, noise: np.ndarray, cfg: DvaeConfig):
     cache = LossCache(
         enc,
         dec,
-        cfg.alpha * d_types,
+        d_types,
         d_edges,
         cfg.beta * mu,
         0.5 * cfg.beta * (var - 1.0),
@@ -506,11 +484,6 @@ def train(dataset: list[CircuitDag], cfg: DvaeConfig):
     """
     if not dataset:
         raise ValueError("training needs a non-empty dataset")
-    biggest = max(d.n_nodes for d in dataset)
-    if biggest > cfg.max_decode_nodes:
-        raise ValueError(
-            f"a DAG has {biggest} nodes, over the decode cap {cfg.max_decode_nodes}"
-        )
     model = DvaeModel.create(cfg)
     params = list(model.params().values())
     adam = AdamState.create(params, lr=cfg.lr)

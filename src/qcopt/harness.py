@@ -11,9 +11,8 @@ report; compression means l_a < l_s.
 from __future__ import annotations
 
 import hashlib
-import json
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -69,8 +68,17 @@ def benchmark_agent_config(spec: BvSpec, epochs: int, seed: int) -> AgentConfig:
 
 @dataclass
 class HarnessConfig:
-    seeds: tuple = (0, 1, 2, 3, 4)
-    epochs_by_size: dict = field(default_factory=lambda: dict(DEFAULT_EPOCHS))
+    """The settings of a run: the BV instance, the agents' episode budget and
+    seeds, the autoencoder and the latent bin width.  A ``secret`` or
+    ``epochs`` left at None takes its per-size default through ``bv_spec``
+    and ``resolved_epochs``."""
+
+    n: int = 2
+    secret: int | None = None        # default: all ones on the n data wires
+    epochs: int | None = None        # default: DEFAULT_EPOCHS for n, else 3000
+    seeds: int = 5                   # compare runs seeds 0 .. seeds-1
+    seed: int = 0                    # seed of the single-phase subcommands
+    out_dir: str = ""
     corpus_cap: int = 160
     dvae_d_h: int = 32
     dvae_d_z: int = 8
@@ -79,6 +87,15 @@ class HarnessConfig:
     dvae_batch: int = 16
     dvae_beta: float = 0.005
     bin_width: float = 0.5
+
+    def bv_spec(self) -> BvSpec:
+        secret = self.secret if self.secret is not None else (1 << self.n) - 1
+        return BvSpec(self.n, secret)
+
+    def resolved_epochs(self) -> int:
+        if self.epochs is not None:
+            return self.epochs
+        return DEFAULT_EPOCHS.get(self.n, 3000)
 
 
 @dataclass
@@ -165,8 +182,6 @@ def train_encoder_from_corpus(
         rng = np.random.default_rng(cfg.seed)
         idx = rng.choice(len(corpus), size=corpus_cap, replace=False)
         sample = [corpus[i] for i in sorted(idx)]
-    cap = max(d.n_nodes for d in sample) + 4
-    cfg = replace(cfg, max_decode_nodes=max(cfg.max_decode_nodes, cap))
     model, stats = train(sample, cfg)
     if checkpoint_path:
         save_checkpoint(model, checkpoint_path)
@@ -223,10 +238,10 @@ def dvae_config(hcfg: HarnessConfig, seed: int) -> DvaeConfig:
     )
 
 
-def run_cell(
-    spec: BvSpec, epochs: int, seed: int, hcfg: HarnessConfig
-) -> BenchmarkReport:
-    """Full three-phase protocol for one (benchmark, seed) cell."""
+def run_cell(hcfg: HarnessConfig, seed: int) -> BenchmarkReport:
+    """Full three-phase protocol for one seed of the configured instance."""
+    spec = hcfg.bv_spec()
+    epochs = hcfg.resolved_epochs()
     agent_cfg = benchmark_agent_config(spec, epochs, seed)
     baseline = run_baseline(spec, agent_cfg)
     model, _ = train_encoder_from_corpus(
@@ -236,15 +251,9 @@ def run_cell(
     return compare(spec, epochs, seed, baseline, encoded)
 
 
-def run_benchmark(sizes: list[int], hcfg: HarnessConfig) -> list[BenchmarkReport]:
-    """All (size, seed) cells, serially and deterministically."""
-    reports = []
-    for size in sizes:
-        spec = BvSpec(size, (1 << size) - 1)
-        epochs = hcfg.epochs_by_size[size]
-        for seed in hcfg.seeds:
-            reports.append(run_cell(spec, epochs, seed, hcfg))
-    return reports
+def run_benchmark(hcfg: HarnessConfig) -> list[BenchmarkReport]:
+    """One cell per seed 0 .. hcfg.seeds-1, serially and deterministically."""
+    return [run_cell(hcfg, seed) for seed in range(hcfg.seeds)]
 
 
 # --- artifacts ----------------------------------------------------------------

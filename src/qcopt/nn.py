@@ -15,7 +15,7 @@ correctness is the contract and the finite-difference suite enforces it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -70,11 +70,8 @@ class GruCell:
         )
 
     def params(self) -> dict[str, Param]:
-        return {
-            "w_z": self.w_z, "u_z": self.u_z, "b_z": self.b_z,
-            "w_r": self.w_r, "u_r": self.u_r, "b_r": self.b_r,
-            "w_h": self.w_h, "u_h": self.u_h, "b_h": self.b_h,
-        }
+        """The nine parameter arrays by name, in field order."""
+        return {f.name: getattr(self, f.name) for f in fields(self) if f.type == "Param"}
 
 
 def gru_forward(cell: GruCell, x: np.ndarray, h: np.ndarray):

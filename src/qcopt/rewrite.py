@@ -3,7 +3,12 @@
     HH      two Hadamards on one wire cancel
     CXCX    two identical CNOTs cancel
     CX_PAR  a CNOT moves up next to an earlier CNOT sharing its control
-    CX_REV  CNOT(c,t) <-> H(c) H(t) CNOT(t,c) H(c) H(t)
+    CX_REV  CNOT(c,t) -> H(c) H(t) CNOT(t,c) H(c) H(t)
+
+CX_PAR and CX_REV apply forward only.  A reversal is undone by reversing the
+flanked CNOT again and cancelling the Hadamard pairs; a one-step undo would
+poison Q-learning with a reverse/unreverse oscillation that shadows the
+productive cancellations.
 
 Match enumeration over a circuit defines the RL action space.  Every action
 is unitary-preserving; sites carry enough indices to re-apply the action, and
@@ -177,15 +182,6 @@ def _matches_cxcx_rev(c: Circuit) -> list[Site]:
     return sorted(sites)
 
 
-def _matches_cx_rev_rev(c: Circuit) -> list[Site]:
-    # No reverse matcher: a reversal is undone by matching CX_REV forward on
-    # the flanked CNOT and cancelling the Hadamard pairs.  (A one-step undo
-    # would also poison Q-learning with a reverse/unreverse oscillation that
-    # shadows the productive cancellations.)  apply() still accepts the
-    # explicit 5-gate unreversal pattern for callers that build it by hand.
-    return []
-
-
 _MATCHERS = {
     (TemplateKind.HH, FORWARD): _matches_hh_fwd,
     (TemplateKind.HH, REVERSE): _matches_hh_rev,
@@ -193,7 +189,6 @@ _MATCHERS = {
     (TemplateKind.CXCX, REVERSE): _matches_cxcx_rev,
     (TemplateKind.CX_PAR, FORWARD): _matches_cx_par,
     (TemplateKind.CX_REV, FORWARD): _matches_cx_rev_fwd,
-    (TemplateKind.CX_REV, REVERSE): _matches_cx_rev_rev,
 }
 
 
@@ -293,32 +288,7 @@ def apply(c: Circuit, a: Action) -> Circuit:
         block = (Gate.h(cq), Gate.h(tq), Gate.cx(tq, cq), Gate.h(cq), Gate.h(tq))
         return c.with_gates(gates[:i] + block + gates[i + 1 :])
 
-    if kind is TemplateKind.CX_REV and direction == REVERSE:
-        _, i = site
-        _check(
-            2 <= i < len(gates) - 2 and gates[i].is_cx, "no reversal pattern at site"
-        )
-        cq, tq = gates[i].target, gates[i].control
-        flank = (Gate.h(cq), Gate.h(tq))
-        _check(
-            (gates[i - 2], gates[i - 1]) == flank
-            and (gates[i + 1], gates[i + 2]) == flank,
-            "no reversal pattern at site",
-        )
-        return c.with_gates(gates[: i - 2] + (Gate.cx(cq, tq),) + gates[i + 3 :])
-
     raise StaleSiteError(f"unsupported action {a!r}")
-
-
-_ACTION_ORDER = [
-    (TemplateKind.HH, FORWARD),
-    (TemplateKind.HH, REVERSE),
-    (TemplateKind.CXCX, FORWARD),
-    (TemplateKind.CXCX, REVERSE),
-    (TemplateKind.CX_PAR, FORWARD),
-    (TemplateKind.CX_REV, FORWARD),
-    (TemplateKind.CX_REV, REVERSE),
-]
 
 
 def gate_count_delta(a: Action, n_wires: int) -> int:
@@ -330,18 +300,14 @@ def gate_count_delta(a: Action, n_wires: int) -> int:
         if kind is TemplateKind.CX_REV:
             return 4
         return 0
-    if kind is TemplateKind.CX_REV:
-        return -4
     if site[0] == "all":
         return 2 * n_wires
     return 2
 
 
 def enumerate_actions(c: Circuit) -> list[Action]:
-    """Union of all template matches, deterministic order, unique keys."""
+    """Union of all template matches in ``_MATCHERS`` order, unique keys."""
     actions: list[Action] = []
-    for kind, direction in _ACTION_ORDER:
-        actions.extend(
-            Action(kind, direction, s) for s in _MATCHERS[(kind, direction)](c)
-        )
+    for (kind, direction), matcher in _MATCHERS.items():
+        actions.extend(Action(kind, direction, s) for s in matcher(c))
     return actions

@@ -1,12 +1,11 @@
 """Shared test oracles: DAG isomorphism, node relabelling and forward-action
 BFS to a target depth.
 
-The search is restricted to the gate-count-nonincreasing or structurally
-necessary directions (all four templates forward, plus CX_REV reverse which
-undoes a reversal).  The agent's layered action space keeps every one of
-these moves, so a path found here is valid in the agent's action space as
-long as it stays within the agent's gate bound, and a radius bound certifies
-reachability for the agent.
+The search is restricted to the forward direction of all four templates
+(gate-count-nonincreasing, or structurally necessary for CX_REV).  The
+agent's layered action space keeps every one of these moves, so a path found
+here is valid in the agent's action space as long as it stays within the
+agent's gate bound, and a radius bound certifies reachability for the agent.
 """
 
 from __future__ import annotations
@@ -15,7 +14,7 @@ import networkx as nx
 
 from qcopt.circuit import Circuit, depth, state_string
 from qcopt.dag import CircuitDag, NodeType
-from qcopt.rewrite import REVERSE, Action, TemplateKind, apply, enumerate_actions
+from qcopt.rewrite import REVERSE, Action, apply, enumerate_actions
 
 
 def _digraph(d: CircuitDag) -> nx.MultiDiGraph:
@@ -33,29 +32,20 @@ def is_isomorphic(a: CircuitDag, b: CircuitDag) -> bool:
 
 
 def relabelled(d: CircuitDag, perm: list[int]) -> CircuitDag:
-    """The same DAG with node i renamed perm[i]; edges, wire labels and
-    topological-order hints travel with their nodes."""
-    n = d.n_nodes
-    types = [NodeType.INPUT] * n
-    hints = [None] * n
+    """The same DAG with node i renamed perm[i]; edges and wire labels
+    travel with their nodes."""
+    types = [NodeType.INPUT] * d.n_nodes
     for i, t in enumerate(d.types):
         types[perm[i]] = t
-        if d.order_hints is not None:
-            hints[perm[i]] = d.order_hints[i]
     return CircuitDag(
         tuple(types),
         tuple(sorted((perm[u], perm[v]) for u, v in d.edges)),
         {(perm[u], perm[v]): w for (u, v), w in d.wire_of_edge.items()},
-        tuple(hints) if d.order_hints is not None else None,
     )
 
 
 def _oracle_actions(c: Circuit) -> list[Action]:
-    return [
-        a
-        for a in enumerate_actions(c)
-        if a.direction != REVERSE or a.kind is TemplateKind.CX_REV
-    ]
+    return [a for a in enumerate_actions(c) if a.direction != REVERSE]
 
 
 def bfs_optimize(

@@ -138,8 +138,10 @@ def test_topo_empty_circuit_inputs_before_outputs():
     types = [d.types[i] for i in order]
     assert types[:3] == [NodeType.INPUT] * 3
     assert types[3:] == [NodeType.OUTPUT] * 3
-    hints = [d.order_hints[i][0] for i in order[:3]]
-    assert hints == [0, 1, 2]  # ascending wire
+    # ties go to the lowest node id, which puts the inputs in wire order
+    wire_from = {u: w for (u, _), w in d.wire_of_edge.items()}
+    assert [wire_from[i] for i in order[:3]] == [0, 1, 2]
+    assert order == topo_order(dag_from_debug_text(dag_to_debug_text(d)))
 
 
 def test_topo_respects_edges():

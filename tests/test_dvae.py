@@ -41,7 +41,7 @@ def zeroed_model(d_h=6, d_z=2):
 
 def two_node_dag():
     """input -> output, the smallest decodable structure."""
-    return CircuitDag((NodeType.INPUT, NodeType.OUTPUT), ((0, 1),), {}, None)
+    return CircuitDag((NodeType.INPUT, NodeType.OUTPUT), ((0, 1),))
 
 
 # --- encoding ------------------------------------------------------------------
@@ -148,15 +148,6 @@ def test_decode_tf_zero_model_uniform():
     assert np.allclose(acts.edge_logits[0], 0.0, atol=1e-12)  # p = 0.5
 
 
-def test_decode_tf_node_cap():
-    # the decode cap admits a DAG of exactly max_decode_nodes nodes
-    d = to_dag(circ(2, Gate.h(0)))
-    cfg = DvaeConfig(d_h=4, d_z=2, epochs=1, max_decode_nodes=d.n_nodes)
-    train([d], cfg)
-    with pytest.raises(ValueError, match="decode cap"):
-        train([d], DvaeConfig(d_h=4, d_z=2, epochs=1, max_decode_nodes=d.n_nodes - 1))
-
-
 # --- loss -----------------------------------------------------------------------
 
 
@@ -249,12 +240,6 @@ def test_train_deterministic():
 def test_train_rejects_empty_dataset():
     with pytest.raises(ValueError):
         train([], DvaeConfig())
-
-
-def test_train_rejects_oversized_dag():
-    cfg = DvaeConfig(d_h=8, d_z=2, max_decode_nodes=4)
-    with pytest.raises(ValueError):
-        train([to_dag(circ(2, Gate.h(0)))], cfg)
 
 
 def test_overfit_one_greedy_reconstruction():
