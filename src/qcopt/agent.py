@@ -30,38 +30,35 @@ StateKey = str
 QTable = dict[StateKey, dict[str, float]]
 
 
+# Tuned once on the depth-3 objective and then held fixed: learning rate 1
+# (the environment is deterministic), a high discount so the terminal bonus
+# survives the long reverse-then-cancel chains, and epsilon decaying per
+# episode from 1.0 to a small floor.
+LEARNING_RATE = 1.0
+DISCOUNT = 0.99
+EPSILON_MIN = 0.02
+EPSILON_DECAY = 0.99
+STEP_PENALTY = 0.1
+TERMINAL_BONUS = 10.0
+TARGET_DEPTH = 3
+
+
 @dataclass
 class AgentConfig:
-    learning_rate: float = 0.1
-    discount: float = 0.9
-    epsilon_start: float = 1.0
-    epsilon_min: float = 0.05
-    epsilon_decay: float = 0.995   # per episode
-    max_steps: int = 50
-    step_penalty: float = 0.01
-    terminal_bonus: float = 10.0
-    target_depth: int | None = 3
     epochs: int = 3000
     seed: int = 0
+    max_steps: int = 50
     # environment bound: actions that would grow the circuit past this many
     # gates are not offered (keeps episodes desk-scale)
     max_gates: int = 60
 
     def __post_init__(self):
-        if not 0.0 < self.learning_rate <= 1.0:
-            raise ValueError("learning rate must be in (0, 1]")
-        if not 0.0 <= self.discount < 1.0:
-            raise ValueError("discount must be in [0, 1)")
-        if not 0.0 <= self.epsilon_min <= self.epsilon_start <= 1.0:
-            raise ValueError("epsilon bounds out of order")
         if self.max_steps < 1 or self.epochs < 1 or self.max_gates < 1:
             raise ValueError("max_steps, epochs and max_gates must be positive")
 
 
 class ExactAbstraction:
     """Non-lossy state function: the circuit's gate-list string."""
-
-    name = "qasm"
 
     def __call__(self, c: Circuit) -> StateKey:
         return state_string(c)
@@ -74,8 +71,6 @@ class EncoderAbstraction:
     maps to the same key; keys are cached per exact gate string because the
     RL loop revisits circuits constantly.
     """
-
-    name = "encoder"
 
     def __init__(self, model: DvaeModel, bin_width: float):
         self.model = model
@@ -130,14 +125,12 @@ def choose_action(
     actions: list[Action],
     epsilon: float,
     rng: np.random.Generator,
-    keys: list[str] | None = None,
+    keys: list[str],
 ) -> tuple[Action, str]:
     """Epsilon-greedy over the given actions; missing Q entries read as 0 and
     value ties break towards the lexicographically smallest action key."""
     if not actions:
         raise ValueError("no actions available")
-    if keys is None:
-        keys = [action_key(a) for a in actions]
     if epsilon > 0.0 and rng.random() < epsilon:
         i = int(rng.integers(len(actions)))
         return actions[i], keys[i]
@@ -157,11 +150,11 @@ def choose_action(
     return actions[best_i], best_key
 
 
-def reward(d_before: int, d_after: int, done: bool, cfg: AgentConfig) -> float:
+def reward(d_before: int, d_after: int, done: bool) -> float:
     """Depth improvement, minus the step penalty, plus the terminal bonus."""
-    r = float(d_before - d_after) - cfg.step_penalty
+    r = float(d_before - d_after) - STEP_PENALTY
     if done:
-        r += cfg.terminal_bonus
+        r += TERMINAL_BONUS
     return r
 
 
@@ -172,7 +165,6 @@ def q_update(
     r: float,
     s_next: StateKey,
     next_keys: list[str],
-    cfg: AgentConfig,
 ) -> QTable:
     """Q(s,a) += eta * (r + gamma * max_a' Q(s',a') - Q(s,a)).
 
@@ -202,9 +194,7 @@ def q_update(
             next_max = best if (seen_all and best < 0.0) else max(best, 0.0)
 
     current = row.get(a_key, 0.0)
-    row[a_key] = current + cfg.learning_rate * (
-        r + cfg.discount * next_max - current
-    )
+    row[a_key] = current + LEARNING_RATE * (r + DISCOUNT * next_max - current)
     return q
 
 
@@ -242,7 +232,7 @@ def run_episode(
     if visited is not None and s not in visited:
         visited[s] = c
     trace = EpisodeTrace(best_depth=d, final_depth=d)
-    if cfg.target_depth is not None and d <= cfg.target_depth:
+    if d <= TARGET_DEPTH:
         q.setdefault(s, {})
         return trace
 
@@ -253,7 +243,7 @@ def run_episode(
         a, a_key = choose_action(q, s, actions, epsilon, rng, keys)
         c2 = apply(c, a)
         d2 = depth(c2)
-        done = cfg.target_depth is not None and d2 <= cfg.target_depth
+        done = d2 <= TARGET_DEPTH
         s2 = abstraction(c2)
         if visited is not None and s2 not in visited:
             visited[s2] = c2
@@ -261,8 +251,8 @@ def run_episode(
             actions2, keys2 = [], []
         else:
             actions2, keys2 = available_actions(c2, cfg)
-        r = reward(d, d2, done, cfg)
-        q_update(q, s, a_key, r, s2, keys2, cfg)
+        r = reward(d, d2, done)
+        q_update(q, s, a_key, r, s2, keys2)
         trace.steps.append(EpisodeStep(s, a_key, r, d2))
         trace.best_depth = min(trace.best_depth, d2)
         c, d, s, actions, keys = c2, d2, s2, actions2, keys2
@@ -287,10 +277,10 @@ def train_agent(start: Circuit, abstraction, cfg: AgentConfig) -> TrainResult:
     visited: dict[StateKey, Circuit] = {}
     rng = np.random.default_rng(cfg.seed)
     traces: list[EpisodeTrace] = []
-    epsilon = cfg.epsilon_start
+    epsilon = 1.0
     for _ in range(cfg.epochs):
         traces.append(run_episode(start, q, abstraction, cfg, rng, epsilon, visited))
-        epsilon = max(cfg.epsilon_min, epsilon * cfg.epsilon_decay)
+        epsilon = max(EPSILON_MIN, epsilon * EPSILON_DECAY)
     return TrainResult(q, traces, len(q), visited)
 
 
@@ -302,7 +292,7 @@ def greedy_trajectory(
     steps: list[EpisodeStep] = []
     c = start
     d = depth(c)
-    if cfg.target_depth is not None and d <= cfg.target_depth:
+    if d <= TARGET_DEPTH:
         return steps
     for _ in range(cfg.max_steps):
         actions, keys = available_actions(c, cfg)
@@ -313,7 +303,7 @@ def greedy_trajectory(
         c = apply(c, a)
         d = depth(c)
         steps.append(EpisodeStep(s, a_key, 0.0, d))
-        if cfg.target_depth is not None and d <= cfg.target_depth:
+        if d <= TARGET_DEPTH:
             break
     return steps
 

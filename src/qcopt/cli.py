@@ -10,9 +10,11 @@ Subcommands:
     grad-check      finite-difference check of the autoencoder loss
 
 Settings come from defaults, then an optional flat `key = value` config
-file, then command-line flags (later wins).  Every run directory receives
-the fully resolved configuration as `config.txt`, which `--config` reads
-back, so a run can be reproduced byte-exactly.  The keys are the fields of
+file, then command-line flags (later wins).  In the config file a line whose
+first non-blank character is `#` is a comment; a `#` anywhere else is part
+of the value.  Every run directory receives the fully resolved configuration
+as `config.txt`, which `--config` reads back, so a run can be reproduced
+byte-exactly.  The keys are the fields of
 `harness.HarnessConfig`, each with the flag that sets it:
 
     n             --n            data-wire count of the BV instance
@@ -93,8 +95,8 @@ def load_config(path: str | None, overrides: dict) -> HarnessConfig:
             raise ConfigError(f"config file not found: {path}")
         with open(path, encoding="utf-8") as fh:
             for ln, raw in enumerate(fh, start=1):
-                line = raw.split("#", 1)[0].strip()
-                if not line:
+                line = raw.strip()
+                if not line or line.startswith("#"):
                     continue
                 if "=" not in line:
                     raise ConfigError(f"{path}:{ln}: expected 'key = value'")

@@ -238,11 +238,6 @@ def _encoder_backward(
     gru_weight_grads(g.enc, [gru for _, gru in reversed(acts.steps)], dpre)
 
 
-def reparameterize(l: Latent, rng: np.random.Generator) -> np.ndarray:
-    """z = mu + exp(logvar / 2) * n with n ~ N(0, I) from the given rng."""
-    return l.mu + np.exp(0.5 * l.logvar) * rng.standard_normal(l.mu.shape[0])
-
-
 # --- decoding ---------------------------------------------------------------
 
 

@@ -42,26 +42,14 @@ DEFAULT_EPOCHS = {size: row[0] for size, row in REFERENCE_TABLE.items()}
 
 
 def benchmark_agent_config(spec: BvSpec, epochs: int, seed: int) -> AgentConfig:
-    """Benchmark settings for one Bernstein-Vazirani instance.
-
-    Tuned once on the depth-3 objective and then held fixed: learning rate 1
-    (the environment is deterministic), a high discount so the terminal bonus
-    survives the long reverse-then-cancel chains, episodes slightly longer
-    than twice the optimal action sequence.
-    """
+    """Benchmark settings for one Bernstein-Vazirani instance: episodes
+    slightly longer than twice the optimal action sequence, and room for
+    eight gates beyond the start circuit."""
     start_gates = 2 * (spec.n_data + 1) + len(spec.secret_bits())
     return AgentConfig(
-        learning_rate=1.0,
-        discount=0.99,
-        epsilon_start=1.0,
-        epsilon_min=0.02,
-        epsilon_decay=0.99,
-        max_steps=28 + 4 * spec.n_data,
-        step_penalty=0.1,
-        terminal_bonus=10.0,
-        target_depth=3,
         epochs=epochs,
         seed=seed,
+        max_steps=28 + 4 * spec.n_data,
         max_gates=start_gates + 8,
     )
 
@@ -164,7 +152,7 @@ def save_corpus(corpus: list[CircuitDag], path: str):
 def train_encoder_from_corpus(
     corpus: list[CircuitDag],
     cfg: DvaeConfig,
-    corpus_cap: int | None = None,
+    corpus_cap: int,
     checkpoint_path: str | None = None,
 ) -> tuple[DvaeModel, list[EpochStats]]:
     """Phase 2: fit the autoencoder on harvested states.
@@ -178,7 +166,7 @@ def train_encoder_from_corpus(
     if bad:
         raise ValueError(f"corpus entries {bad[:5]} fail DAG validation")
     sample = corpus
-    if corpus_cap is not None and len(corpus) > corpus_cap:
+    if len(corpus) > corpus_cap:
         rng = np.random.default_rng(cfg.seed)
         idx = rng.choice(len(corpus), size=corpus_cap, replace=False)
         sample = [corpus[i] for i in sorted(idx)]

@@ -179,20 +179,22 @@ def bce_with_logits(logits: np.ndarray, targets: np.ndarray):
 # --- optimiser -------------------------------------------------------------------
 
 
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
+
 @dataclass
 class AdamState:
     lr: float
-    beta1: float
-    beta2: float
-    eps: float
     step: int
     m: list[np.ndarray]
     v: list[np.ndarray]
 
     @staticmethod
-    def create(params: list[Param], lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8):
+    def create(params: list[Param], lr: float):
         return AdamState(
-            lr, beta1, beta2, eps, 0,
+            lr, 0,
             [np.zeros_like(p.value) for p in params],
             [np.zeros_like(p.value) for p in params],
         )
@@ -203,7 +205,7 @@ def adam_step(params: list[Param], grads: list[np.ndarray], state: AdamState):
     if len(params) != len(grads) or len(params) != len(state.m):
         raise ValueError("parameter/gradient/state length mismatch")
     state.step += 1
-    b1, b2 = state.beta1, state.beta2
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
     c1 = 1.0 - b1 ** state.step
     c2 = 1.0 - b2 ** state.step
     for p, g, m, v in zip(params, grads, state.m, state.v):
@@ -213,7 +215,7 @@ def adam_step(params: list[Param], grads: list[np.ndarray], state: AdamState):
         m += (1.0 - b1) * g
         v *= b2
         v += (1.0 - b2) * (g * g)
-        p.value -= state.lr * (m / c1) / (np.sqrt(v / c2) + state.eps)
+        p.value -= state.lr * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
 
 
 # --- gradient checking --------------------------------------------------------------

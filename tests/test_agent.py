@@ -3,6 +3,7 @@ import pytest
 
 from oracles import bfs_optimize
 from qcopt.agent import (
+    TARGET_DEPTH,
     AgentConfig,
     EncoderAbstraction,
     ExactAbstraction,
@@ -115,17 +116,16 @@ def test_choose_action_tie_breaks_lexicographically():
 
 def test_choose_action_empty_raises():
     with pytest.raises(ValueError):
-        choose_action({}, "s", [], 0.0, np.random.default_rng(0))
+        choose_action({}, "s", [], 0.0, np.random.default_rng(0), [])
 
 
 # --- reward ---------------------------------------------------------------------------
 
 
 def test_reward_examples():
-    cfg = AgentConfig(epochs=1)
-    assert abs(reward(4, 3, False, cfg) - 0.99) < 1e-12
-    assert abs(reward(3, 3, False, cfg) + 0.01) < 1e-12
-    assert abs(reward(4, 3, True, cfg) - 10.99) < 1e-12
+    assert abs(reward(4, 3, False) - 0.9) < 1e-12
+    assert abs(reward(3, 3, False) + 0.1) < 1e-12
+    assert abs(reward(4, 3, True) - 10.9) < 1e-12
 
 
 # --- q_update -------------------------------------------------------------------------
@@ -133,45 +133,46 @@ def test_reward_examples():
 
 def test_q_update_fresh_entry():
     q = {}
-    q_update(q, "s", "a", 1.0, "t", [], CFG)
-    assert abs(q["s"]["a"] - 0.1) < 1e-12
+    q_update(q, "s", "a", 1.0, "t", [])
+    assert abs(q["s"]["a"] - 1.0) < 1e-12
     assert q["t"] == {}
 
 
 def test_q_update_decay_towards_zero():
     q = {"s": {"a": 0.5}}
-    q_update(q, "s", "a", 0.0, "t", [], CFG)
-    assert abs(q["s"]["a"] - 0.45) < 1e-12
+    q_update(q, "s", "a", 0.0, "t", [])
+    # learning rate 1: the value is overwritten with the target
+    assert q["s"]["a"] == 0.0
 
 
 def test_q_update_fixed_point():
     q = {}
     for _ in range(200):
-        q_update(q, "s", "a", 1.0, "terminal", [], CFG)
+        q_update(q, "s", "a", 1.0, "terminal", [])
     assert abs(q["s"]["a"] - 1.0) < 1e-6
 
 
 def test_q_update_uses_next_max_over_given_actions():
     q = {"t": {"x": 2.0, "y": 5.0}}
-    q_update(q, "s", "a", 0.0, "t", ["x"], CFG)  # y not available now
-    assert abs(q["s"]["a"] - 0.1 * 0.9 * 2.0) < 1e-12
+    q_update(q, "s", "a", 0.0, "t", ["x"])  # y not available now
+    assert abs(q["s"]["a"] - 0.99 * 2.0) < 1e-12
 
 
 def test_q_update_all_negative_next_values():
     q = {"t": {"x": -2.0, "y": -1.0}}
-    q_update(q, "s", "a", 0.0, "t", ["x", "y"], CFG)
-    assert abs(q["s"]["a"] - 0.1 * 0.9 * -1.0) < 1e-12
+    q_update(q, "s", "a", 0.0, "t", ["x", "y"])
+    assert abs(q["s"]["a"] - 0.99 * -1.0) < 1e-12
     # with an extra untried action, 0 is attainable
     q = {"t": {"x": -2.0, "y": -1.0}}
-    q_update(q, "s", "a", 0.0, "t", ["x", "y", "z"], CFG)
+    q_update(q, "s", "a", 0.0, "t", ["x", "y", "z"])
     assert abs(q["s"]["a"]) < 1e-12
 
 
 def test_q_update_existing_next_state_keeps_count():
     q = {}
-    q_update(q, "s", "a", 0.0, "t", [], CFG)
+    q_update(q, "s", "a", 0.0, "t", [])
     n = len(q)
-    q_update(q, "s2", "b", 0.0, "t", [], CFG)  # t already known
+    q_update(q, "s2", "b", 0.0, "t", [])  # t already known
     assert len(q) == n + 1
 
 
@@ -195,12 +196,8 @@ def test_run_episode_rewards_rederivable_from_depths():
     )
     d_prev = depth(start)
     for i, step in enumerate(trace.steps):
-        done = (
-            cfg.target_depth is not None
-            and step.depth <= cfg.target_depth
-            and i == len(trace.steps) - 1
-        )
-        assert abs(step.reward - reward(d_prev, step.depth, done, cfg)) < 1e-12
+        done = step.depth <= TARGET_DEPTH and i == len(trace.steps) - 1
+        assert abs(step.reward - reward(d_prev, step.depth, done)) < 1e-12
         d_prev = step.depth
 
 
@@ -267,11 +264,10 @@ def test_available_actions_respect_gate_cap():
 
 
 def test_train_agent_reaches_depth_three_on_bv2():
-    cfg = AgentConfig(epochs=700, max_steps=30, max_gates=28, seed=0,
-                      epsilon_decay=0.99)
+    cfg = AgentConfig(epochs=700, max_steps=30, max_gates=28, seed=0)
     result = train_agent(bv_circuit(BvSpec(2, 0b11)), ExactAbstraction(), cfg)
     assert min(t.best_depth for t in result.traces) == 3
-    # late episodes exploit the learned policy; epsilon is still 0.05, so
+    # late episodes exploit the learned policy; epsilon is still 0.02, so
     # judge a window of episodes rather than the last one alone
     late = result.traces[-50:]
     assert sum(t.best_depth == 3 for t in late) >= len(late) // 2
@@ -301,8 +297,7 @@ def test_train_agent_deterministic():
 
 
 def test_greedy_trajectory_short_after_training():
-    cfg = AgentConfig(epochs=700, max_steps=30, max_gates=28, seed=0,
-                      epsilon_decay=0.99)
+    cfg = AgentConfig(epochs=700, max_steps=30, max_gates=28, seed=0)
     start = bv_circuit(BvSpec(2, 0b11))
     result = train_agent(start, ExactAbstraction(), cfg)
     steps = greedy_trajectory(start, result.qtable, ExactAbstraction(), cfg)

@@ -33,7 +33,7 @@ def test_train_encoded_truncated_checkpoint_fails_cleanly(tmp_path, capsys):
 
 
 EVERY_KEY = dict(
-    n=3, secret=5, epochs=7, seeds=2, seed=4, out_dir="runs/x", corpus_cap=9,
+    n=3, secret=5, epochs=7, seeds=2, seed=4, out_dir="runs/#1", corpus_cap=9,
     dvae_d_h=5, dvae_d_z=3, dvae_epochs=2, dvae_lr=0.01, dvae_batch=4,
     dvae_beta=0.25, bin_width=0.125,
 )

@@ -17,7 +17,6 @@ from qcopt.dvae import (
     latent_key,
     load_checkpoint,
     loss,
-    reparameterize,
     save_checkpoint,
     train,
 )
@@ -102,31 +101,6 @@ def test_encode_np_matches_loss_encoder():
         _, parts, cache = loss(m, d, np.zeros(cfg.d_z), cfg)
         assert parts.kl == 0.5 * ((mu * mu + np.exp(logvar)) - (1.0 + logvar)).sum()
         assert np.array_equal(cache.decoder.z, mu)
-
-
-# --- reparameterisation -----------------------------------------------------------
-
-
-def test_reparameterize_collapses_at_tiny_variance():
-    l = Latent(np.array([1.0, -2.0]), np.full(2, -60.0))
-    z = reparameterize(l, np.random.default_rng(0))
-    assert np.allclose(z, l.mu, atol=1e-9)
-
-
-def test_reparameterize_deterministic_under_seed():
-    l = Latent(np.zeros(3), np.zeros(3))
-    a = reparameterize(l, np.random.default_rng(42))
-    b = reparameterize(l, np.random.default_rng(42))
-    assert np.array_equal(a, b)
-
-
-def test_reparameterize_sample_mean():
-    l = Latent(np.array([0.3, -0.7]), np.zeros(2))
-    rng = np.random.default_rng(5)
-    n = 100_000
-    draws = np.stack([reparameterize(l, rng) for _ in range(n)])
-    tol = 3.0 / math.sqrt(n)  # 3 sigma / sqrt(N) with sigma = 1
-    assert np.all(np.abs(draws.mean(axis=0) - l.mu) < tol)
 
 
 # --- teacher-forced decoding -------------------------------------------------------

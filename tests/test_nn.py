@@ -140,7 +140,7 @@ def test_adam_first_step_is_minus_lr():
 
 def test_adam_zero_grad_keeps_params():
     p = Param(np.array([1.5, -2.0]))
-    state = AdamState.create([p])
+    state = AdamState.create([p], lr=0.001)
     adam_step([p], [np.zeros(2)], state)
     assert np.array_equal(p.value, np.array([1.5, -2.0]))
 
@@ -159,7 +159,7 @@ def test_adam_deterministic_trajectories():
 
 def test_adam_shape_mismatch_raises():
     p = Param(np.zeros(3))
-    state = AdamState.create([p])
+    state = AdamState.create([p], lr=0.001)
     with pytest.raises(ValueError):
         adam_step([p], [np.zeros(4)], state)
 
