@@ -17,7 +17,7 @@ import numpy as np
 
 from .circuit import Circuit, depth, state_string
 from .dag import to_dag
-from .dvae import DvaeModel, encode_np, latent_key
+from .dvae import DvaeModel, NodeTable, encode_np, latent_key
 from .rewrite import (
     Action,
     action_key,
@@ -69,19 +69,23 @@ class EncoderAbstraction:
 
     Uses the deterministic latent mean (never a sample) so a circuit always
     maps to the same key; keys are cached per exact gate string because the
-    RL loop revisits circuits constantly.
+    RL loop revisits circuits constantly.  A new circuit is one local rewrite
+    away from one seen before, so most of its DAG nodes have the same type
+    and predecessor states in edge order, and hence the same state; one
+    ``encode_np`` node table per instance (one run, one model) shares them.
     """
 
     def __init__(self, model: DvaeModel, bin_width: float):
         self.model = model
         self.bin_width = bin_width
         self._cache: dict[str, StateKey] = {}
+        self._nodes: NodeTable = {}
 
     def __call__(self, c: Circuit) -> StateKey:
         exact = state_string(c)
         key = self._cache.get(exact)
         if key is None:
-            latent = encode_np(self.model, to_dag(c))
+            latent = encode_np(self.model, to_dag(c), self._nodes)
             key = latent_key(latent, self.bin_width)
             self._cache[exact] = key
         return key

@@ -187,6 +187,11 @@ def cmd_train_encoded(cfg: HarnessConfig, args) -> int:
     spec = cfg.bv_spec()
     out = _out_dir(cfg, f"bv{cfg.n}-encoded-seed{cfg.seed}")
     model = load_checkpoint(args.model)
+    if (model.d_h, model.d_z) != (cfg.dvae_d_h, cfg.dvae_d_z):
+        raise ValueError(
+            f"checkpoint {args.model} has d_h {model.d_h}, d_z {model.d_z}; "
+            f"the config has dvae_d_h {cfg.dvae_d_h}, dvae_d_z {cfg.dvae_d_z}"
+        )
     agent_cfg = harness.benchmark_agent_config(spec, cfg.epochs, cfg.seed)
     result = harness.run_encoded(spec, model, agent_cfg, cfg.bin_width)
     os.makedirs(out, exist_ok=True)
@@ -288,7 +293,10 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         _add_config_flags(p)
         if name == "train-encoded":
-            p.add_argument("--model", required=True, help="autoencoder checkpoint")
+            p.add_argument(
+                "--model", required=True,
+                help="autoencoder checkpoint; its d_h and d_z must match the config",
+            )
 
     p = sub.add_parser("train-vae")
     _add_config_flags(p)

@@ -21,11 +21,13 @@ expected edge edit distance sum |p - t| (differentiable a.e.).  Quantising
 the latent mean per dimension turns encodings into discrete RL state keys.
 
 Each network has one numpy forward that returns its outputs together with
-the activations it computed: ``encoder_forward`` serves both ``loss`` and
-the inference-only ``encode_np``, and ``decoder_forward`` is the one
-decoder.  ``loss`` runs both forwards and the loss heads and returns the
-value, its parts and a cache; ``backward`` walks that cache in reverse and
-returns the parameter gradients.
+the activations it computed: ``encoder_forward`` serves ``loss``, and
+``decoder_forward`` is the one decoder.  The inference-only ``encode_np``
+shares the encoder's node update and readout with ``encoder_forward`` but
+keeps no activations; it hash-conses node states in a table that a caller
+can carry across DAGs.  ``loss`` runs both forwards and the loss heads and
+returns the value, its parts and a cache; ``backward`` walks that cache in
+reverse and returns the parameter gradients.
 """
 
 from __future__ import annotations
@@ -183,6 +185,27 @@ class EncoderActs(NamedTuple):
     hg: np.ndarray
 
 
+def _node_state(m: DvaeModel, t: NodeType, hs: list[np.ndarray]):
+    """One encoder node: a GRU update on the node type's one-hot, fed by the
+    gated sum of the predecessors' states ``hs``.  Returns the new state and
+    the activations (gated-sum acts or None, GRU acts)."""
+    incoming, gated = gated_sum_forward(m.enc_gate_a, m.enc_gate_b, hs)
+    h, gru = gru_forward(m.enc, _EYE[t.value], incoming)
+    return h, (gated, gru)
+
+
+def _readout(m: DvaeModel, hs: list[np.ndarray]):
+    """Latent of the output-node states ``hs``: a gated sum into the graph
+    state, then the mean and log-variance heads.  Returns (latent, gated-sum
+    acts, graph state)."""
+    hg, readout = gated_sum_forward(m.readout_a, m.readout_b, hs)
+    latent = Latent(
+        m.w_mu.value @ hg + m.b_mu.value,
+        m.w_logvar.value @ hg + m.b_logvar.value,
+    )
+    return latent, readout, hg
+
+
 def encoder_forward(m: DvaeModel, d: CircuitDag, order=None) -> tuple[Latent, EncoderActs]:
     """Latent distribution of one DAG (mean and log-variance vectors) and the
     activations ``backward`` needs; ``order`` defaults to ``topo_order(d)``."""
@@ -192,24 +215,45 @@ def encoder_forward(m: DvaeModel, d: CircuitDag, order=None) -> tuple[Latent, En
     hidden: dict[int, np.ndarray] = {}
     steps = []
     for v in order:
-        incoming, gated = gated_sum_forward(
-            m.enc_gate_a, m.enc_gate_b, [hidden[u] for u in preds[v]]
-        )
-        hidden[v], gru = gru_forward(m.enc, _EYE[d.types[v].value], incoming)
-        steps.append((gated, gru))
+        hidden[v], step = _node_state(m, d.types[v], [hidden[u] for u in preds[v]])
+        steps.append(step)
     sinks = [v for v in order if d.types[v] is NodeType.OUTPUT]
-    hg, readout = gated_sum_forward(m.readout_a, m.readout_b, [hidden[v] for v in sinks])
-    latent = Latent(
-        m.w_mu.value @ hg + m.b_mu.value,
-        m.w_logvar.value @ hg + m.b_logvar.value,
-    )
+    latent, readout, hg = _readout(m, [hidden[v] for v in sinks])
     return latent, EncoderActs(order, preds, steps, sinks, readout, hg)
 
 
-def encode_np(m: DvaeModel, d: CircuitDag) -> Latent:
-    """Latent distribution of one DAG; used by the RL loop, which needs no
-    gradients."""
-    return encoder_forward(m, d)[0]
+# (node type, table ids of the predecessors in edge order) -> (id, state)
+NodeTable = dict[tuple, tuple[int, np.ndarray]]
+
+
+def encode_np(m: DvaeModel, d: CircuitDag, nodes: NodeTable | None = None) -> Latent:
+    """Latent distribution of one DAG, equal bit for bit to
+    ``encoder_forward(m, d)[0]``; used by the RL loop, which needs no
+    gradients.
+
+    A node's state depends only on its type and on its predecessors' states
+    taken in edge order, so states are hash-consed in ``nodes``: each node is
+    keyed by its type and its predecessors' table ids, and the node update
+    runs only for a key the table lacks.  Passing one table to many calls
+    shares states across DAGs that differ by a local rewrite.  A table
+    belongs to the model that filled it; ``None`` starts a fresh one.
+    """
+    if nodes is None:
+        nodes = {}
+    preds = d.predecessors()
+    entries: list = [None] * d.n_nodes
+    sinks = []
+    for v in topo_order(d):
+        t = d.types[v]
+        key = (t, tuple([entries[u][0] for u in preds[v]]))
+        entry = nodes.get(key)
+        if entry is None:
+            h, _ = _node_state(m, t, [entries[u][1] for u in preds[v]])
+            entry = nodes[key] = (len(nodes), h)
+        entries[v] = entry
+        if t is NodeType.OUTPUT:
+            sinks.append(entry[1])
+    return _readout(m, sinks)[0]
 
 
 def _encoder_backward(

@@ -32,6 +32,21 @@ def test_train_encoded_truncated_checkpoint_fails_cleanly(tmp_path, capsys):
     assert not (tmp_path / "run").exists()
 
 
+def test_train_encoded_checkpoint_dims_must_match_config(tmp_path, capsys):
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(DvaeModel.create(DvaeConfig(d_h=8, d_z=3)), str(path))
+    code = dispatch(["train-encoded", "--model", str(path), "--out", str(tmp_path / "run")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "d_h 8, d_z 3" in err
+    assert not (tmp_path / "run").exists()
+    argv = ["train-encoded", "--model", str(path), "--out", str(tmp_path / "run"),
+            "--d-h", "8", "--d-z", "3", "--epochs", "2"]
+    assert dispatch(argv) == 0
+    text = (tmp_path / "run" / "config.txt").read_text()
+    assert "dvae_d_h = 8\n" in text and "dvae_d_z = 3\n" in text
+
+
 EVERY_KEY = dict(
     n=3, secret=5, epochs=7, seeds=2, seed=4, out_dir="runs/#1", corpus_cap=9,
     dvae_d_h=5, dvae_d_z=3, dvae_epochs=2, dvae_lr=0.01, dvae_batch=4,

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from oracles import relabelled
-from qcopt.circuit import Circuit, Gate, random_icmh_circuit
+from qcopt.circuit import BvSpec, Circuit, Gate, bv_circuit, random_icmh_circuit
 from qcopt.dag import CircuitDag, NodeType, to_dag, topo_order
 from qcopt.dvae import (
     DvaeConfig,
@@ -101,6 +101,32 @@ def test_encode_np_matches_loss_encoder():
         _, parts, cache = loss(m, d, np.zeros(cfg.d_z), cfg)
         assert parts.kl == 0.5 * ((mu * mu + np.exp(logvar)) - (1.0 + logvar)).sum()
         assert np.array_equal(cache.decoder.z, mu)
+
+
+def test_encode_np_shared_table_equals_encoder_forward():
+    # the training forward is the reference; a shared table must not move a bit
+    m = small_model(d_h=12, d_z=4, seed=3)
+    nodes = {}
+    for seed in range(240):
+        d = to_dag(random_icmh_circuit(2 + seed % 4, seed % 16, seed))
+        ref = encoder_forward(m, d)[0]
+        for got in (encode_np(m, d, nodes), encode_np(m, d)):
+            assert np.array_equal(got.mu, ref.mu)
+            assert np.array_equal(got.logvar, ref.logvar)
+
+
+def test_encode_np_table_reuses_node_states():
+    m = small_model()
+    start = bv_circuit(BvSpec(2, 0b11))
+    assert to_dag(start).n_nodes == 18
+    nodes = {}
+    encode_np(m, to_dag(start), nodes)
+    assert len(nodes) == 13  # the inputs share one state, as do the first Hs
+    encode_np(m, to_dag(start), nodes)
+    assert len(nodes) == 13
+    longer = Circuit(start.n_wires, start.gates + (Gate.h(0), Gate.h(0)))
+    encode_np(m, to_dag(longer), nodes)
+    assert len(nodes) == 16  # two H nodes and the wire-0 output
 
 
 # --- teacher-forced decoding -------------------------------------------------------
