@@ -94,29 +94,13 @@ class EncoderAbstraction:
 def available_actions(c: Circuit, cfg: AgentConfig):
     """The agent's layered action space, paired with the canonical keys.
 
-    Every forward match is offered, but Hadamard-pair
-    insertion only as a layer on all wires at either end of the circuit, and
-    CNOT-pair insertion only on the empty circuit.  Per-wire insertions at
-    arbitrary positions spawn a huge lattice of depth-neutral states that
+    ``enumerate_actions(c, layered=True)`` enumerates it directly.  Per-wire
+    H-pair insertions would spawn a huge lattice of depth-neutral states that
     one-step tabular Q-learning cannot wade through at paper-scale episode
-    budgets.  Actions that would grow the circuit past ``cfg.max_gates`` are
-    dropped as well.
+    budgets, and CNOT pairs never help the depth objective.  Actions that
+    would grow the circuit past ``cfg.max_gates`` are dropped as well.
     """
-    boundary = (0, len(c.gates))
-
-    def keep(a):
-        tag = a.site[0]
-        if tag == "ins":
-            return False
-        if tag == "all":
-            return a.site[1] in boundary
-        if tag == "cxins":
-            # CNOT-pair insertion never helps the depth objective; keep it
-            # only on the empty circuit where it is the sole move
-            return not c.gates
-        return True
-
-    actions = [a for a in enumerate_actions(c) if keep(a)]
+    actions = enumerate_actions(c, layered=True)
     budget = cfg.max_gates - len(c.gates)
     if budget < 2 * c.n_wires:
         actions = [a for a in actions if gate_count_delta(a, c.n_wires) <= budget]

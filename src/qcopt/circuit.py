@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
@@ -43,6 +43,11 @@ class Gate:
 
     kind: GateKind
     qubits: tuple[int, ...]
+    # stored, not a property: the rewrite matchers read it on every gate
+    is_cx: bool = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "is_cx", self.kind is GateKind.CNOT)
 
     @staticmethod
     def h(q: int) -> "Gate":
@@ -51,10 +56,6 @@ class Gate:
     @staticmethod
     def cx(control: int, target: int) -> "Gate":
         return Gate(GateKind.CNOT, (control, target))
-
-    @property
-    def is_cx(self) -> bool:
-        return self.kind is GateKind.CNOT
 
     @property
     def control(self) -> int:

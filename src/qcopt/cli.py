@@ -6,7 +6,7 @@ Subcommands:
     train-vae       phase 2: autoencoder on a harvested corpus
     train-encoded   phase 3: agent with quantised-latent states
     compare         all three phases over several seeds, with CSV artifacts
-    verify          template-soundness and DAG-validity property suite
+    verify          template-soundness, layered-subset and DAG-validity suite
     grad-check      finite-difference check of the autoencoder loss
 
 Settings come from defaults, then an optional flat `key = value` config
@@ -225,7 +225,12 @@ def cmd_verify(args) -> int:
             failures += 1
             print(f"FAIL dag-validity: {state_string(c)!r}")
             continue
-        for a in enumerate_actions(c):
+        full = enumerate_actions(c)
+        rest = iter(full)
+        if not all(a in rest for a in enumerate_actions(c, layered=True)):
+            failures += 1
+            print(f"FAIL layered-subset: {state_string(c)!r}")
+        for a in full:
             out = apply(c, a)
             checked_actions += 1
             if not np.allclose(u, unitary(out), atol=1e-9):
@@ -256,6 +261,12 @@ def cmd_grad_check(args) -> int:
 
 
 # --- argument parsing ----------------------------------------------------------------
+
+
+def _positive_int(text: str) -> int:
+    if int(text) < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {text}")
+    return int(text)
 
 
 def _add_config_flags(p: argparse.ArgumentParser):
@@ -303,11 +314,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--corpus", required=True, help="DAG corpus file")
 
     p = sub.add_parser("verify", help="soundness and validity property suite")
-    p.add_argument("--circuits", type=int, default=200)
+    p.add_argument("--circuits", type=_positive_int, default=200)
     p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("grad-check", help="finite-difference gradient check")
-    p.add_argument("--dags", type=int, default=3)
+    p.add_argument("--dags", type=_positive_int, default=3)
     p.add_argument("--d-h", dest="d_h", type=int, default=5)
     p.add_argument("--seed", type=int, default=0)
 

@@ -10,10 +10,11 @@ flanked CNOT again and cancelling the Hadamard pairs; a one-step undo would
 poison Q-learning with a reverse/unreverse oscillation that shadows the
 productive cancellations.
 
-Match enumeration over a circuit defines the RL action space.  Every action
-is unitary-preserving; sites carry enough indices to re-apply the action, and
-each action has a stable text key ``<KIND>.<fwd|rev>@<site>`` used by the
-Q-table (sites render as ``i-j``, ``q:p``, ``all:p``, ``c-t:p`` or ``i``).
+Match enumeration over a circuit defines the RL action space; the agent's
+layered part of it is enumerated directly.  Every action is unitary-preserving;
+sites carry enough indices to re-apply the action, and each action has a
+stable text key ``<KIND>.<fwd|rev>@<site>`` used by the Q-table (sites render
+as ``i-j``, ``q:p``, ``all:p``, ``c-t:p`` or ``i``).
 """
 
 from __future__ import annotations
@@ -74,16 +75,9 @@ def action_key(a: Action) -> str:
 
 def commutes(a: Gate, b: Gate) -> bool:
     """Sound commutation rule: disjoint supports, or CNOTs sharing only a control."""
-    if a.is_cx and b.is_cx:
-        if a.control == b.control and a.target != b.target:
-            return True
-        return a.target not in b.qubits and a.control not in b.qubits
-    sa, sb = set(a.qubits), set(b.qubits)
-    return not (sa & sb)
-
-
-def _touches(g: Gate, wire: int) -> bool:
-    return wire in g.qubits
+    if a.is_cx and b.is_cx and a.control == b.control and a.target != b.target:
+        return True
+    return not set(a.qubits).intersection(b.qubits)
 
 
 # --- forward matches ---------------------------------------------------------
@@ -114,7 +108,7 @@ def _matches_cxcx_fwd(c: Circuit) -> list[Site]:
             continue
         for j in range(i + 1, len(gates)):
             other = gates[j]
-            if not (_touches(other, g.control) or _touches(other, g.target)):
+            if not (g.control in other.qubits or g.target in other.qubits):
                 continue
             if other.is_cx and other.qubits == g.qubits:
                 sites.append(("pair", i, j))
@@ -151,7 +145,7 @@ def _insert_positions(c: Circuit, relevant: tuple[int, ...]) -> list[int]:
     # positions adjacent to gates touching any relevant wire, plus position 0
     pos = {0}
     for k, g in enumerate(c.gates):
-        if any(_touches(g, w) for w in relevant):
+        if any(w in g.qubits for w in relevant):
             pos.add(k)
             pos.add(k + 1)
     return sorted(pos)
@@ -190,6 +184,12 @@ _MATCHERS = {
     (TemplateKind.CX_PAR, FORWARD): _matches_cx_par,
     (TemplateKind.CX_REV, FORWARD): _matches_cx_rev_fwd,
 }
+# same keys in the same order: updating a key keeps its place
+_LAYERED = {
+    **_MATCHERS,
+    (TemplateKind.HH, REVERSE): lambda c: [("all", p) for p in sorted({0, len(c.gates)})],
+    (TemplateKind.CXCX, REVERSE): lambda c: [] if c.gates else _matches_cxcx_rev(c),
+}
 
 
 def find_matches(c: Circuit, kind: TemplateKind, direction: str) -> list[Site]:
@@ -210,7 +210,7 @@ def _check(cond: bool, why: str):
 
 def _segment_clear(gates, i, j, wires) -> bool:
     return not any(
-        _touches(gates[k], w) for k in range(i + 1, j) for w in wires
+        w in gates[k].qubits for k in range(i + 1, j) for w in wires
     )
 
 
@@ -305,9 +305,13 @@ def gate_count_delta(a: Action, n_wires: int) -> int:
     return 2
 
 
-def enumerate_actions(c: Circuit) -> list[Action]:
-    """Union of all template matches in ``_MATCHERS`` order, unique keys."""
+def enumerate_actions(c: Circuit, layered: bool = False) -> list[Action]:
+    """Union of all template matches in ``_MATCHERS`` order, unique keys.
+
+    ``layered`` gives the agent's space, an order-preserving subsequence: H
+    layers on all wires at either end only, CNOT pairs on the empty circuit only.
+    """
     actions: list[Action] = []
-    for (kind, direction), matcher in _MATCHERS.items():
+    for (kind, direction), matcher in (_LAYERED if layered else _MATCHERS).items():
         actions.extend(Action(kind, direction, s) for s in matcher(c))
     return actions

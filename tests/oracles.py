@@ -1,5 +1,6 @@
-"""Shared test oracles: DAG isomorphism, node relabelling and forward-action
-BFS to a target depth.
+"""Shared test oracles: DAG isomorphism, node relabelling, the agent's layered
+action space as a filter over the full one, and forward-action BFS to a
+target depth.
 
 The search is restricted to the forward direction of all four templates
 (gate-count-nonincreasing, or structurally necessary for CX_REV).  The
@@ -42,6 +43,25 @@ def relabelled(d: CircuitDag, perm: list[int]) -> CircuitDag:
         tuple(sorted((perm[u], perm[v]) for u, v in d.edges)),
         {(perm[u], perm[v]): w for (u, v), w in d.wire_of_edge.items()},
     )
+
+
+def layered_filter(c: Circuit, actions: list[Action]) -> list[Action]:
+    """Reference for ``enumerate_actions(c, layered=True)``: the full space
+    with per-wire H-pair insertions dropped, all-wire H layers kept only at
+    either end, and CNOT-pair insertions kept only on the empty circuit."""
+    boundary = (0, len(c.gates))
+
+    def keep(a):
+        tag = a.site[0]
+        if tag == "ins":
+            return False
+        if tag == "all":
+            return a.site[1] in boundary
+        if tag == "cxins":
+            return not c.gates
+        return True
+
+    return [a for a in actions if keep(a)]
 
 
 def _oracle_actions(c: Circuit) -> list[Action]:

@@ -1,4 +1,5 @@
 import math
+from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from qcopt.circuit import (
     Circuit,
     CircuitError,
     Gate,
+    GateKind,
     QasmSyntaxError,
     asap_moments,
     bv_circuit,
@@ -58,6 +60,16 @@ def test_gate_out_of_range_rejected():
 def test_cnot_equal_wires_rejected():
     with pytest.raises(CircuitError):
         circ(2, Gate.cx(1, 1))
+
+
+def test_gate_kind_flag_is_stored_but_not_compared():
+    assert Gate.h(1).is_cx is False
+    assert Gate.cx(0, 1).is_cx is True
+    assert Gate(GateKind.H, (0,)) == Gate.h(0)
+    assert hash(Gate(GateKind.CNOT, (0, 1))) == hash(Gate.cx(0, 1))
+    assert repr(Gate.h(0)) == "Gate(kind=<GateKind.H: 'h'>, qubits=(0,))"
+    with pytest.raises(FrozenInstanceError):
+        Gate.h(0).is_cx = True
 
 
 # --- qasm ---------------------------------------------------------------------

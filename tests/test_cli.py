@@ -2,9 +2,11 @@ from dataclasses import fields
 
 import pytest
 
+from qcopt import cli
 from qcopt.cli import config_text, dispatch, load_config
 from qcopt.dvae import DvaeConfig, DvaeModel, save_checkpoint
 from qcopt.harness import HarnessConfig
+from qcopt.rewrite import enumerate_actions
 
 
 def test_grad_check_one_dag_passes(capsys):
@@ -19,6 +21,28 @@ def test_verify_small_suite_passes(capsys):
 
 def test_unknown_flag_is_usage_error(capsys):
     assert dispatch(["verify", "--no-such-flag"]) == 2
+
+
+@pytest.mark.parametrize(
+    "argv", [["verify", "--circuits", "0"], ["verify", "--circuits", "-3"],
+             ["grad-check", "--dags", "0"]],
+    ids=["verify-0", "verify-negative", "grad-check-0"],
+)
+def test_count_below_one_is_usage_error(argv, capsys):
+    assert dispatch(argv) == 2
+    err = capsys.readouterr().err
+    assert "must be at least 1" in err and "verified" not in err
+
+
+def test_verify_fails_when_layered_space_is_not_a_subsequence(monkeypatch, capsys):
+    def reordered(c, layered=False):
+        actions = enumerate_actions(c, layered)
+        return actions[::-1] if layered else actions
+
+    monkeypatch.setattr(cli, "enumerate_actions", reordered)
+    assert dispatch(["verify", "--circuits", "3"]) == 1
+    out = capsys.readouterr().out
+    assert out.count("FAIL layered-subset: ") == 3 and "3 failures" in out
 
 
 def test_train_encoded_truncated_checkpoint_fails_cleanly(tmp_path, capsys):

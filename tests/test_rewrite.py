@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from oracles import bfs_optimize
+from oracles import bfs_optimize, layered_filter
 from qcopt.circuit import (
     BvSpec,
     Circuit,
@@ -182,6 +182,22 @@ def test_action_keys_unique_and_stable():
     assert action_key(Action(TemplateKind.HH, REVERSE, ("all", 3))) == "HH.rev@all:3"
     assert action_key(Action(TemplateKind.CXCX, REVERSE, ("cxins", 0, 2, 1))) == "CXCX.rev@0-2:1"
     assert action_key(Action(TemplateKind.HH, FORWARD, ("pair", 1, 4))) == "HH.fwd@1-4"
+
+
+def test_layered_enumeration_equals_filtered_full_space():
+    # list equality, order included: the agent picks an index into this list
+    circuits = [random_icmh_circuit(2 + i % 4, i % 23, 500 + i) for i in range(240)]
+    circuits += [circ(3), circ(2, Gate.h(0), Gate.h(0), Gate.h(1)), bv_circuit(BvSpec(3, 5))]
+    for c in circuits:
+        layered = enumerate_actions(c, layered=True)
+        assert layered == layered_filter(c, enumerate_actions(c)), state_string(c)
+    sites = [a.site for a in enumerate_actions(circ(2), layered=True)]
+    assert sites == [("all", 0), ("cxins", 0, 1, 0), ("cxins", 1, 0, 0)]
+    # a CNOT-free circuit seeds CNOT pairs in the full space only
+    cnot_free = circ(2, Gate.h(0), Gate.h(0))
+    assert ("cxins", 0, 1, 0) in [a.site for a in enumerate_actions(cnot_free)]
+    sites = [a.site for a in enumerate_actions(cnot_free, layered=True)]
+    assert sites == [("pair", 0, 1), ("all", 0), ("all", 2)]
 
 
 def test_enumeration_deterministic():
