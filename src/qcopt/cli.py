@@ -218,7 +218,8 @@ def cmd_verify(args) -> int:
     failures = 0
     checked_actions = 0
     for i in range(n_circuits):
-        c = random_icmh_circuit(2 + i % 3, 2 + i % 11, rng_base + i)
+        # circuit 0 is empty: only there does the layered space seed CNOT pairs
+        c = random_icmh_circuit(2 + i % 3, 2 + i % 11 if i else 0, rng_base + i)
         u = unitary(c)
         d = to_dag(c)
         if validate(d):
@@ -244,17 +245,23 @@ def cmd_verify(args) -> int:
 
 
 def cmd_grad_check(args) -> int:
+    """Finite-difference check of the loss gradient on each drawn DAG alone
+    and, for two or more, on one batch of all of them, whose graphs end at
+    different levels."""
     cfg = DvaeConfig(d_h=args.d_h, d_z=3, seed=args.seed, beta=0.005)
     model = DvaeModel.create(cfg)
     params = list(model.params().values())
+    dags = [to_dag(random_icmh_circuit(2, 2 + i, args.seed + i)) for i in range(args.dags)]
+    noise = np.random.default_rng(args.seed).standard_normal((args.dags, cfg.d_z))
+    checks = [(f"dag {i}", [i]) for i in range(args.dags)]
+    if args.dags > 1:
+        checks.append((f"batch of {args.dags} dags", list(range(args.dags))))
     worst = 0.0
-    rng = np.random.default_rng(args.seed)
-    for i in range(args.dags):
-        dag = to_dag(random_icmh_circuit(2, 2 + i, args.seed + i))
-        noise = rng.standard_normal(cfg.d_z)
-        grads = backward(model, loss(model, dag, noise, cfg)[2])
-        err = finite_diff_check(lambda: loss(model, dag, noise, cfg)[0], params, grads)
-        print(f"dag {i}: max relative gradient error {err:.3e}")
+    for label, idx in checks:
+        batch = [dags[i] for i in idx]
+        grads = backward(model, loss(model, batch, noise[idx], cfg)[2])
+        err = finite_diff_check(lambda: loss(model, batch, noise[idx], cfg)[0], params, grads)
+        print(f"{label}: max relative gradient error {err:.3e}")
         worst = max(worst, err)
     print(f"worst: {worst:.3e} (tolerance 1e-4)")
     return 0 if worst <= 1e-4 else 1

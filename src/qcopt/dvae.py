@@ -20,14 +20,17 @@ reconstruction term over node types and edge indicators and E is the
 expected edge edit distance sum |p - t| (differentiable a.e.).  Quantising
 the latent mean per dimension turns encodings into discrete RL state keys.
 
-Each network has one numpy forward that returns its outputs together with
-the activations it computed: ``encoder_forward`` serves ``loss``, and
-``decoder_forward`` is the one decoder.  The inference-only ``encode_np``
-shares the encoder's node update and readout with ``encoder_forward`` but
-keeps no activations; it hash-conses node states in a table that a caller
-can carry across DAGs.  ``loss`` runs both forwards and the loss heads and
-returns the value, its parts and a cache; ``backward`` walks that cache in
-reverse and returns the parameter gradients.
+Training runs a minibatch at once, level by level as D-VAE does (Zhang et
+al., NeurIPS 2019): ``_layout`` lays the graphs' nodes out as rows, and at
+topological position k one GRU update, one gated sum over the real
+predecessor rows and one edge-head evaluation cover the k-th node of every
+graph that has one.  ``loss`` runs the encoder and decoder forwards and the
+loss heads over a batch and returns the summed value, its parts and a
+cache; ``backward`` walks that cache level by level in reverse and returns
+the parameter gradients.  A batch of one DAG is the single-graph case.  The
+inference-only ``encode_np`` shares the encoder's node update and readout
+but runs node by node and keeps no activations; it hash-conses node states
+in a table that a caller can carry across DAGs.
 """
 
 from __future__ import annotations
@@ -173,63 +176,128 @@ class DvaeModel:
         return out
 
 
+# --- batch layout -------------------------------------------------------------
+
+
+class Level(NamedTuple):
+    """The k-th node, in topological order, of every graph that has one;
+    graphs with fewer nodes have ended and are left out."""
+
+    rows: np.ndarray        # each such node's row in the node-state arrays
+    x: np.ndarray           # its one-hot type
+    pred_rows: np.ndarray   # the nodes' predecessors' rows, node by node in edge order
+    pred_seg: np.ndarray    # for each predecessor row, its node's index in rows
+    sourceless: np.ndarray  # indices in rows of the nodes without predecessors
+
+
+class Batch(NamedTuple):
+    """Row layout of a minibatch.  Graph b owns rows ``start[b]`` to
+    ``start[b] + n_b`` of the node-state arrays: first the decoder's initial
+    context (a zero row in the encoder), then its nodes in topological
+    order.  Each row is also the decoder step that predicts the next node's
+    type, or END on a graph's last row."""
+
+    start: np.ndarray       # (B,)
+    targets: np.ndarray     # per row: the type index it predicts
+    levels: list[Level]
+    sink_rows: np.ndarray   # output-node rows, graph by graph in topological order
+    sink_seg: np.ndarray    # the batch index of each sink row
+
+
+def _layout(dags: list[CircuitDag]) -> Batch:
+    """The rows of ``dags`` and one level per topological position, up to
+    the largest graph's node count."""
+    sizes = np.array([d.n_nodes for d in dags])
+    start = np.concatenate(([0], np.cumsum(sizes + 1)[:-1]))
+    targets, sink_rows, sink_seg, pred_rows = [], [], [], []
+    for b, d in enumerate(dags):
+        order = topo_order(d)
+        row = [0] * d.n_nodes
+        for k, v in enumerate(order):
+            row[v] = int(start[b]) + 1 + k
+        preds = d.predecessors()
+        pred_rows.append([[row[u] for u in preds[v]] for v in order])
+        targets += [d.types[v].value for v in order] + [END_TYPE]
+        sinks = [row[v] for v in order if d.types[v] is NodeType.OUTPUT]
+        sink_rows += sinks
+        sink_seg += [b] * len(sinks)
+    targets = np.array(targets)
+    levels = []
+    for k in range(sizes.max()):
+        active = np.flatnonzero(sizes > k)
+        rows = start[active] + 1 + k
+        p_rows, p_seg, sourceless = [], [], []
+        for i, b in enumerate(active):
+            p = pred_rows[b][k]
+            p_rows += p
+            p_seg += [i] * len(p)
+            if not p:
+                sourceless.append(i)
+        levels.append(Level(
+            rows, _EYE[targets[rows - 1]],
+            np.array(p_rows, dtype=np.intp), np.array(p_seg, dtype=np.intp),
+            np.array(sourceless, dtype=np.intp),
+        ))
+    return Batch(start, targets, levels, np.array(sink_rows, dtype=np.intp),
+                 np.array(sink_seg, dtype=np.intp))
+
+
 # --- encoding ---------------------------------------------------------------
 
 
 class EncoderActs(NamedTuple):
-    order: list[int]
-    preds: list[list[int]]
-    steps: list[tuple]  # per visited node: (gated-sum acts or None, GRU acts)
-    sinks: list[int]
+    steps: list[tuple]      # per level: (gated-sum acts or None, GRU acts)
     readout: tuple | None
-    hg: np.ndarray
+    hg: np.ndarray          # (B, d_h) graph states
 
 
-def _node_state(m: DvaeModel, t: NodeType, hs: list[np.ndarray]):
-    """One encoder node: a GRU update on the node type's one-hot, fed by the
-    gated sum of the predecessors' states ``hs``.  Returns the new state and
-    the activations (gated-sum acts or None, GRU acts)."""
-    incoming, gated = gated_sum_forward(m.enc_gate_a, m.enc_gate_b, hs)
-    h, gru = gru_forward(m.enc, _EYE[t.value], incoming)
+def _node_states(m: DvaeModel, x: np.ndarray, h_preds: np.ndarray, seg: np.ndarray, n: int):
+    """n encoder nodes: a GRU update on their one-hot types ``x``, each fed by
+    the gated sum of its predecessors' states (row i of ``h_preds`` belongs
+    to node ``seg[i]``).  Returns the new states and the activations
+    (gated-sum acts or None, GRU acts)."""
+    incoming, gated = gated_sum_forward(m.enc_gate_a, m.enc_gate_b, h_preds, seg, n)
+    h, gru = gru_forward(m.enc, x, incoming)
     return h, (gated, gru)
 
 
-def _readout(m: DvaeModel, hs: list[np.ndarray]):
-    """Latent of the output-node states ``hs``: a gated sum into the graph
+def _readout(m: DvaeModel, h_sinks: np.ndarray, seg: np.ndarray, n: int):
+    """Latents of n graphs from their output-node states (row i of
+    ``h_sinks`` belongs to graph ``seg[i]``): a gated sum into each graph
     state, then the mean and log-variance heads.  Returns (latent, gated-sum
-    acts, graph state)."""
-    hg, readout = gated_sum_forward(m.readout_a, m.readout_b, hs)
+    acts, graph states)."""
+    hg, readout = gated_sum_forward(m.readout_a, m.readout_b, h_sinks, seg, n)
     latent = Latent(
-        m.w_mu.value @ hg + m.b_mu.value,
-        m.w_logvar.value @ hg + m.b_logvar.value,
+        hg @ m.w_mu.value.T + m.b_mu.value,
+        hg @ m.w_logvar.value.T + m.b_logvar.value,
     )
     return latent, readout, hg
 
 
-def encoder_forward(m: DvaeModel, d: CircuitDag, order=None) -> tuple[Latent, EncoderActs]:
-    """Latent distribution of one DAG (mean and log-variance vectors) and the
-    activations ``backward`` needs; ``order`` defaults to ``topo_order(d)``."""
-    if order is None:
-        order = topo_order(d)
-    preds = d.predecessors()
-    hidden: dict[int, np.ndarray] = {}
+def _encoder_forward(m: DvaeModel, batch: Batch) -> tuple[Latent, EncoderActs]:
+    """Latent distributions of the batch, (B, d_z) means and log-variances,
+    and the activations ``backward`` needs; one node update per level."""
+    hidden = np.zeros((len(batch.targets), m.d_h))
     steps = []
-    for v in order:
-        hidden[v], step = _node_state(m, d.types[v], [hidden[u] for u in preds[v]])
+    for lv in batch.levels:
+        hidden[lv.rows], step = _node_states(
+            m, lv.x, hidden[lv.pred_rows], lv.pred_seg, len(lv.rows)
+        )
         steps.append(step)
-    sinks = [v for v in order if d.types[v] is NodeType.OUTPUT]
-    latent, readout, hg = _readout(m, [hidden[v] for v in sinks])
-    return latent, EncoderActs(order, preds, steps, sinks, readout, hg)
+    latent, readout, hg = _readout(
+        m, hidden[batch.sink_rows], batch.sink_seg, len(batch.start)
+    )
+    return latent, EncoderActs(steps, readout, hg)
 
 
-# (node type, table ids of the predecessors in edge order) -> (id, state)
+# (node type, table ids of the predecessors in edge order) -> (id, (1, d_h) state)
 NodeTable = dict[tuple, tuple[int, np.ndarray]]
 
 
 def encode_np(m: DvaeModel, d: CircuitDag, nodes: NodeTable | None = None) -> Latent:
-    """Latent distribution of one DAG, equal bit for bit to
-    ``encoder_forward(m, d)[0]``; used by the RL loop, which needs no
-    gradients.
+    """Latent distribution of one DAG, equal bit for bit to the latent that
+    ``loss`` computes for a batch of that DAG alone; used by the RL loop,
+    which needs no gradients.
 
     A node's state depends only on its type and on its predecessors' states
     taken in edge order, so states are hash-consed in ``nodes``: each node is
@@ -248,37 +316,42 @@ def encode_np(m: DvaeModel, d: CircuitDag, nodes: NodeTable | None = None) -> La
         key = (t, tuple([entries[u][0] for u in preds[v]]))
         entry = nodes.get(key)
         if entry is None:
-            h, _ = _node_state(m, t, [entries[u][1] for u in preds[v]])
+            hs = [entries[u][1] for u in preds[v]]
+            h_preds = np.concatenate(hs) if hs else np.empty((0, m.d_h))
+            h, _ = _node_states(
+                m, _EYE[t.value : t.value + 1], h_preds, np.zeros(len(hs), dtype=np.intp), 1
+            )
             entry = nodes[key] = (len(nodes), h)
         entries[v] = entry
         if t is NodeType.OUTPUT:
             sinks.append(entry[1])
-    return _readout(m, sinks)[0]
+    h_sinks = np.concatenate(sinks) if sinks else np.empty((0, m.d_h))
+    mu, logvar = _readout(m, h_sinks, np.zeros(len(sinks), dtype=np.intp), 1)[0]
+    return Latent(mu[0], logvar[0])
 
 
 def _encoder_backward(
-    m: DvaeModel, acts: EncoderActs, dmu: np.ndarray, dlogvar: np.ndarray, g: DvaeModel
+    m: DvaeModel, batch: Batch, acts: EncoderActs, dmu: np.ndarray, dlogvar: np.ndarray,
+    g: DvaeModel,
 ):
-    g.w_mu.value += dmu[:, None] * acts.hg
-    g.b_mu.value += dmu
-    g.w_logvar.value += dlogvar[:, None] * acts.hg
-    g.b_logvar.value += dlogvar
-    dhidden = np.zeros((len(acts.order), m.d_h))
+    g.w_mu.value += dmu.T @ acts.hg
+    g.b_mu.value += dmu.sum(axis=0)
+    g.w_logvar.value += dlogvar.T @ acts.hg
+    g.b_logvar.value += dlogvar.sum(axis=0)
+    dhidden = np.zeros((len(batch.targets), m.d_h))
     if acts.readout is not None:
-        dhg = m.w_mu.value.T @ dmu + m.w_logvar.value.T @ dlogvar
-        dhidden[acts.sinks] += gated_sum_backward(
+        dhg = dmu @ m.w_mu.value + dlogvar @ m.w_logvar.value
+        np.add.at(dhidden, batch.sink_rows, gated_sum_backward(
             m.readout_a, m.readout_b, acts.readout, dhg, g.readout_a, g.readout_b
-        )
+        ))
     dpre = []
-    for v, (gated, gru) in zip(reversed(acts.order), reversed(acts.steps)):
-        dincoming, d = gru_backward(m.enc, gru, dhidden[v])
+    for lv, (gated, gru) in zip(reversed(batch.levels), reversed(acts.steps)):
+        dincoming, d = gru_backward(m.enc, gru, dhidden[lv.rows])
         dpre.append(d)
         if gated is not None:
-            rows = gated_sum_backward(
+            np.add.at(dhidden, lv.pred_rows, gated_sum_backward(
                 m.enc_gate_a, m.enc_gate_b, gated, dincoming, g.enc_gate_a, g.enc_gate_b
-            )
-            for u, row in zip(acts.preds[v], rows):
-                dhidden[u] += row
+            ))
     gru_weight_grads(g.enc, [gru for _, gru in reversed(acts.steps)], dpre)
 
 
@@ -286,63 +359,60 @@ def _encoder_backward(
 
 
 class DecoderActs(NamedTuple):
-    z: np.ndarray
-    states: np.ndarray        # (n+1, d_h): the initial context, then one hidden per node
-    type_logits: np.ndarray   # (n+1, 7): one row per node plus the END step
-    steps: list[tuple]        # per node: (pred positions, gated-sum acts or None,
-                              #            GRU acts, edge-head acts or None)
-    edge_logits: list[np.ndarray]   # for each step k >= 1, logits over the k earlier nodes
-    edge_targets: list[np.ndarray]  # matching 0/1 arrays
+    z: np.ndarray             # (B, d_z)
+    states: np.ndarray        # by row: each graph's initial context, then one hidden per node
+    type_logits: np.ndarray   # by row: logits of the type that row predicts
+    steps: list[tuple]        # per level: (gated-sum acts or None, GRU acts,
+                              #             edge-head acts or None)
+    edge_logits: np.ndarray   # level by level, graph by graph: one per earlier node
+    edge_targets: np.ndarray  # matching 0/1 values
 
 
-def decoder_forward(m: DvaeModel, z: np.ndarray, target: CircuitDag, order=None) -> DecoderActs:
-    """Teacher-forced decoder pass over the target's topological order."""
-    if order is None:
-        order = topo_order(target)
-    pos_of = {v: k for k, v in enumerate(order)}
-    preds = target.predecessors()
-    states = np.empty((len(order) + 1, m.d_h))
-    states[0] = m.w_init.value @ z + m.b_init.value
+def _decoder_forward(m: DvaeModel, batch: Batch, z: np.ndarray) -> DecoderActs:
+    """Teacher-forced decoder pass over the targets' topological orders."""
+    states = np.zeros((len(batch.targets), m.d_h))
+    states[batch.start] = z @ m.w_init.value.T + m.b_init.value
     steps = []
-    edge_logits = []
-    edge_targets = []
+    edge_logits = [np.empty(0)]
+    edge_targets = [np.empty(0)]
 
-    for k, v in enumerate(order):
-        ctx = states[k]
-        x = _EYE[target.types[v].value]
-        pred_pos = [pos_of[u] for u in preds[v]]
+    for k, lv in enumerate(batch.levels):
+        ctx = states[lv.rows - 1]
         edge = None
         if k > 0:
-            provisional, provisional_gru = gru_forward(m.dec, x, ctx)
+            provisional, provisional_gru = gru_forward(m.dec, lv.x, ctx)
+            first = lv.rows - k  # the row of node 0 in each graph at this level
+            earlier = (first[:, None] + np.arange(k)).ravel()
             th = np.tanh(
-                states[1 : k + 1] @ m.w_edge_prev.value.T
-                + (m.w_edge_new.value @ provisional + m.b_edge.value)
+                states[earlier] @ m.w_edge_prev.value.T
+                + np.repeat(provisional @ m.w_edge_new.value.T + m.b_edge.value, k, axis=0)
             )
             edge_logits.append(th @ m.w_edge_out.value + m.b_edge_out.value)
-            tgt = np.zeros(k)
-            tgt[pred_pos] = 1.0
+            tgt = np.zeros(len(earlier))
+            tgt[lv.pred_seg * k + lv.pred_rows - first[lv.pred_seg]] = 1.0
             edge_targets.append(tgt)
-            edge = (provisional_gru, provisional, th)
-        if pred_pos:
-            incoming, gated = gated_sum_forward(
-                m.dec_gate_a, m.dec_gate_b, [states[1 + j] for j in pred_pos]
-            )
-        else:
-            # sourceless nodes take the running context; this injects z into
-            # every chain and keeps repeated source nodes distinguishable
-            incoming, gated = ctx, None
-        states[k + 1], gru = gru_forward(m.dec, x, incoming)
-        steps.append((pred_pos, gated, gru, edge))
+            edge = (provisional_gru, provisional, earlier, th)
+        incoming, gated = gated_sum_forward(
+            m.dec_gate_a, m.dec_gate_b, states[lv.pred_rows], lv.pred_seg, len(lv.rows)
+        )
+        # sourceless nodes take the running context; this injects z into
+        # every chain and keeps repeated source nodes distinguishable
+        incoming[lv.sourceless] = ctx[lv.sourceless]
+        states[lv.rows], gru = gru_forward(m.dec, lv.x, incoming)
+        steps.append((gated, gru, edge))
 
     type_logits = states @ m.w_type.value.T + m.b_type.value
-    return DecoderActs(z, states, type_logits, steps, edge_logits, edge_targets)
+    return DecoderActs(
+        z, states, type_logits, steps, np.concatenate(edge_logits), np.concatenate(edge_targets)
+    )
 
 
 def _decoder_backward(
     m: DvaeModel,
+    batch: Batch,
     acts: DecoderActs,
     d_type_logits: np.ndarray,
-    d_edge_logits: list[np.ndarray],
+    d_edge_logits: np.ndarray,
     g: DvaeModel,
 ) -> np.ndarray:
     """Add the decoder's parameter gradients into g; return d(loss)/dz."""
@@ -350,41 +420,41 @@ def _decoder_backward(
     g.w_type.value += d_type_logits.T @ states
     g.b_type.value += d_type_logits.sum(axis=0)
     dstates = d_type_logits @ m.w_type.value
-    # step k reads states[:k+1] and writes states[k+1], so every use of
-    # states[k+1] has been visited before step k in reverse
+    # level k reads rows up to k of each graph and writes row k+1, so every
+    # use of a row has been visited before the level that wrote it
     gru_calls, dpre = [], []
-    for k in range(len(acts.steps) - 1, -1, -1):
-        pred_pos, gated, gru, edge = acts.steps[k]
-        dincoming, d = gru_backward(m.dec, gru, dstates[k + 1])
+    end = len(d_edge_logits)
+    for lv, (gated, gru, edge) in zip(reversed(batch.levels), reversed(acts.steps)):
+        dincoming, d = gru_backward(m.dec, gru, dstates[lv.rows])
         gru_calls.append(gru)
         dpre.append(d)
-        if gated is None:
-            dstates[k] += dincoming
-        else:
-            rows = gated_sum_backward(
+        ctx_rows = lv.rows - 1
+        dstates[ctx_rows[lv.sourceless]] += dincoming[lv.sourceless]
+        if gated is not None:
+            np.add.at(dstates, lv.pred_rows, gated_sum_backward(
                 m.dec_gate_a, m.dec_gate_b, gated, dincoming, g.dec_gate_a, g.dec_gate_b
-            )
-            for j, row in zip(pred_pos, rows):
-                dstates[1 + j] += row
+            ))
         if edge is not None:
-            provisional_gru, provisional, th = edge
-            dlogits = d_edge_logits[k - 1]
+            provisional_gru, provisional, earlier, th = edge
+            dlogits = d_edge_logits[end - len(earlier) : end]
+            end -= len(earlier)
             g.w_edge_out.value += dlogits @ th
             g.b_edge_out.value += dlogits.sum()
-            dth = dlogits[:, None] * m.w_edge_out.value * (1.0 - th * th)  # (k, d_h)
-            g.w_edge_prev.value += dth.T @ states[1 : k + 1]
-            dstates[1 : k + 1] += dth @ m.w_edge_prev.value
-            dnew = dth.sum(axis=0)
-            g.w_edge_new.value += dnew[:, None] * provisional
-            g.b_edge.value += dnew
-            dctx, d = gru_backward(m.dec, provisional_gru, m.w_edge_new.value.T @ dnew)
-            dstates[k] += dctx
+            dth = dlogits[:, None] * m.w_edge_out.value * (1.0 - th * th)
+            g.w_edge_prev.value += dth.T @ states[earlier]
+            dstates[earlier] += dth @ m.w_edge_prev.value
+            dnew = dth.reshape(len(lv.rows), -1, m.d_h).sum(axis=1)
+            g.w_edge_new.value += dnew.T @ provisional
+            g.b_edge.value += dnew.sum(axis=0)
+            dctx, d = gru_backward(m.dec, provisional_gru, dnew @ m.w_edge_new.value)
+            dstates[ctx_rows] += dctx
             gru_calls.append(provisional_gru)
             dpre.append(d)
     gru_weight_grads(g.dec, gru_calls, dpre)
-    g.w_init.value += dstates[0][:, None] * acts.z
-    g.b_init.value += dstates[0]
-    return m.w_init.value.T @ dstates[0]
+    d0 = dstates[batch.start]
+    g.w_init.value += d0.T @ acts.z
+    g.b_init.value += d0.sum(axis=0)
+    return d0 @ m.w_init.value
 
 
 # --- loss -------------------------------------------------------------------
@@ -403,57 +473,45 @@ class LossParts(NamedTuple):
 
 
 class LossCache(NamedTuple):
-    """Both forwards' activations plus the gradient of the loss with respect
-    to the decoder logits and the latent, as ``backward`` needs them."""
+    """The batch layout, the latents, both forwards' activations and the
+    gradient of the loss with respect to the decoder logits and the latent,
+    as ``backward`` needs them."""
 
+    batch: Batch
+    latent: Latent            # (B, d_z) means and log-variances
     encoder: EncoderActs
     decoder: DecoderActs
     d_type_logits: np.ndarray
-    d_edge_logits: list[np.ndarray]
+    d_edge_logits: np.ndarray
     d_mu: np.ndarray          # of the KL term
     d_logvar: np.ndarray      # of the KL term
     dz_dlogvar: np.ndarray    # 0.5 * exp(logvar / 2) * noise
 
 
-def loss(m: DvaeModel, d: CircuitDag, noise: np.ndarray, cfg: DvaeConfig):
-    """Forward pass of the loss for one DAG with fixed reparameterisation noise.
+def loss(m: DvaeModel, dags: list[CircuitDag], noise: np.ndarray, cfg: DvaeConfig):
+    """Forward pass of the loss summed over a batch of DAGs, with fixed
+    reparameterisation noise (one row of ``noise`` per DAG).
 
     Returns (value, LossParts, LossCache); ``backward`` turns the cache into
     gradients.  R sums categorical cross-entropy over node types (with the
     END step) and binary cross-entropy over edge indicators; E is the
     expected edge edit distance sum |p - t|; the KL term regularises the
-    latent towards a standard normal.
+    latent towards a standard normal.  The parts and counts are sums over
+    the batch, so a batch's loss and gradient are the sums of its members'.
     """
-    order = topo_order(d)
-    latent, enc = encoder_forward(m, d, order)
+    batch = _layout(dags)
+    latent, enc = _encoder_forward(m, batch)
     mu, logvar = latent
     std = np.exp(0.5 * logvar)
-    dec = decoder_forward(m, mu + std * noise, d, order)
+    dec = _decoder_forward(m, batch, mu + std * noise)
 
-    true_types = [d.types[v].value for v in order] + [END_TYPE]
-    d_types = np.empty_like(dec.type_logits)
-    r_types = 0.0
-    n_type_correct = 0
-    for k, (logits, t) in enumerate(zip(dec.type_logits, true_types)):
-        ce, d_types[k] = softmax_cross_entropy(logits, t)
-        r_types += ce
-        if int(np.argmax(logits)) == t:
-            n_type_correct += 1
-
-    r_edges = 0.0
-    e_term = 0.0
-    d_edges = []
-    n_edges = 0
-    n_edge_correct = 0
-    for logits, tgt in zip(dec.edge_logits, dec.edge_targets):
-        bce, d_bce = bce_with_logits(logits, tgt)
-        r_edges += bce
-        probs = _sigmoid_np(logits)
-        e_term += np.abs(probs - tgt).sum()
-        d_edit = np.sign(probs - tgt) * probs * (1.0 - probs)
-        d_edges.append(d_bce + d_edit)
-        n_edges += len(tgt)
-        n_edge_correct += int(((probs > 0.5) == (tgt > 0.5)).sum())
+    ce, d_types = softmax_cross_entropy(dec.type_logits, batch.targets)
+    r_types = ce.sum()
+    r_edges, d_bce = bce_with_logits(dec.edge_logits, dec.edge_targets)
+    probs = _sigmoid_np(dec.edge_logits)
+    miss = probs - dec.edge_targets
+    e_term = np.abs(miss).sum()
+    d_edges = d_bce + np.sign(miss) * probs * (1.0 - probs)
 
     var = np.exp(logvar)
     kl = 0.5 * ((mu * mu + var) - (1.0 + logvar)).sum()
@@ -465,12 +523,14 @@ def loss(m: DvaeModel, d: CircuitDag, noise: np.ndarray, cfg: DvaeConfig):
         recon_edges=float(r_edges),
         edit=float(e_term),
         kl=float(kl),
-        n_types=len(true_types),
-        n_type_correct=n_type_correct,
-        n_edges=n_edges,
-        n_edge_correct=n_edge_correct,
+        n_types=len(batch.targets),
+        n_type_correct=int((dec.type_logits.argmax(axis=1) == batch.targets).sum()),
+        n_edges=len(dec.edge_targets),
+        n_edge_correct=int(((probs > 0.5) == (dec.edge_targets > 0.5)).sum()),
     )
     cache = LossCache(
+        batch,
+        latent,
         enc,
         dec,
         d_types,
@@ -485,10 +545,13 @@ def loss(m: DvaeModel, d: CircuitDag, noise: np.ndarray, cfg: DvaeConfig):
 def backward(m: DvaeModel, cache: LossCache) -> list[np.ndarray]:
     """Reverse pass of ``loss``: gradients aligned with ``m.params()``."""
     g = m.zeros_like()
-    dz = _decoder_backward(m, cache.decoder, cache.d_type_logits, cache.d_edge_logits, g)
+    dz = _decoder_backward(
+        m, cache.batch, cache.decoder, cache.d_type_logits, cache.d_edge_logits, g
+    )
     # z = mu + exp(logvar / 2) * noise
     _encoder_backward(
-        m, cache.encoder, cache.d_mu + dz, cache.d_logvar + dz * cache.dz_dlogvar, g
+        m, cache.batch, cache.encoder,
+        cache.d_mu + dz, cache.d_logvar + dz * cache.dz_dlogvar, g,
     )
     return [p.value for p in g.params().values()]
 
@@ -519,7 +582,10 @@ class EpochStats(NamedTuple):
 def train(dataset: list[CircuitDag], cfg: DvaeConfig):
     """Adam over mini-batches for cfg.epochs; deterministic under cfg.seed.
 
-    Returns (model, per-epoch EpochStats list).
+    Each mini-batch takes one ``loss`` call, one ``backward`` call and one
+    ``adam_step`` call: the forward and the backward run the batch level by
+    level (the k-th node of every graph at once), and Adam steps on the
+    batch-mean gradient.  Returns (model, per-epoch EpochStats list).
     """
     if not dataset:
         raise ValueError("training needs a non-empty dataset")
@@ -531,26 +597,22 @@ def train(dataset: list[CircuitDag], cfg: DvaeConfig):
 
     for epoch in range(cfg.epochs):
         perm = rng.permutation(len(dataset))
-        losses = []
+        total = 0.0
         hits = 0
         preds = 0
         edit = 0.0
         for start in range(0, len(perm), cfg.batch_size):
-            batch = perm[start : start + cfg.batch_size]
-            grads = [np.zeros_like(p.value) for p in params]
-            for idx in batch:
-                noise = rng.standard_normal(cfg.d_z)
-                _, parts, cache = loss(model, dataset[idx], noise, cfg)
-                for acc, g in zip(grads, backward(model, cache)):
-                    acc += g
-                losses.append(parts.total)
-                hits += parts.n_type_correct + parts.n_edge_correct
-                preds += parts.n_types + parts.n_edges
-                edit += parts.n_edges - parts.n_edge_correct
+            batch = [dataset[i] for i in perm[start : start + cfg.batch_size]]
+            noise = rng.standard_normal((len(batch), cfg.d_z))
+            _, parts, cache = loss(model, batch, noise, cfg)
+            grads = backward(model, cache)
+            del cache  # free the activations before the next batch's forward
             adam_step(params, [g / len(batch) for g in grads], adam)
-        stats.append(
-            EpochStats(epoch, float(np.mean(losses)), hits / preds, edit)
-        )
+            total += parts.total
+            hits += parts.n_type_correct + parts.n_edge_correct
+            preds += parts.n_types + parts.n_edges
+            edit += parts.n_edges - parts.n_edge_correct
+        stats.append(EpochStats(epoch, total / len(dataset), hits / preds, edit))
         if not math.isfinite(stats[-1].mean_loss):
             raise FloatingPointError(f"loss diverged at epoch {epoch}")
     return model, stats

@@ -4,17 +4,20 @@ Parameters are float64 arrays boxed in ``Param`` so that a model, its
 optimiser and a checkpoint loader share them.  Each layer comes as a pair of
 kernels: a forward that returns its output together with the activations it
 computed, and a backward that takes those activations and the gradient of
-the output and returns the gradient of the layer's input.  Parameter
-gradients are added into a zero-initialised copy of the layer; the GRU's are
-gathered over many updates and added by one ``gru_weight_grads`` call.  The
-loss heads return their value and the gradient with respect to their
-logits.  Adam and a central-difference gradient checker complete the set;
-correctness is the contract and the finite-difference suite enforces it.
+the output and returns the gradient of the layer's input.  The kernels work
+on rows, one row per graph node, so one call updates a node of every graph
+in a batch.  They are written as ``X @ W.T``: for one row, OpenBLAS gives
+that product the same bits as ``W @ x``, so a one-row call rounds as a
+matrix-vector product would.  Parameter gradients are added into a zero-initialised copy
+of the layer; the GRU's are gathered over many updates and added by one
+``gru_weight_grads`` call.  The loss heads return their value and the
+gradient with respect to their logits.  Adam and a central-difference
+gradient checker complete the set; correctness is the contract and the
+finite-difference suite enforces it.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -75,23 +78,25 @@ class GruCell:
 
 
 def gru_forward(cell: GruCell, x: np.ndarray, h: np.ndarray):
-    """One GRU update; returns (h', activations (x, h, z, r, r*h, h~)).
+    """One GRU update per row; returns (h', activations (x, h, z, r, r*h, h~)).
 
+    With inputs ``x`` (rows, d_x) and states ``h`` (rows, d_h):
     z = sigma(Wz x + Uz h + bz),  r = sigma(Wr x + Ur h + br),
     h~ = tanh(Wh x + Uh (r*h) + bh),  h' = (1-z)*h + z*h~.
-    The activations are a plain tuple: this runs once per node on the
+    The activations are a plain tuple: this also runs once per node on the
     encoder's inference path.
     """
-    z = _sigmoid_np(cell.w_z.value @ x + cell.u_z.value @ h + cell.b_z.value)
-    r = _sigmoid_np(cell.w_r.value @ x + cell.u_r.value @ h + cell.b_r.value)
+    z = _sigmoid_np(x @ cell.w_z.value.T + h @ cell.u_z.value.T + cell.b_z.value)
+    r = _sigmoid_np(x @ cell.w_r.value.T + h @ cell.u_r.value.T + cell.b_r.value)
     rh = r * h
-    t = np.tanh(cell.w_h.value @ x + cell.u_h.value @ rh + cell.b_h.value)
+    t = np.tanh(x @ cell.w_h.value.T + rh @ cell.u_h.value.T + cell.b_h.value)
     return (1.0 - z) * h + z * t, (x, h, z, r, rh, t)
 
 
 def gru_backward(cell: GruCell, acts: tuple, g: np.ndarray):
     """Reverse of one GRU update: given the gradient ``g`` of h', return
-    d(loss)/dh and the gradients of the z, r and h~ pre-activations.
+    d(loss)/dh and the gradients of the z, r and h~ pre-activations, row for
+    row.
 
     ``gru_weight_grads`` turns the pre-activation gradients of many updates
     into weight gradients at once.  The input x is a constant feature
@@ -99,10 +104,10 @@ def gru_backward(cell: GruCell, acts: tuple, g: np.ndarray):
     """
     _, h, z, r, _, t = acts
     da_h = (g * z) * (1.0 - t * t)
-    drh = cell.u_h.value.T @ da_h
+    drh = da_h @ cell.u_h.value
     da_r = (drh * h) * r * (1.0 - r)
     da_z = (g * (t - h)) * z * (1.0 - z)
-    dh = g * (1.0 - z) + drh * r + cell.u_z.value.T @ da_z + cell.u_r.value.T @ da_r
+    dh = g * (1.0 - z) + drh * r + da_z @ cell.u_z.value + da_r @ cell.u_r.value
     return dh, (da_z, da_r, da_h)
 
 
@@ -111,10 +116,10 @@ def gru_weight_grads(grad: GruCell, acts: list[tuple], dpre: list[tuple]):
     pre-activation gradients ``dpre`` from gru_backward, into ``grad``."""
     if not acts:
         return
-    x = np.stack([a[0] for a in acts])
-    h = np.stack([a[1] for a in acts])
-    rh = np.stack([a[4] for a in acts])
-    da_z, da_r, da_h = (np.stack(col) for col in zip(*dpre))
+    x = np.concatenate([a[0] for a in acts])
+    h = np.concatenate([a[1] for a in acts])
+    rh = np.concatenate([a[4] for a in acts])
+    da_z, da_r, da_h = (np.concatenate(col) for col in zip(*dpre))
     grad.w_z.value += da_z.T @ x
     grad.u_z.value += da_z.T @ h
     grad.b_z.value += da_z.sum(axis=0)
@@ -126,44 +131,51 @@ def gru_weight_grads(grad: GruCell, acts: list[tuple], dpre: list[tuple]):
     grad.b_h.value += da_h.sum(axis=0)
 
 
-def gated_sum_forward(a: Param, b: Param, hs: list[np.ndarray]):
-    """sum_u sigmoid(A h_u) * tanh(B h_u); returns (sum, activations
-    (stacked h_u, gates, values)).
+def gated_sum_forward(a: Param, b: Param, h: np.ndarray, seg: np.ndarray, n: int):
+    """Segment sums of sigmoid(A h_i) * tanh(B h_i): output row j sums the
+    rows i of ``h`` with ``seg[i] == j``, for j < n.  Returns (sums (n, d),
+    activations (h, seg, gates, values)).
 
-    The empty set maps to zeros and to activations None.
+    ``np.add.at`` adds each segment's rows in order, so a single segment
+    equals ``(gates * values).sum(axis=0)`` bit for bit.  An output row with
+    no input rows is zero; with no rows at all the activations are None.
     """
-    if not hs:
-        return np.zeros(a.value.shape[0]), None
-    hmat = np.stack(hs)
-    gates = _sigmoid_np(hmat @ a.value.T)  # (m, d)
-    vals = np.tanh(hmat @ b.value.T)
-    return (gates * vals).sum(axis=0), (hmat, gates, vals)
+    out = np.zeros((n, a.value.shape[0]))
+    if not len(h):
+        return out, None
+    gates = _sigmoid_np(h @ a.value.T)  # (m, d)
+    vals = np.tanh(h @ b.value.T)
+    np.add.at(out, seg, gates * vals)
+    return out, (h, seg, gates, vals)
 
 
 def gated_sum_backward(
     a: Param, b: Param, acts: tuple, g: np.ndarray, grad_a: Param, grad_b: Param
 ) -> np.ndarray:
-    """Add the gradients of A and B into grad_a and grad_b; return the
-    (m, d) gradient of the summed vectors, one row per input."""
-    hmat, gates, vals = acts
+    """Given the (n, d) gradient of the sums, add the gradients of A and B
+    into grad_a and grad_b; return the (m, d) gradient of the input rows."""
+    h, seg, gates, vals = acts
+    g = g[seg]
     dgate_pre = (g * vals) * gates * (1.0 - gates)  # (m, d)
     dval_pre = (g * gates) * (1.0 - vals * vals)
-    grad_a.value += dgate_pre.T @ hmat
-    grad_b.value += dval_pre.T @ hmat
+    grad_a.value += dgate_pre.T @ h
+    grad_b.value += dval_pre.T @ h
     return dgate_pre @ a.value + dval_pre @ b.value
 
 
 # --- loss heads ------------------------------------------------------------------
 
 
-def softmax_cross_entropy(logits: np.ndarray, target: int):
-    """Categorical cross-entropy of one sample straight from logits;
-    returns (value, gradient with respect to the logits)."""
-    zmax = logits.max()
-    logsumexp = zmax + math.log(np.exp(logits - zmax).sum())
+def softmax_cross_entropy(logits: np.ndarray, targets: np.ndarray):
+    """Categorical cross-entropy of each row of ``logits`` (rows, classes)
+    against its target class; returns (per-row values, gradient with respect
+    to the logits)."""
+    zmax = logits.max(axis=1, keepdims=True)
+    logsumexp = zmax + np.log(np.exp(logits - zmax).sum(axis=1, keepdims=True))
     grad = np.exp(logits - logsumexp)
-    grad[target] -= 1.0
-    return logsumexp - logits[target], grad
+    rows = np.arange(len(targets))
+    grad[rows, targets] -= 1.0
+    return logsumexp[:, 0] - logits[rows, targets], grad
 
 
 def bce_with_logits(logits: np.ndarray, targets: np.ndarray):

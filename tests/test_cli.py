@@ -6,7 +6,8 @@ from qcopt import cli
 from qcopt.cli import config_text, dispatch, load_config
 from qcopt.dvae import DvaeConfig, DvaeModel, save_checkpoint
 from qcopt.harness import HarnessConfig
-from qcopt.rewrite import enumerate_actions
+from qcopt import rewrite
+from qcopt.rewrite import REVERSE, TemplateKind, enumerate_actions
 
 
 def test_grad_check_one_dag_passes(capsys):
@@ -14,9 +15,26 @@ def test_grad_check_one_dag_passes(capsys):
     assert "worst:" in capsys.readouterr().out
 
 
+def test_grad_check_covers_a_mixed_batch(capsys):
+    assert dispatch(["grad-check", "--dags", "2", "--d-h", "2"]) == 0
+    out = capsys.readouterr().out
+    assert "dag 1:" in out and "batch of 2 dags:" in out
+
+
 def test_verify_small_suite_passes(capsys):
     assert dispatch(["verify", "--circuits", "5"]) == 0
     assert "0 failures" in capsys.readouterr().out
+
+
+def test_verify_draws_the_empty_circuit(monkeypatch, capsys):
+    # reorder the CNOT-pair sites that the layered space seeds on the empty
+    # circuit only; the layered space is then not a subsequence there
+    key = (TemplateKind.CXCX, REVERSE)
+    seed_pairs = rewrite._LAYERED[key]
+    monkeypatch.setitem(rewrite._LAYERED, key, lambda c: seed_pairs(c)[::-1])
+    assert dispatch(["verify", "--circuits", "3"]) == 1
+    out = capsys.readouterr().out
+    assert out.count("FAIL layered-subset: ") == 1 and "1 failures" in out
 
 
 def test_unknown_flag_is_usage_error(capsys):

@@ -11,9 +11,7 @@ from qcopt.dvae import (
     DvaeModel,
     Latent,
     backward,
-    decoder_forward,
     encode_np,
-    encoder_forward,
     latent_key,
     load_checkpoint,
     loss,
@@ -41,6 +39,11 @@ def zeroed_model(d_h=6, d_z=2):
 def two_node_dag():
     """input -> output, the smallest decodable structure."""
     return CircuitDag((NodeType.INPUT, NodeType.OUTPUT), ((0, 1),))
+
+
+def batch_cache(m, dags):
+    """The loss cache of one batch at zero noise, so z is the latent mean."""
+    return loss(m, dags, np.zeros((len(dags), m.d_z)), DvaeConfig(d_h=m.d_h, d_z=m.d_z))[2]
 
 
 # --- encoding ------------------------------------------------------------------
@@ -78,9 +81,15 @@ def test_encode_dual_topological_orders_agree():
                 if indeg[v] == 0:
                     stack.append(v)
         assert alt != canonical or seed < 2  # orders genuinely differ somewhere
-        a, _ = encoder_forward(m, d, order=canonical)
-        b, _ = encoder_forward(m, d, order=alt)
-        assert np.allclose(a.mu, b.mu, atol=1e-9)
+        # renumber the nodes by their position in alt, so that the encoder
+        # visits the same structure in the alternative order
+        rank = [0] * d.n_nodes
+        for i, v in enumerate(alt):
+            rank[v] = i
+        renumbered = relabelled(d, rank)
+        assert topo_order(renumbered) == list(range(d.n_nodes))
+        mu = batch_cache(m, [d, renumbered]).latent.mu
+        assert np.allclose(mu[0], mu[1], atol=1e-9)
 
 
 def test_encode_zero_model_returns_mu_bias():
@@ -98,9 +107,9 @@ def test_encode_np_matches_loss_encoder():
     for seed in range(20):
         d = to_dag(random_icmh_circuit(3, seed % 12, seed))
         mu, logvar = encode_np(m, d)
-        _, parts, cache = loss(m, d, np.zeros(cfg.d_z), cfg)
+        _, parts, cache = loss(m, [d], np.zeros((1, cfg.d_z)), cfg)
         assert parts.kl == 0.5 * ((mu * mu + np.exp(logvar)) - (1.0 + logvar)).sum()
-        assert np.array_equal(cache.decoder.z, mu)
+        assert np.array_equal(cache.decoder.z[0], mu)
 
 
 def test_encode_np_shared_table_equals_encoder_forward():
@@ -109,10 +118,10 @@ def test_encode_np_shared_table_equals_encoder_forward():
     nodes = {}
     for seed in range(240):
         d = to_dag(random_icmh_circuit(2 + seed % 4, seed % 16, seed))
-        ref = encoder_forward(m, d)[0]
+        ref = batch_cache(m, [d]).latent
         for got in (encode_np(m, d, nodes), encode_np(m, d)):
-            assert np.array_equal(got.mu, ref.mu)
-            assert np.array_equal(got.logvar, ref.logvar)
+            assert np.array_equal(got.mu, ref.mu[0])
+            assert np.array_equal(got.logvar, ref.logvar[0])
 
 
 def test_encode_np_table_reuses_node_states():
@@ -134,18 +143,19 @@ def test_encode_np_table_reuses_node_states():
 
 def test_decode_tf_structure_minimal_dag():
     m = small_model()
-    acts = decoder_forward(m, np.zeros(3), two_node_dag())
+    acts = batch_cache(m, [two_node_dag()]).decoder
     assert acts.type_logits.shape == (3, 7)  # two nodes plus the END step
-    assert len(acts.edge_logits) == 1 and acts.edge_logits[0].shape == (1,)
-    assert acts.edge_targets[0].tolist() == [1.0]
+    assert acts.edge_logits.shape == (1,)  # the output node's one earlier node
+    assert acts.edge_targets.tolist() == [1.0]
 
 
 def test_decode_tf_zero_model_uniform():
     m = zeroed_model()
-    acts = decoder_forward(m, np.zeros(2), two_node_dag())
+    acts = batch_cache(m, [two_node_dag()]).decoder
+    assert np.array_equal(acts.z, np.zeros((1, 2)))
     for t in acts.type_logits:
         assert np.allclose(t, t[0], atol=1e-12)
-    assert np.allclose(acts.edge_logits[0], 0.0, atol=1e-12)  # p = 0.5
+    assert np.allclose(acts.edge_logits, 0.0, atol=1e-12)  # p = 0.5
 
 
 # --- loss -----------------------------------------------------------------------
@@ -154,7 +164,7 @@ def test_decode_tf_zero_model_uniform():
 def test_loss_zero_model_closed_form():
     m = zeroed_model()
     cfg = DvaeConfig(d_h=6, d_z=2, beta=0.0)
-    value, parts, cache = loss(m, two_node_dag(), np.zeros(2), cfg)
+    value, parts, cache = loss(m, [two_node_dag()], np.zeros((1, 2)), cfg)
     assert abs(parts.recon_edges - math.log(2.0)) < 1e-12  # p=0.5 against t=1
     assert abs(parts.edit - 0.5) < 1e-12
     assert abs(parts.recon_types - 3 * math.log(7.0)) < 1e-12
@@ -173,10 +183,52 @@ def test_loss_gradient_finite_difference():
     cfg = DvaeConfig(d_h=5, d_z=2, seed=11, beta=0.005)
     m = DvaeModel.create(cfg)
     d = to_dag(circ(2, Gate.cx(0, 1)))
-    noise = np.random.default_rng(3).standard_normal(cfg.d_z)
-    grads = backward(m, loss(m, d, noise, cfg)[2])
-    err = finite_diff_check(lambda: loss(m, d, noise, cfg)[0], list(m.params().values()), grads)
+    noise = np.random.default_rng(3).standard_normal((1, cfg.d_z))
+    grads = backward(m, loss(m, [d], noise, cfg)[2])
+    err = finite_diff_check(lambda: loss(m, [d], noise, cfg)[0], list(m.params().values()), grads)
     assert err <= 1e-4
+
+
+def _mixed_sizes():
+    """Three DAGs of different node counts: the two-node structure, one
+    without CNOTs, and consecutive CNOTs that need a helper node."""
+    helper = to_dag(circ(2, Gate.cx(0, 1), Gate.cx(1, 0)))
+    assert NodeType.HELPER in helper.types
+    dags = [two_node_dag(), to_dag(circ(2, Gate.h(0), Gate.h(1), Gate.h(0))), helper]
+    assert len({d.n_nodes for d in dags}) == len(dags)
+    return dags
+
+
+def test_batched_loss_gradient_finite_difference():
+    # graphs end at different levels, so the masked rows are exercised
+    cfg = DvaeConfig(d_h=5, d_z=2, seed=11, beta=0.005)
+    m = DvaeModel.create(cfg)
+    dags = _mixed_sizes()
+    noise = np.random.default_rng(3).standard_normal((len(dags), cfg.d_z))
+    grads = backward(m, loss(m, dags, noise, cfg)[2])
+    err = finite_diff_check(lambda: loss(m, dags, noise, cfg)[0], list(m.params().values()), grads)
+    assert err <= 1e-4
+
+
+def test_batch_is_the_sum_of_its_members():
+    cfg = DvaeConfig(d_h=8, d_z=3, seed=2, beta=0.05)
+    m = DvaeModel.create(cfg)
+    dags = _mixed_sizes()
+    noise = np.random.default_rng(4).standard_normal((len(dags), cfg.d_z))
+    _, parts, cache = loss(m, dags, noise, cfg)
+    grads = backward(m, cache)
+    members = [loss(m, [d], noise[i : i + 1], cfg) for i, d in enumerate(dags)]
+    for j, name in enumerate(parts._fields):
+        want = sum(member[1][j] for member in members)
+        if isinstance(want, int):
+            assert parts[j] == want, name
+        else:
+            assert abs(parts[j] - want) <= 1e-12 * max(1.0, abs(want)), name
+    sums = [sum(col) for col in zip(*(backward(m, member[2]) for member in members))]
+    for name, got, want in zip(m.params(), grads, sums):
+        assert np.allclose(got, want, rtol=0.0, atol=1e-12), name
+    for i, d in enumerate(dags):
+        assert np.array_equal(encode_np(m, d).mu, members[i][2].latent.mu[0])
 
 
 def test_loss_saturates_towards_zero_on_overfit():
@@ -184,7 +236,7 @@ def test_loss_saturates_towards_zero_on_overfit():
     d = to_dag(circ(2, Gate.h(0)))
     cfg = DvaeConfig(d_h=24, d_z=3, epochs=400, lr=5e-3, batch_size=1, seed=2, beta=0.0)
     model, stats = train([d], cfg)
-    _, parts, _ = loss(model, d, np.zeros(3), cfg)
+    _, parts, _ = loss(model, [d], np.zeros((1, 3)), cfg)
     assert stats[-1].accuracy == 1.0
     assert parts.recon_edges < 0.5
     assert parts.edit < 0.5
@@ -248,7 +300,7 @@ def test_overfit_one_greedy_reconstruction():
     model, stats = train([target], cfg)
     assert stats[-1].accuracy == 1.0
     # at z = mu every teacher-forced type argmax and thresholded edge is right
-    _, parts, _ = loss(model, target, np.zeros(cfg.d_z), cfg)
+    _, parts, _ = loss(model, [target], np.zeros((1, cfg.d_z)), cfg)
     assert parts.n_type_correct == parts.n_types
     assert parts.n_edge_correct == parts.n_edges
 
@@ -310,6 +362,6 @@ def test_reconstruction_accuracy_range():
     m = small_model(d_h=8, d_z=3, seed=1)
     cfg = DvaeConfig(d_h=8, d_z=3)
     for d in _mixed_corpus(4):
-        _, parts, _ = loss(m, d, np.zeros(cfg.d_z), cfg)
+        _, parts, _ = loss(m, [d], np.zeros((1, cfg.d_z)), cfg)
         assert 0 <= parts.n_type_correct <= parts.n_types == d.n_nodes + 1
         assert 0 <= parts.n_edge_correct <= parts.n_edges == d.n_nodes * (d.n_nodes - 1) // 2

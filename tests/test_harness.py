@@ -56,11 +56,11 @@ def test_encoder_checkpoint_pinned(encoder):
     _, stats, path = encoder
     assert len(stats) == 1
     assert sha256(path.read_bytes()) == (
-        "8bb6a9892944e392866915ac7562b2e2a781584e12050ef3b2158c0842d97eb6"
+        "731867ba27b9a14ba48e268ccf7074877cce429dc266535aad068330cce9b9b0"
     )
     meta = path.with_name(path.name + ".meta.json")
     assert sha256(meta.read_bytes()) == (
-        "22cd31a4919b20663fac5651a91ac7f9476f155d5c510f3603242f42ff939979"
+        "8f2e95a9346146894fad535af0e58366ecbb84326e8d188bc27ae794a292667a"
     )
 
 

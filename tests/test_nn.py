@@ -16,6 +16,7 @@ from qcopt.nn import (
     gru_forward,
     gru_weight_grads,
     softmax_cross_entropy,
+    _sigmoid_np,
 )
 
 
@@ -36,14 +37,14 @@ def _random_cell(d_x, d_h, rng):
 
 def test_gru_zero_weights_halves_state():
     cell = _zero_cell(2, 2)
-    h, _ = gru_forward(cell, np.zeros(2), np.array([1.0, 1.0]))
-    assert np.allclose(h, [0.5, 0.5], atol=1e-12)
+    h, _ = gru_forward(cell, np.zeros((1, 2)), np.array([[1.0, 1.0]]))
+    assert np.allclose(h, [[0.5, 0.5]], atol=1e-12)
 
 
 def test_gru_gate_saturation():
     cell = _zero_cell(2, 2)
     cell.b_z.value[:] = 10.0  # z ~ 1, h~ = 0 -> h' ~ 0
-    h, _ = gru_forward(cell, np.zeros(2), np.array([1.0, -1.0]))
+    h, _ = gru_forward(cell, np.zeros((1, 2)), np.array([[1.0, -1.0]]))
     assert np.all(np.abs(h) < 1e-3)
 
 
@@ -81,21 +82,26 @@ def _scalar_gru_reference(cell, x, h_prev):
 def test_gru_matches_scalar_reference():
     rng = np.random.default_rng(0)
     cell = _random_cell(3, 4, rng)
-    for _ in range(5):
-        x = rng.normal(size=3)
-        h = rng.normal(size=4)
-        got, _ = gru_forward(cell, x, h)
-        want = _scalar_gru_reference(cell, x, h)
-        assert np.allclose(got, want, atol=1e-12)
+    x = rng.normal(size=(5, 3))
+    h = rng.normal(size=(5, 4))
+    got, _ = gru_forward(cell, x, h)  # five rows in one call
+    for i in range(5):
+        want = _scalar_gru_reference(cell, x[i], h[i])
+        assert np.allclose(got[i], want, atol=1e-12)
 
 
 # --- gated sum -------------------------------------------------------------------
 
 
+def _one_segment(hs):
+    """Rows and segment indices that sum every vector of hs into one row."""
+    return np.array(hs).reshape(len(hs), -1), np.zeros(len(hs), dtype=np.intp)
+
+
 def test_gated_sum_empty_is_zero():
     a = Param(np.ones((3, 3)))
-    out, acts = gated_sum_forward(a, a, [])
-    assert np.array_equal(out, np.zeros(3)) and acts is None
+    out, acts = gated_sum_forward(a, a, np.empty((0, 3)), np.empty(0, dtype=np.intp), 2)
+    assert np.array_equal(out, np.zeros((2, 3))) and acts is None
 
 
 def test_gated_sum_permutation_invariant():
@@ -103,8 +109,8 @@ def test_gated_sum_permutation_invariant():
     a = Param(rng.normal(size=(4, 4)))
     b = Param(rng.normal(size=(4, 4)))
     hs = [rng.normal(size=4) for _ in range(5)]
-    fwd, _ = gated_sum_forward(a, b, hs)
-    rev, _ = gated_sum_forward(a, b, hs[::-1])
+    fwd, _ = gated_sum_forward(a, b, *_one_segment(hs), 1)
+    rev, _ = gated_sum_forward(a, b, *_one_segment(hs[::-1]), 1)
     assert np.allclose(fwd, rev, atol=1e-12)
 
 
@@ -113,8 +119,8 @@ def test_gated_sum_zero_vector_contributes_nothing():
     a = Param(rng.normal(size=(4, 4)))
     b = Param(rng.normal(size=(4, 4)))
     h = rng.normal(size=4)
-    lone, _ = gated_sum_forward(a, b, [h])
-    padded, _ = gated_sum_forward(a, b, [h, np.zeros(4)])
+    lone, _ = gated_sum_forward(a, b, *_one_segment([h]), 1)
+    padded, _ = gated_sum_forward(a, b, *_one_segment([h, np.zeros(4)]), 1)
     assert np.allclose(lone, padded, atol=1e-12)
 
 
@@ -124,8 +130,17 @@ def test_gated_sum_formula():
     b = rng.normal(size=(3, 3))
     hs = [rng.normal(size=3) for _ in range(4)]
     want = sum(_sigmoid(a @ h) * np.tanh(b @ h) for h in hs)
-    got, _ = gated_sum_forward(Param(a), Param(b), hs)
-    assert np.allclose(got, want, atol=1e-12)
+    got, _ = gated_sum_forward(Param(a), Param(b), *_one_segment(hs), 1)
+    assert np.allclose(got[0], want, atol=1e-12)
+    # one segment adds its rows in order, bit for bit as sum(axis=0) does
+    rows = np.array(hs)
+    gates = _sigmoid_np(rows @ a.T)
+    assert np.array_equal(got[0], (gates * np.tanh(rows @ b.T)).sum(axis=0))
+    # three segments: rows 0 and 3, none, then rows 1 and 2
+    got, _ = gated_sum_forward(Param(a), Param(b), rows, np.array([0, 2, 2, 0]), 3)
+    for j, members in enumerate(([0, 3], [], [1, 2])):
+        want = sum((_sigmoid(a @ hs[i]) * np.tanh(b @ hs[i]) for i in members), np.zeros(3))
+        assert np.allclose(got[j], want, atol=1e-12)
 
 
 # --- adam -------------------------------------------------------------------------
@@ -174,11 +189,12 @@ def test_bce_matches_closed_form():
 
 
 def test_softmax_ce_uniform_logits():
-    value, grad = softmax_cross_entropy(np.zeros(7), 3)
-    assert abs(value - math.log(7.0)) < 1e-12
-    want = np.full(7, 1.0 / 7.0)
-    want[3] -= 1.0
-    assert np.allclose(grad, want, atol=1e-12)
+    value, grad = softmax_cross_entropy(np.zeros((2, 7)), np.array([3, 5]))
+    assert np.allclose(value, math.log(7.0), atol=1e-12)
+    for row, t in zip(grad, (3, 5)):
+        want = np.full(7, 1.0 / 7.0)
+        want[t] -= 1.0
+        assert np.allclose(row, want, atol=1e-12)
 
 
 # --- gradient checks ---------------------------------------------------------------
@@ -214,10 +230,10 @@ def test_finite_diff_composite_ops():
     def value_and_grads():
         s = w.value @ x + b.value
         bce, d_bce = bce_with_logits(s, t)
-        ce, d_ce = softmax_cross_entropy(s, 1)
+        ce, d_ce = softmax_cross_entropy(s[None, :], np.array([1]))
         p = _sigmoid(s)
-        ds = d_bce + d_ce + np.sign(p - t) * p * (1.0 - p)
-        return bce + ce + np.abs(p - t).sum(), [np.outer(ds, x), ds]
+        ds = d_bce + d_ce[0] + np.sign(p - t) * p * (1.0 - p)
+        return bce + ce[0] + np.abs(p - t).sum(), [np.outer(ds, x), ds]
 
     err = finite_diff_check(lambda: value_and_grads()[0], [w, b], value_and_grads()[1])
     assert err < 1e-6
@@ -230,17 +246,18 @@ def test_gated_sum_gradient():
     h0 = Param(rng.normal(size=3))
     cell = _random_cell(3, 3, rng)
     t = np.array([1.0, 1.0, 0.0])
-    x = np.array([1.0, 0.0, 0.0])
+    x = np.array([[1.0, 0.0, 0.0]])
 
     def value_and_grads():
-        h1, gru = gru_forward(cell, x, h0.value)
-        agg, acts = gated_sum_forward(a, b, [h0.value, h1, np.ones(3)])
-        value, d_agg = bce_with_logits(agg, t)
+        h1, gru = gru_forward(cell, x, h0.value[None, :])
+        hs = np.stack([h0.value, h1[0], np.ones(3)])
+        agg, acts = gated_sum_forward(a, b, hs, np.zeros(3, dtype=np.intp), 1)
+        value, d_agg = bce_with_logits(agg[0], t)
         ga, gb, gcell = Param(np.zeros((3, 3))), Param(np.zeros((3, 3))), _zero_cell(3, 3)
-        rows = gated_sum_backward(a, b, acts, d_agg, ga, gb)
-        dh, dpre = gru_backward(cell, gru, rows[1])
+        rows = gated_sum_backward(a, b, acts, d_agg[None, :], ga, gb)
+        dh, dpre = gru_backward(cell, gru, rows[1:2])
         gru_weight_grads(gcell, [gru], [dpre])
-        dh0 = rows[0] + dh
+        dh0 = rows[0] + dh[0]
         return value, [ga.value, gb.value, dh0, *(p.value for p in gcell.params().values())]
 
     params = [a, b, h0, *cell.params().values()]
@@ -252,9 +269,9 @@ def test_gru_gradient():
     rng = np.random.default_rng(5)
     cell = _random_cell(2, 3, rng)
     params = list(cell.params().values())
-    x = rng.normal(size=2)
-    h0 = rng.normal(size=3)
-    t = np.array([1.0, 0.0, 1.0])
+    x = rng.normal(size=(1, 2))
+    h0 = rng.normal(size=(1, 3))
+    t = np.array([[1.0, 0.0, 1.0]])
 
     def value_and_grads():
         h1, gru1 = gru_forward(cell, x, h0)
