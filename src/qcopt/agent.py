@@ -122,19 +122,12 @@ def choose_action(
     if epsilon > 0.0 and rng.random() < epsilon:
         i = int(rng.integers(len(actions)))
         return actions[i], keys[i]
-    row = q.get(s)
-    best_i = 0
-    best_val = row.get(keys[0], 0.0) if row else 0.0
-    best_key = keys[0]
-    if row:
-        for i in range(1, len(actions)):
-            v = row.get(keys[i], 0.0)
-            if v > best_val or (v == best_val and keys[i] < best_key):
-                best_i, best_val, best_key = i, v, keys[i]
-    else:
-        for i in range(1, len(actions)):
-            if keys[i] < best_key:
-                best_i, best_key = i, keys[i]
+    row = q.get(s) or {}
+    best_i, best_val, best_key = 0, row.get(keys[0], 0.0), keys[0]
+    for i in range(1, len(actions)):
+        v = row.get(keys[i], 0.0)
+        if v > best_val or (v == best_val and keys[i] < best_key):
+            best_i, best_val, best_key = i, v, keys[i]
     return actions[best_i], best_key
 
 
@@ -166,21 +159,11 @@ def q_update(
     if next_row is None:
         next_row = q[s_next] = {}
 
-    next_max = 0.0
-    if next_row and next_keys:
-        seen_all = True
-        best = None
-        for k in next_keys:
-            v = next_row.get(k)
-            if v is None:
-                seen_all = False
-            elif best is None or v > best:
-                best = v
-        if best is None:
-            next_max = 0.0
-        else:
-            next_max = best if (seen_all and best < 0.0) else max(best, 0.0)
-
+    next_max = -np.inf if next_keys else 0.0
+    for k in next_keys:
+        v = next_row.get(k, 0.0)
+        if v > next_max:
+            next_max = v
     current = row.get(a_key, 0.0)
     row[a_key] = current + LEARNING_RATE * (r + DISCOUNT * next_max - current)
     return q

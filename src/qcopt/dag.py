@@ -8,11 +8,14 @@ on every gate node.  When a fake-wire edge would duplicate an existing edge
 between the same node pair (consecutive CNOTs whose target and control share
 a wire), a helper node is inserted on that fake edge so the DAG stays free of
 parallel edges.
+
+Node ids are a topological order: every edge ``(u, v)`` has ``u < v``.
+``to_dag`` numbers nodes in program order, so its DAGs keep this rule, and
+the encoder visits nodes in id order.
 """
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -39,7 +42,8 @@ N_NODE_TYPES = len(NodeType)
 
 @dataclass(frozen=True, slots=True)
 class CircuitDag:
-    """Nodes are ids 0..n-1 with a type each; edges are ordered pairs.
+    """Nodes are ids 0..n-1 with a type each; edges are ordered pairs, and
+    every edge goes forward (``u < v``), so the ids are a topological order.
 
     ``wire_of_edge`` labels each edge with its wire (real wires 0..n-1, fake
     wire n) when the DAG came from a circuit; structure-only DAGs leave it
@@ -54,15 +58,13 @@ class CircuitDag:
     def n_nodes(self) -> int:
         return len(self.types)
 
-    def successors(self) -> list[list[int]]:
-        out = [[] for _ in range(self.n_nodes)]
-        for u, v in self.edges:
-            out[u].append(v)
-        return out
-
     def predecessors(self) -> list[list[int]]:
+        """Each node's predecessors in edge order.  Callers visit nodes in id
+        order, so an edge that does not go forward raises ValueError."""
         out = [[] for _ in range(self.n_nodes)]
         for u, v in self.edges:
+            if u >= v:
+                raise ValueError(f"edge {(u, v)} does not go forward")
             out[v].append(u)
         return out
 
@@ -118,7 +120,10 @@ def to_dag(c: Circuit) -> CircuitDag:
 
 
 def validate(d: CircuitDag) -> list[str]:
-    """Check all structural invariants; an empty list means the DAG is valid."""
+    """Check all structural invariants; an empty list means the DAG is valid.
+
+    Every edge must go forward; a cycle needs an edge that does not, so this
+    also rules out cycles."""
     violations: list[str] = []
     n = d.n_nodes
     indeg = [0] * n
@@ -132,6 +137,8 @@ def validate(d: CircuitDag) -> list[str]:
         if e in seen:
             violations.append(f"parallel edge {e}")
         seen.add(e)
+        if u >= v:
+            violations.append(f"edge {e} does not go forward")
         outdeg[u] += 1
         indeg[v] += 1
 
@@ -149,54 +156,12 @@ def validate(d: CircuitDag) -> list[str]:
         elif indeg[i] != outdeg[i]:
             violations.append(f"degree imbalance at node {i} ({indeg[i]} != {outdeg[i]})")
 
-    # Kahn sweep for acyclicity
-    deg = list(indeg)
-    succ = d.successors()
-    stack = [i for i in range(n) if deg[i] == 0]
-    visited = 0
-    while stack:
-        u = stack.pop()
-        visited += 1
-        for v in succ[u]:
-            deg[v] -= 1
-            if deg[v] == 0:
-                stack.append(v)
-    if visited != n:
-        violations.append("cycle")
-
     if d.wire_of_edge:
         for e in d.edges:
             if e not in d.wire_of_edge:
                 violations.append(f"edge {e} missing wire label")
 
     return violations
-
-
-def topo_order(d: CircuitDag) -> list[int]:
-    """Deterministic topological order; ties go to the lowest node id.
-
-    ``to_dag`` numbers nodes in program order, inputs by wire first and
-    outputs by wire last, so on a circuit's DAG this follows the gate list.
-    """
-    n = d.n_nodes
-    indeg = [0] * n
-    succ = d.successors()
-    for _, v in d.edges:
-        indeg[v] += 1
-
-    heap = [i for i in range(n) if indeg[i] == 0]
-    heapq.heapify(heap)
-    order = []
-    while heap:
-        u = heapq.heappop(heap)
-        order.append(u)
-        for v in succ[u]:
-            indeg[v] -= 1
-            if indeg[v] == 0:
-                heapq.heappush(heap, v)
-    if len(order) != n:
-        raise ValueError("cycle detected in DAG")
-    return order
 
 
 # --- debug export ----------------------------------------------------------
@@ -214,7 +179,8 @@ _DEBUG_FIELDS = {"node": 3, "edge": 4}
 
 
 def dag_from_debug_text(text: str) -> CircuitDag:
-    """Parse dag_to_debug_text output; a malformed line raises ValueError."""
+    """Parse dag_to_debug_text output.  A malformed line, or a DAG that fails
+    ``validate``, raises ValueError: this is where DAGs enter from outside."""
     types: list[NodeType] = []
     edges: list[tuple[int, int]] = []
     wires: dict[tuple[int, int], int] = {}
@@ -239,4 +205,8 @@ def dag_from_debug_text(text: str) -> CircuitDag:
                 wires[(u, v)] = w
         else:
             raise ValueError(f"unknown debug line {line!r}")
-    return CircuitDag(tuple(types), tuple(edges), wires)
+    d = CircuitDag(tuple(types), tuple(edges), wires)
+    violations = validate(d)
+    if violations:
+        raise ValueError(f"invalid DAG: {'; '.join(violations[:3])}")
+    return d

@@ -1,16 +1,17 @@
 """Variational autoencoder over circuit DAGs.
 
-The encoder visits nodes in topological order and runs a GRU whose incoming
-state is a gated sum of the predecessors' hidden states, so the embedding
-depends only on DAG structure and node types (isomorphic DAGs encode
-identically).  The graph embedding is a gated sum over the output-node
-hiddens, mapped to a latent mean and log-variance.
+The encoder visits nodes in id order, which is topological (``dag.py``
+keeps every edge forward), and runs a GRU whose incoming state is a gated sum
+of the predecessors' hidden states, so the embedding depends only on DAG
+structure and node types (isomorphic DAGs encode identically).  The graph
+embedding is a gated sum over the output-node hiddens, mapped to a latent
+mean and log-variance.
 
 The decoder mirrors the scheme in reverse, teacher-forced on the target's
-topological order: node by node it predicts a type distribution (6 node
-types plus an END symbol) from the previous node's hidden state, predicts an
-edge probability to every earlier node from the new node's provisional
-hidden, then recomputes the node's hidden from a gated sum of its true
+id order: node by node it predicts a type distribution (6 node types plus an
+END symbol) from the previous node's hidden state, predicts an edge
+probability to every earlier node from the new node's provisional hidden,
+then recomputes the node's hidden from a gated sum of its true
 predecessors.  Sourceless nodes take the running context instead --
 initially the latent-derived state, so z reaches every chain, and repeated
 source nodes stay distinguishable by sequence position.
@@ -22,15 +23,15 @@ the latent mean per dimension turns encodings into discrete RL state keys.
 
 Training runs a minibatch at once, level by level as D-VAE does (Zhang et
 al., NeurIPS 2019): ``_layout`` lays the graphs' nodes out as rows, and at
-topological position k one GRU update, one gated sum over the real
-predecessor rows and one edge-head evaluation cover the k-th node of every
-graph that has one.  ``loss`` runs the encoder and decoder forwards and the
-loss heads over a batch and returns the summed value, its parts and a
-cache; ``backward`` walks that cache level by level in reverse and returns
-the parameter gradients.  A batch of one DAG is the single-graph case.  The
-inference-only ``encode_np`` shares the encoder's node update and readout
-but runs node by node and keeps no activations; it hash-conses node states
-in a table that a caller can carry across DAGs.
+node id k one GRU update, one gated sum over the real predecessor rows and
+one edge-head evaluation cover node k of every graph that has one.  ``loss``
+runs the encoder and decoder forwards and the loss heads over a batch and
+returns the summed value, its parts and a cache; ``backward`` walks that
+cache level by level in reverse and returns the parameter gradients.  A
+batch of one DAG is the single-graph case.  The inference-only
+``encode_np`` shares the encoder's node update and readout but runs node by
+node and keeps no activations; it hash-conses node states in a table that a
+caller can carry across DAGs.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dag import CircuitDag, N_NODE_TYPES, NodeType, topo_order
+from .dag import CircuitDag, N_NODE_TYPES, NodeType
 from .nn import (
     AdamState,
     GruCell,
@@ -180,8 +181,8 @@ class DvaeModel:
 
 
 class Level(NamedTuple):
-    """The k-th node, in topological order, of every graph that has one;
-    graphs with fewer nodes have ended and are left out."""
+    """Node k of every graph that has one; graphs with fewer nodes have
+    ended and are left out."""
 
     rows: np.ndarray        # each such node's row in the node-state arrays
     x: np.ndarray           # its one-hot type
@@ -193,32 +194,28 @@ class Level(NamedTuple):
 class Batch(NamedTuple):
     """Row layout of a minibatch.  Graph b owns rows ``start[b]`` to
     ``start[b] + n_b`` of the node-state arrays: first the decoder's initial
-    context (a zero row in the encoder), then its nodes in topological
-    order.  Each row is also the decoder step that predicts the next node's
-    type, or END on a graph's last row."""
+    context (a zero row in the encoder), then its nodes in id order, so
+    node v sits at row ``start[b] + 1 + v``.  Each row is also the decoder
+    step that predicts the next node's type, or END on a graph's last row."""
 
     start: np.ndarray       # (B,)
     targets: np.ndarray     # per row: the type index it predicts
     levels: list[Level]
-    sink_rows: np.ndarray   # output-node rows, graph by graph in topological order
+    sink_rows: np.ndarray   # output-node rows, graph by graph in id order
     sink_seg: np.ndarray    # the batch index of each sink row
 
 
 def _layout(dags: list[CircuitDag]) -> Batch:
-    """The rows of ``dags`` and one level per topological position, up to
-    the largest graph's node count."""
+    """The rows of ``dags`` and one level per node id, up to the largest
+    graph's node count; an edge that does not go forward raises ValueError."""
     sizes = np.array([d.n_nodes for d in dags])
     start = np.concatenate(([0], np.cumsum(sizes + 1)[:-1]))
     targets, sink_rows, sink_seg, pred_rows = [], [], [], []
     for b, d in enumerate(dags):
-        order = topo_order(d)
-        row = [0] * d.n_nodes
-        for k, v in enumerate(order):
-            row[v] = int(start[b]) + 1 + k
-        preds = d.predecessors()
-        pred_rows.append([[row[u] for u in preds[v]] for v in order])
-        targets += [d.types[v].value for v in order] + [END_TYPE]
-        sinks = [row[v] for v in order if d.types[v] is NodeType.OUTPUT]
+        first = int(start[b]) + 1
+        pred_rows.append([[first + u for u in p] for p in d.predecessors()])
+        targets += [t.value for t in d.types] + [END_TYPE]
+        sinks = [first + v for v, t in enumerate(d.types) if t is NodeType.OUTPUT]
         sink_rows += sinks
         sink_seg += [b] * len(sinks)
     targets = np.array(targets)
@@ -304,14 +301,15 @@ def encode_np(m: DvaeModel, d: CircuitDag, nodes: NodeTable | None = None) -> La
     keyed by its type and its predecessors' table ids, and the node update
     runs only for a key the table lacks.  Passing one table to many calls
     shares states across DAGs that differ by a local rewrite.  A table
-    belongs to the model that filled it; ``None`` starts a fresh one.
+    belongs to the model that filled it; ``None`` starts a fresh one.  An
+    edge that does not go forward raises ValueError.
     """
     if nodes is None:
         nodes = {}
     preds = d.predecessors()
     entries: list = [None] * d.n_nodes
     sinks = []
-    for v in topo_order(d):
+    for v in range(d.n_nodes):
         t = d.types[v]
         key = (t, tuple([entries[u][0] for u in preds[v]]))
         entry = nodes.get(key)
@@ -369,7 +367,7 @@ class DecoderActs(NamedTuple):
 
 
 def _decoder_forward(m: DvaeModel, batch: Batch, z: np.ndarray) -> DecoderActs:
-    """Teacher-forced decoder pass over the targets' topological orders."""
+    """Teacher-forced decoder pass over the targets' nodes in id order."""
     states = np.zeros((len(batch.targets), m.d_h))
     states[batch.start] = z @ m.w_init.value.T + m.b_init.value
     steps = []

@@ -26,7 +26,7 @@ from .agent import (
     train_agent,
 )
 from .circuit import BvSpec, bv_circuit
-from .dag import CircuitDag, dag_to_debug_text, to_dag, validate
+from .dag import CircuitDag, dag_to_debug_text, to_dag
 from .dvae import DvaeConfig, DvaeModel, EpochStats, save_checkpoint, save_metadata, train
 
 # Paper reference values for the report (BV size -> epochs, l_s, l_a, shown
@@ -157,14 +157,13 @@ def train_encoder_from_corpus(
 ) -> tuple[DvaeModel, list[EpochStats]]:
     """Phase 2: fit the autoencoder on harvested states.
 
-    Corpora larger than corpus_cap are subsampled deterministically (seeded
-    by cfg.seed) to keep training desk-scale.
+    The corpus must pass ``dag.validate``, as ``to_dag`` output and DAGs read
+    by ``dag_from_debug_text`` do; it is not checked again here.  Corpora
+    larger than corpus_cap are subsampled deterministically (seeded by
+    cfg.seed) to keep training desk-scale.
     """
     if not corpus:
         raise ValueError("corpus is empty")
-    bad = [i for i, d in enumerate(corpus) if validate(d)]
-    if bad:
-        raise ValueError(f"corpus entries {bad[:5]} fail DAG validation")
     sample = corpus
     if len(corpus) > corpus_cap:
         rng = np.random.default_rng(cfg.seed)

@@ -1,6 +1,6 @@
-"""Shared test oracles: DAG isomorphism, node relabelling, the agent's layered
-action space as a filter over the full one, and forward-action BFS to a
-target depth.
+"""Shared test oracles: DAG isomorphism, node relabelling, random topological
+orders, the agent's layered action space as a filter over the full one, and
+forward-action BFS to a target depth.
 
 The search is restricted to the forward direction of all four templates
 (gate-count-nonincreasing, or structurally necessary for CX_REV).  The
@@ -12,6 +12,7 @@ agent's gate bound, and a radius bound certifies reachability for the agent.
 from __future__ import annotations
 
 import networkx as nx
+import numpy as np
 
 from qcopt.circuit import Circuit, depth, state_string
 from qcopt.dag import CircuitDag, NodeType
@@ -43,6 +44,27 @@ def relabelled(d: CircuitDag, perm: list[int]) -> CircuitDag:
         tuple(sorted((perm[u], perm[v]) for u, v in d.edges)),
         {(perm[u], perm[v]): w for (u, v), w in d.wire_of_edge.items()},
     )
+
+
+def random_topological_order(d: CircuitDag, rng: np.random.Generator) -> list[int]:
+    """A topological order of d's nodes by Kahn's algorithm, each step taking
+    a uniformly drawn node among those whose predecessors are all placed."""
+    indeg = [0] * d.n_nodes
+    succ = [[] for _ in range(d.n_nodes)]
+    for u, v in d.edges:
+        indeg[v] += 1
+        succ[u].append(v)
+    ready = [i for i in range(d.n_nodes) if indeg[i] == 0]
+    order = []
+    while ready:
+        u = ready.pop(int(rng.integers(len(ready))))
+        order.append(u)
+        for v in succ[u]:
+            indeg[v] -= 1
+            if indeg[v] == 0:
+                ready.append(v)
+    assert len(order) == d.n_nodes, "cycle"
+    return order
 
 
 def layered_filter(c: Circuit, actions: list[Action]) -> list[Action]:

@@ -3,9 +3,11 @@ from dataclasses import fields
 import pytest
 
 from qcopt import cli
+from qcopt.circuit import Circuit, Gate, random_icmh_circuit
 from qcopt.cli import config_text, dispatch, load_config
+from qcopt.dag import dag_to_debug_text, to_dag
 from qcopt.dvae import DvaeConfig, DvaeModel, save_checkpoint
-from qcopt.harness import HarnessConfig
+from qcopt.harness import HarnessConfig, save_corpus
 from qcopt import rewrite
 from qcopt.rewrite import REVERSE, TemplateKind, enumerate_actions
 
@@ -87,6 +89,35 @@ def test_train_encoded_checkpoint_dims_must_match_config(tmp_path, capsys):
     assert dispatch(argv) == 0
     text = (tmp_path / "run" / "config.txt").read_text()
     assert "dvae_d_h = 8\n" in text and "dvae_d_z = 3\n" in text
+
+
+def test_train_vae_trains_on_a_corpus_file(tmp_path, capsys):
+    corpus = tmp_path / "corpus.txt"
+    save_corpus([to_dag(random_icmh_circuit(2, 4, s)) for s in range(3)], str(corpus))
+    argv = ["train-vae", "--corpus", str(corpus), "--out", str(tmp_path / "run"),
+            "--vae-epochs", "1", "--d-h", "4", "--d-z", "2"]
+    assert dispatch(argv) == 0
+    assert "trained on 3 of 3 DAGs" in capsys.readouterr().out
+    assert (tmp_path / "run" / "model.ckpt").is_file()
+
+
+@pytest.mark.parametrize(
+    "edit, violation",
+    [(("edge 2 3 0", "edge 3 2 0"), "edge (3, 2) does not go forward"),
+     (("edge 2 3 0", "edge 2 3 0\nedge 0 2 0"), "parallel edge (0, 2)")],
+    ids=["backward-edge", "parallel-edge"],
+)
+def test_train_vae_rejects_an_invalid_dag(tmp_path, capsys, edit, violation):
+    good = dag_to_debug_text(to_dag(random_icmh_circuit(2, 4, 0)))
+    bad = dag_to_debug_text(to_dag(Circuit(1, (Gate.h(0),))))
+    assert edit[0] in bad
+    corpus = tmp_path / "corpus.txt"
+    corpus.write_text(good + "\n" + bad.replace(*edit) + "\n")
+    code = dispatch(["train-vae", "--corpus", str(corpus), "--out", str(tmp_path / "run")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and violation in err
+    assert not (tmp_path / "run").exists()
 
 
 EVERY_KEY = dict(

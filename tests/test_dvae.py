@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from oracles import relabelled
+from oracles import random_topological_order, relabelled
 from qcopt.circuit import BvSpec, Circuit, Gate, bv_circuit, random_icmh_circuit
-from qcopt.dag import CircuitDag, NodeType, to_dag, topo_order
+from qcopt.dag import CircuitDag, NodeType, to_dag
 from qcopt.dvae import (
     DvaeConfig,
     DvaeModel,
@@ -50,27 +50,36 @@ def batch_cache(m, dags):
 
 
 def test_encode_isomorphism_invariance():
+    # renumbering a DAG by another topological order makes the encoder visit
+    # the same structure in that order; the latent must not depend on it
     m = small_model(d_h=12, d_z=4, seed=3)
     rng = np.random.default_rng(0)
+    renumbered_count = 0
     for seed in range(50):
         d = to_dag(random_icmh_circuit(2 + seed % 3, seed % 10, seed))
-        perm = list(rng.permutation(d.n_nodes))
-        a = encode_np(m, d)
-        b = encode_np(m, relabelled(d, perm))
+        rank = [0] * d.n_nodes
+        for i, v in enumerate(random_topological_order(d, rng)):
+            rank[v] = i
+        renumbered = relabelled(d, rank)
+        renumbered_count += rank != list(range(d.n_nodes))
+        a, b = encode_np(m, d), encode_np(m, renumbered)
         assert np.allclose(a.mu, b.mu, atol=1e-9)
         assert np.allclose(a.logvar, b.logvar, atol=1e-9)
+        mu = batch_cache(m, [d, renumbered]).latent.mu
+        assert np.allclose(mu[0], mu[1], atol=1e-9)
+    assert renumbered_count >= 45
 
 
 def test_encode_dual_topological_orders_agree():
     m = small_model(d_h=10, d_z=4, seed=1)
     for seed in range(20):
         d = to_dag(random_icmh_circuit(3, 8, seed))
-        canonical = topo_order(d)
-        # an alternative valid order: stack-based Kahn
+        # an alternative valid order to the node ids: stack-based Kahn
         indeg = [0] * d.n_nodes
-        for _, v in d.edges:
+        succ = [[] for _ in range(d.n_nodes)]
+        for u, v in d.edges:
             indeg[v] += 1
-        succ = d.successors()
+            succ[u].append(v)
         stack = [i for i in range(d.n_nodes) if indeg[i] == 0]
         alt = []
         while stack:
@@ -80,16 +89,28 @@ def test_encode_dual_topological_orders_agree():
                 indeg[v] -= 1
                 if indeg[v] == 0:
                     stack.append(v)
-        assert alt != canonical or seed < 2  # orders genuinely differ somewhere
+        assert alt != list(range(d.n_nodes))  # orders genuinely differ
         # renumber the nodes by their position in alt, so that the encoder
         # visits the same structure in the alternative order
         rank = [0] * d.n_nodes
         for i, v in enumerate(alt):
             rank[v] = i
         renumbered = relabelled(d, rank)
-        assert topo_order(renumbered) == list(range(d.n_nodes))
+        assert all(u < v for u, v in renumbered.edges)
+        a, b = encode_np(m, d), encode_np(m, renumbered)
+        assert np.allclose(a.mu, b.mu, atol=1e-9)
+        assert np.allclose(a.logvar, b.logvar, atol=1e-9)
         mu = batch_cache(m, [d, renumbered]).latent.mu
         assert np.allclose(mu[0], mu[1], atol=1e-9)
+
+
+def test_an_edge_that_does_not_go_forward_raises():
+    d = relabelled(two_node_dag(), [1, 0])
+    assert d.edges == ((1, 0),)
+    with pytest.raises(ValueError, match=r"edge \(1, 0\) does not go forward"):
+        encode_np(small_model(), d)
+    with pytest.raises(ValueError, match=r"edge \(1, 0\) does not go forward"):
+        batch_cache(small_model(), [two_node_dag(), d])
 
 
 def test_encode_zero_model_returns_mu_bias():
