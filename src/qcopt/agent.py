@@ -193,15 +193,15 @@ def run_episode(
     cfg: AgentConfig,
     rng: np.random.Generator,
     epsilon: float,
-    visited: dict[StateKey, Circuit] | None = None,
+    visited: dict[StateKey, Circuit],
 ) -> EpisodeTrace:
     """One episode: enumerate, choose, apply, reward, update, until the depth
-    target is reached or max_steps runs out."""
+    target is reached or max_steps runs out.  ``visited`` keeps the first
+    circuit seen under each state key."""
     c = start
     d = depth(c)
     s = abstraction(c)
-    if visited is not None and s not in visited:
-        visited[s] = c
+    visited.setdefault(s, c)
     trace = EpisodeTrace(best_depth=d, final_depth=d)
     if d <= TARGET_DEPTH:
         q.setdefault(s, {})
@@ -216,8 +216,7 @@ def run_episode(
         d2 = depth(c2)
         done = d2 <= TARGET_DEPTH
         s2 = abstraction(c2)
-        if visited is not None and s2 not in visited:
-            visited[s2] = c2
+        visited.setdefault(s2, c2)
         if done:
             actions2, keys2 = [], []
         else:

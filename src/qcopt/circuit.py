@@ -1,4 +1,4 @@
-"""Circuit IR: H/CNOT gate lists, QASM-subset I/O, depth metric, unitary oracle.
+"""Circuit IR: H/CNOT gate lists, QASM output, depth metric, unitary oracle.
 
 The circuit is the RL environment's state carrier.  Gates are restricted to
 Hadamard and CNOT; the depth metric uses ASAP scheduling with one relaxation:
@@ -10,7 +10,6 @@ depth three).
 from __future__ import annotations
 
 import math
-import re
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -21,15 +20,6 @@ MAX_UNITARY_WIRES = 6
 
 class CircuitError(ValueError):
     """Invalid circuit structure (wire out of range, control == target)."""
-
-
-class QasmSyntaxError(CircuitError):
-    """Malformed QASM text.  Carries 1-based line/column of the offence."""
-
-    def __init__(self, message: str, line: int, col: int):
-        super().__init__(f"{message} (line {line}, column {col})")
-        self.line = line
-        self.col = col
 
 
 class GateKind(Enum):
@@ -118,98 +108,12 @@ class BvSpec:
         return [i for i in range(self.n_data) if (self.secret >> i) & 1]
 
 
-# --- QASM subset -----------------------------------------------------------
-#
-# Grammar:  `qreg q[N];` header, then statements `h q[i];` | `cx q[i],q[j];`.
-# Whitespace-insensitive, `// ...` comments ignored.
-
-_TOKEN_RE = re.compile(r"qreg|cx|h|q|\d+|\[|\]|,|;|\S")
-
-
-def _tokenize(text: str):
-    tokens = []  # (value, line, col), all 1-based
-    for ln, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("//", 1)[0]
-        for m in _TOKEN_RE.finditer(line):
-            tokens.append((m.group(), ln, m.start() + 1))
-    return tokens
-
-
-def parse_qasm(text: str) -> Circuit:
-    """Parse the QASM subset into a Circuit.
-
-    Raises QasmSyntaxError with line/column on malformed text and CircuitError
-    on out-of-range wires or a CNOT whose control equals its target.
-    """
-    tokens = _tokenize(text)
-    pos = 0
-
-    def peek():
-        return tokens[pos] if pos < len(tokens) else (None, 0, 0)
-
-    def expect(value: str):
-        nonlocal pos
-        tok, ln, col = peek()
-        if tok != value:
-            got = "end of input" if tok is None else repr(tok)
-            raise QasmSyntaxError(f"expected {value!r}, got {got}", ln or 1, col or 1)
-        pos += 1
-        return ln, col
-
-    def expect_int() -> tuple[int, int, int]:
-        nonlocal pos
-        tok, ln, col = peek()
-        if tok is None or not tok.isdigit():
-            got = "end of input" if tok is None else repr(tok)
-            raise QasmSyntaxError(f"expected integer, got {got}", ln or 1, col or 1)
-        pos += 1
-        return int(tok), ln, col
-
-    def wire_ref(n_wires: int) -> int:
-        expect("q")
-        expect("[")
-        idx, ln, col = expect_int()
-        expect("]")
-        if idx >= n_wires:
-            raise QasmSyntaxError(
-                f"wire {idx} out of range for {n_wires} wires", ln, col
-            )
-        return idx
-
-    expect("qreg")
-    expect("q")
-    expect("[")
-    n_wires, ln, col = expect_int()
-    expect("]")
-    expect(";")
-    if n_wires < 1:
-        raise QasmSyntaxError("register must hold at least one wire", ln, col)
-
-    gates: list[Gate] = []
-    while pos < len(tokens):
-        tok, ln, col = peek()
-        if tok == "h":
-            pos += 1
-            q = wire_ref(n_wires)
-            expect(";")
-            gates.append(Gate.h(q))
-        elif tok == "cx":
-            pos += 1
-            c = wire_ref(n_wires)
-            expect(",")
-            t = wire_ref(n_wires)
-            expect(";")
-            if c == t:
-                raise QasmSyntaxError("CNOT control equals target", ln, col)
-            gates.append(Gate.cx(c, t))
-        else:
-            raise QasmSyntaxError(f"expected gate, got {tok!r}", ln, col)
-
-    return Circuit(n_wires, tuple(gates))
+# --- QASM output ------------------------------------------------------------
 
 
 def serialize_qasm(c: Circuit) -> str:
-    """Canonical QASM text; parse_qasm inverts it exactly."""
+    """Canonical QASM text: a ``qreg q[N];`` header, then one ``h q[i];`` or
+    ``cx q[c],q[t];`` line per gate in program order."""
     lines = [f"qreg q[{c.n_wires}];"]
     for g in c.gates:
         if g.is_cx:

@@ -88,7 +88,8 @@ def _parse_value(key: str, raw: str):
 
 def load_config(path: str | None, overrides: dict) -> HarnessConfig:
     """Defaults, overridden by the config file, overridden by flags; the
-    default secret and episode budget are then filled in for the size."""
+    default secret and episode budget are then filled in for the size, and
+    every value is checked, so a bad setting raises before any work."""
     cfg = HarnessConfig()
     if path:
         if not os.path.exists(path):
@@ -108,7 +109,16 @@ def load_config(path: str | None, overrides: dict) -> HarnessConfig:
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
     cfg = replace(cfg, **{k: v for k, v in overrides.items() if v is not None})
-    return replace(cfg, secret=cfg.bv_spec().secret, epochs=cfg.resolved_epochs())
+    spec = cfg.bv_spec()
+    cfg = replace(cfg, secret=spec.secret, epochs=cfg.resolved_epochs())
+    # fail before any phase runs or any run directory exists
+    for key in ("seeds", "corpus_cap"):
+        value = getattr(cfg, key)
+        if value < 1:
+            raise ConfigError(f"config key {key!r} must be at least 1, got {value}")
+    harness.dvae_config(cfg, cfg.seed)
+    harness.benchmark_agent_config(spec, cfg.epochs, cfg.seed)
+    return cfg
 
 
 def config_text(cfg: HarnessConfig) -> str:

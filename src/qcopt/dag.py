@@ -1,5 +1,9 @@
 """Typed-node DAG view of a circuit, the autoencoder's input representation.
 
+A DAG is node types and forward edges, nothing more: the encoder reads a
+circuit by node type and structure alone, as D-VAE does, so edges carry no
+wire labels.
+
 Every wire (plus one extra *fake* wire) is threaded input -> gate nodes ->
 output.  A CNOT becomes a ctrl_op node on its control wire and a trgt_op node
 on its target wire; the fake wire connects ctrl -> trgt within each CNOT and
@@ -12,11 +16,15 @@ parallel edges.
 Node ids are a topological order: every edge ``(u, v)`` has ``u < v``.
 ``to_dag`` numbers nodes in program order, so its DAGs keep this rule, and
 the encoder visits nodes in id order.
+
+The debug text (also the corpus file format) is one ``node <id> <type>``
+line per node in id order, then one ``edge <src> <dst>`` line per edge in
+stored order, so ``dag_from_debug_text(dag_to_debug_text(d)) == d``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 from .circuit import Circuit
@@ -44,15 +52,10 @@ N_NODE_TYPES = len(NodeType)
 class CircuitDag:
     """Nodes are ids 0..n-1 with a type each; edges are ordered pairs, and
     every edge goes forward (``u < v``), so the ids are a topological order.
-
-    ``wire_of_edge`` labels each edge with its wire (real wires 0..n-1, fake
-    wire n) when the DAG came from a circuit; structure-only DAGs leave it
-    empty.
     """
 
     types: tuple[NodeType, ...]
     edges: tuple[tuple[int, int], ...]
-    wire_of_edge: dict = field(default_factory=dict)
 
     @property
     def n_nodes(self) -> int:
@@ -75,15 +78,10 @@ def to_dag(c: Circuit) -> CircuitDag:
     fake = n
     types: list[NodeType] = []
     edges: list[tuple[int, int]] = []
-    wires: dict[tuple[int, int], int] = {}
 
     def add_node(t: NodeType) -> int:
         types.append(t)
         return len(types) - 1
-
-    def add_edge(u: int, v: int, wire: int):
-        edges.append((u, v))
-        wires[(u, v)] = wire
 
     last = [add_node(NodeType.INPUT) for _ in range(n + 1)]
     fake_last = last[fake]
@@ -94,29 +92,29 @@ def to_dag(c: Circuit) -> CircuitDag:
             if fake_last == last[cq]:
                 # fake edge would parallel the real edge into the ctrl node
                 helper = add_node(NodeType.HELPER)
-                add_edge(fake_last, helper, fake)
+                edges.append((fake_last, helper))
                 fake_last = helper
             ctrl = add_node(NodeType.CTRL_OP)
-            add_edge(last[cq], ctrl, cq)
-            add_edge(fake_last, ctrl, fake)
+            edges.append((last[cq], ctrl))
+            edges.append((fake_last, ctrl))
             trgt = add_node(NodeType.TRGT_OP)
-            add_edge(last[tq], trgt, tq)
-            add_edge(ctrl, trgt, fake)
+            edges.append((last[tq], trgt))
+            edges.append((ctrl, trgt))
             last[cq] = ctrl
             last[tq] = trgt
             fake_last = trgt
         else:
             q = g.qubits[0]
             node = add_node(NodeType.HADAMARD)
-            add_edge(last[q], node, q)
+            edges.append((last[q], node))
             last[q] = node
 
     last[fake] = fake_last
     for w in range(n + 1):
         out = add_node(NodeType.OUTPUT)
-        add_edge(last[w], out, w)
+        edges.append((last[w], out))
 
-    return CircuitDag(tuple(types), tuple(edges), wires)
+    return CircuitDag(tuple(types), tuple(edges))
 
 
 def validate(d: CircuitDag) -> list[str]:
@@ -156,11 +154,6 @@ def validate(d: CircuitDag) -> list[str]:
         elif indeg[i] != outdeg[i]:
             violations.append(f"degree imbalance at node {i} ({indeg[i]} != {outdeg[i]})")
 
-    if d.wire_of_edge:
-        for e in d.edges:
-            if e not in d.wire_of_edge:
-                violations.append(f"edge {e} missing wire label")
-
     return violations
 
 
@@ -168,14 +161,10 @@ def validate(d: CircuitDag) -> list[str]:
 
 
 def dag_to_debug_text(d: CircuitDag) -> str:
-    """`node <id> <type>` lines then `edge <src> <dst> <wire>` lines."""
+    """`node <id> <type>` lines then `edge <src> <dst>` lines in stored order."""
     lines = [f"node {i} {t.label}" for i, t in enumerate(d.types)]
-    for u, v in sorted(d.edges):
-        lines.append(f"edge {u} {v} {d.wire_of_edge.get((u, v), -1)}")
+    lines += [f"edge {u} {v}" for u, v in d.edges]
     return "\n".join(lines) + "\n"
-
-
-_DEBUG_FIELDS = {"node": 3, "edge": 4}
 
 
 def dag_from_debug_text(text: str) -> CircuitDag:
@@ -183,13 +172,12 @@ def dag_from_debug_text(text: str) -> CircuitDag:
     ``validate``, raises ValueError: this is where DAGs enter from outside."""
     types: list[NodeType] = []
     edges: list[tuple[int, int]] = []
-    wires: dict[tuple[int, int], int] = {}
     for raw in text.splitlines():
         line = raw.strip()
         if not line:
             continue
         parts = line.split()
-        if len(parts) != _DEBUG_FIELDS.get(parts[0], len(parts)):
+        if len(parts) != 3:
             raise ValueError(f"malformed debug line {line!r}")
         if parts[0] == "node":
             idx, label = int(parts[1]), parts[2]
@@ -199,13 +187,10 @@ def dag_from_debug_text(text: str) -> CircuitDag:
                 raise ValueError(f"unknown node type {label!r}")
             types.append(_TYPE_BY_LABEL[label])
         elif parts[0] == "edge":
-            u, v, w = int(parts[1]), int(parts[2]), int(parts[3])
-            edges.append((u, v))
-            if w >= 0:
-                wires[(u, v)] = w
+            edges.append((int(parts[1]), int(parts[2])))
         else:
             raise ValueError(f"unknown debug line {line!r}")
-    d = CircuitDag(tuple(types), tuple(edges), wires)
+    d = CircuitDag(tuple(types), tuple(edges))
     violations = validate(d)
     if violations:
         raise ValueError(f"invalid DAG: {'; '.join(violations[:3])}")

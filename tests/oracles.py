@@ -34,16 +34,12 @@ def is_isomorphic(a: CircuitDag, b: CircuitDag) -> bool:
 
 
 def relabelled(d: CircuitDag, perm: list[int]) -> CircuitDag:
-    """The same DAG with node i renamed perm[i]; edges and wire labels
-    travel with their nodes."""
+    """The same DAG with node i renamed perm[i]; edges travel with their
+    nodes."""
     types = [NodeType.INPUT] * d.n_nodes
     for i, t in enumerate(d.types):
         types[perm[i]] = t
-    return CircuitDag(
-        tuple(types),
-        tuple(sorted((perm[u], perm[v]) for u, v in d.edges)),
-        {(perm[u], perm[v]): w for (u, v), w in d.wire_of_edge.items()},
-    )
+    return CircuitDag(tuple(types), tuple(sorted((perm[u], perm[v]) for u, v in d.edges)))
 
 
 def random_topological_order(d: CircuitDag, rng: np.random.Generator) -> list[int]:

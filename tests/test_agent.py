@@ -182,7 +182,7 @@ def test_q_update_existing_next_state_keeps_count():
 def test_run_episode_already_at_target():
     c = circ(3, Gate.cx(2, 0), Gate.cx(2, 1))  # depth 1
     q = {}
-    trace = run_episode(c, q, ExactAbstraction(), CFG, np.random.default_rng(0), 1.0)
+    trace = run_episode(c, q, ExactAbstraction(), CFG, np.random.default_rng(0), 1.0, {})
     assert len(trace) == 0
     assert trace.final_depth == depth(c)
     assert state_string(c) in q
@@ -192,7 +192,7 @@ def test_run_episode_rewards_rederivable_from_depths():
     cfg = AgentConfig(epochs=1, max_steps=20, seed=3)
     start = bv_circuit(BvSpec(2, 0b11))
     trace = run_episode(
-        start, {}, ExactAbstraction(), cfg, np.random.default_rng(3), 1.0
+        start, {}, ExactAbstraction(), cfg, np.random.default_rng(3), 1.0, {}
     )
     d_prev = depth(start)
     for i, step in enumerate(trace.steps):
@@ -216,7 +216,7 @@ def test_run_episode_follows_oracle_policy():
         q[state_string(c)] = {action_key(a): 1.0}
         c = apply(c, a)
     trace = run_episode(
-        start, q, ExactAbstraction(), cfg, np.random.default_rng(0), 0.0
+        start, q, ExactAbstraction(), cfg, np.random.default_rng(0), 0.0, {}
     )
     assert trace.best_depth == 3
     assert len(trace) <= 6

@@ -10,11 +10,9 @@ from qcopt.circuit import (
     CircuitError,
     Gate,
     GateKind,
-    QasmSyntaxError,
     asap_moments,
     bv_circuit,
     depth,
-    parse_qasm,
     random_icmh_circuit,
     serialize_qasm,
     state_string,
@@ -75,31 +73,16 @@ def test_gate_kind_flag_is_stored_but_not_compared():
 # --- qasm ---------------------------------------------------------------------
 
 
-def test_parse_basic():
-    c = parse_qasm("qreg q[2]; h q[0]; cx q[0],q[1];")
-    assert c == circ(2, Gate.h(0), Gate.cx(0, 1))
-
-
-def test_parse_rejects_equal_wires():
-    with pytest.raises(QasmSyntaxError, match="control equals target"):
-        parse_qasm("qreg q[2]; cx q[0],q[0];")
-
-
-def test_parse_rejects_out_of_range_wire():
-    with pytest.raises(QasmSyntaxError, match="out of range"):
-        parse_qasm("qreg q[2];\nh q[5];")
-
-
-def test_parse_error_carries_line_and_column():
-    with pytest.raises(QasmSyntaxError) as exc:
-        parse_qasm("qreg q[2];\nh q[0];\nbogus q[0];")
-    assert exc.value.line == 3
-    assert exc.value.col == 1
-
-
-def test_parse_ignores_comments_and_whitespace():
-    text = "// header\nqreg   q[ 3 ] ;\n  h q[2];  // trailing\ncx q[ 0 ] , q[ 2 ];"
-    assert parse_qasm(text) == circ(3, Gate.h(2), Gate.cx(0, 2))
+def assert_qasm_lists_gates(c: Circuit):
+    """Each serialize_qasm line after the header is the state_string gate it
+    comes from, in program order."""
+    header, *lines = serialize_qasm(c).splitlines()
+    assert header == f"qreg q[{c.n_wires}];"
+    gates = state_string(c).split(", ") if c.gates else []
+    assert len(lines) == len(gates)
+    for line, gate in zip(lines, gates):
+        kind, *wires = gate.split()
+        assert line == f"{kind} " + ",".join(f"q[{w}]" for w in wires) + ";"
 
 
 def test_serialize_examples():
@@ -111,7 +94,7 @@ def test_serialize_examples():
 def test_roundtrip_random_circuits():
     for seed in range(1000):
         c = random_icmh_circuit(2 + seed % 4, seed % 14, seed)
-        assert parse_qasm(serialize_qasm(c)) == c
+        assert_qasm_lists_gates(c)
 
 
 # --- state string --------------------------------------------------------------
@@ -265,7 +248,7 @@ def test_random_circuit_deterministic():
 def test_random_circuit_valid_and_roundtrips():
     for seed in range(200):
         c = random_icmh_circuit(4, 12, seed)
-        assert parse_qasm(serialize_qasm(c)) == c
+        assert_qasm_lists_gates(c)
 
 
 def test_random_circuit_needs_two_wires():

@@ -2,7 +2,7 @@ from dataclasses import fields
 
 import pytest
 
-from qcopt import cli
+from qcopt import cli, harness
 from qcopt.circuit import Circuit, Gate, random_icmh_circuit
 from qcopt.cli import config_text, dispatch, load_config
 from qcopt.dag import dag_to_debug_text, to_dag
@@ -103,8 +103,8 @@ def test_train_vae_trains_on_a_corpus_file(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "edit, violation",
-    [(("edge 2 3 0", "edge 3 2 0"), "edge (3, 2) does not go forward"),
-     (("edge 2 3 0", "edge 2 3 0\nedge 0 2 0"), "parallel edge (0, 2)")],
+    [(("edge 2 3\n", "edge 3 2\n"), "edge (3, 2) does not go forward"),
+     (("edge 2 3\n", "edge 2 3\nedge 0 2\n"), "parallel edge (0, 2)")],
     ids=["backward-edge", "parallel-edge"],
 )
 def test_train_vae_rejects_an_invalid_dag(tmp_path, capsys, edit, violation):
@@ -117,6 +117,30 @@ def test_train_vae_rejects_an_invalid_dag(tmp_path, capsys, edit, violation):
     assert code == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and violation in err
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [(["compare", "--seeds", "0"], "'seeds' must be at least 1, got 0"),
+     (["compare", "--seeds", "-2"], "'seeds' must be at least 1, got -2"),
+     (["compare", "--n", "3", "--bin-width", "0"], "bin_width and lr must be positive"),
+     (["compare", "--corpus-cap", "0"], "'corpus_cap' must be at least 1, got 0"),
+     (["train-baseline", "--epochs", "0"], "epochs and max_gates must be positive"),
+     (["train-vae", "--d-h", "0"], "dimensions, epochs and batch size must be positive")],
+    ids=["seeds-0", "seeds-negative", "bin-width-0", "corpus-cap-0", "epochs-0", "d-h-0"],
+)
+def test_bad_setting_fails_before_any_work(tmp_path, monkeypatch, capsys, argv, message):
+    def no_phase(*args):
+        raise AssertionError("a phase ran")
+
+    monkeypatch.setattr(harness, "run_baseline", no_phase)
+    corpus = tmp_path / "corpus.txt"
+    save_corpus([to_dag(random_icmh_circuit(2, 4, 0))], str(corpus))
+    extra = ["--corpus", str(corpus)] if argv[0] == "train-vae" else []
+    assert dispatch(argv + extra + ["--out", str(tmp_path / "run")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
     assert not (tmp_path / "run").exists()
 
 

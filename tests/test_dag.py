@@ -51,8 +51,11 @@ def test_single_cnot_dag_threads_fake_wire():
     assert count_types(d, NodeType.HELPER) == 0
     ctrl = d.types.index(NodeType.CTRL_OP)
     trgt = d.types.index(NodeType.TRGT_OP)
-    assert (ctrl, trgt) in d.edges
-    assert d.wire_of_edge[(ctrl, trgt)] == 2  # fake wire index = n_wires
+    # the fake wire's input is input n_wires and its output the last node
+    fake_in, fake_out = 2, d.n_nodes - 1
+    assert d.types[fake_in] is NodeType.INPUT and d.types[fake_out] is NodeType.OUTPUT
+    for edge in ((fake_in, ctrl), (ctrl, trgt), (trgt, fake_out)):
+        assert edge in d.edges
     assert validate(d) == []
 
 
@@ -134,17 +137,15 @@ def test_validate_detects_bad_io_degrees():
 
 def test_topo_empty_circuit_inputs_before_outputs():
     # node ids are the topological order: inputs by wire first, outputs by
-    # wire last, and the debug-text round trip keeps the numbering
+    # wire last, each wire one edge input i -> output i, and the debug-text
+    # round trip keeps the numbering
     c = circ(2)
     d = to_dag(c)
     for dag in (d, dag_from_debug_text(dag_to_debug_text(d))):
         k = c.n_wires + 1
         assert dag.types[:k] == (NodeType.INPUT,) * k
         assert dag.types[k:] == (NodeType.OUTPUT,) * k
-        wire_from = {u: w for (u, _), w in dag.wire_of_edge.items()}
-        wire_to = {v: w for (_, v), w in dag.wire_of_edge.items()}
-        assert [wire_from[i] for i in range(k)] == list(range(k))
-        assert [wire_to[k + i] for i in range(k)] == list(range(k))
+        assert dag.edges == tuple((i, k + i) for i in range(k))
         assert dag == d
 
 
@@ -205,23 +206,23 @@ def test_isomorphism_reflexive_symmetric():
 
 
 def test_debug_text_roundtrip():
-    d = to_dag(circ(2, Gate.cx(0, 1), Gate.h(1)))
-    text = dag_to_debug_text(d)
-    back = dag_from_debug_text(text)
-    assert back.types == d.types
-    assert sorted(back.edges) == sorted(d.edges)
-    assert back.wire_of_edge == d.wire_of_edge
+    # the text keeps the stored edge order, so the round trip is the identity
+    for seed in range(200):
+        d = to_dag(random_icmh_circuit(2 + seed % 4, seed % 14, seed))
+        assert dag_from_debug_text(dag_to_debug_text(d)) == d
 
 
 def test_debug_text_format():
-    d = to_dag(circ(1, Gate.h(0)))
-    lines = dag_to_debug_text(d).splitlines()
-    assert lines[0].startswith("node 0 ")
-    assert any(line.startswith("edge ") and len(line.split()) == 4 for line in lines)
+    # edges in stored order: the fake wire's (1, 4) comes last, unsorted
+    assert dag_to_debug_text(to_dag(circ(1, Gate.h(0)))) == (
+        "node 0 input\nnode 1 input\nnode 2 hadamard\nnode 3 output\nnode 4 output\n"
+        "edge 0 2\nedge 2 3\nedge 1 4\n"
+    )
 
 
 def test_debug_text_rejects_short_lines():
+    # and long ones, such as an edge line with a wire column
     good = dag_to_debug_text(to_dag(circ(1, Gate.h(0))))
-    for bad in ("edge 0 1", "node 0", "edge", "node"):
+    for bad in ("edge 0 1 0", "edge 0", "node 0", "edge", "node"):
         with pytest.raises(ValueError, match="malformed"):
             dag_from_debug_text(good + bad + "\n")

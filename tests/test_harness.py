@@ -60,7 +60,7 @@ def test_encoder_checkpoint_pinned(encoder):
     )
     meta = path.with_name(path.name + ".meta.json")
     assert sha256(meta.read_bytes()) == (
-        "8f2e95a9346146894fad535af0e58366ecbb84326e8d188bc27ae794a292667a"
+        "91b3dc81901e1bafd232d608259e60c62be202838f9faec95de5c40b6a2d48a3"
     )
 
 
