@@ -1,13 +1,21 @@
 """Command-line front end: generation, training, comparison, verification.
 
-Subcommands:
-    gen-bv          write an unoptimised Bernstein-Vazirani circuit as QASM
-    train-baseline  phase 1: exact-representation agent + corpus harvest
-    train-vae       phase 2: autoencoder on a harvested corpus
-    train-encoded   phase 3: agent with quantised-latent states
-    compare         all three phases over several seeds, with CSV artifacts
-    verify          template-soundness, layered-subset and DAG-validity suite
-    grad-check      finite-difference check of the autoencoder loss
+Subcommands, with the files each writes:
+    gen-bv          an unoptimised Bernstein-Vazirani circuit as QASM, to
+                    the --out file or to stdout; no run directory
+    train-baseline  phase 1, the exact-representation agent and its corpus
+                    harvest: config.txt, qtable.tsv, corpus.txt
+    train-vae       phase 2, the autoencoder on a --corpus file: config.txt,
+                    model.ckpt (one JSON object: tensors, config, corpus
+                    hash, final loss, accuracy and discrete edit)
+    train-encoded   phase 3, an agent with quantised-latent states from a
+                    --model checkpoint: config.txt, qtable.tsv
+    compare         all three phases over several seeds: config.txt,
+                    states.csv, depth_trace.csv, report.txt
+    verify          template-soundness, layered-subset and DAG-validity
+                    suite; writes nothing
+    grad-check      finite-difference check of the autoencoder loss; writes
+                    nothing
 
 Settings come from defaults, then an optional flat `key = value` config
 file, then command-line flags (later wins).  In the config file a line whose
@@ -54,7 +62,7 @@ from .circuit import (
     state_string,
     unitary,
 )
-from .dag import dag_from_debug_text, to_dag, validate
+from .dag import load_corpus, save_corpus, to_dag, validate
 from .dvae import DvaeConfig, DvaeModel, backward, load_checkpoint, loss
 from .harness import HarnessConfig
 from .nn import finite_diff_check
@@ -143,21 +151,28 @@ def _echo_config(cfg: HarnessConfig, out_dir: str):
     _write(os.path.join(out_dir, "config.txt"), config_text(cfg))
 
 
+def _config(args) -> HarnessConfig:
+    """The run config of a subcommand that takes the config flags; a flag its
+    parser does not define counts as unset."""
+    return load_config(args.config, {k: getattr(args, k, None) for k in _FIELD_TYPES})
+
+
 # --- subcommands -----------------------------------------------------------------
 
 
-def cmd_gen_bv(cfg: HarnessConfig, args) -> int:
-    circuit = bv_circuit(cfg.bv_spec())
+def cmd_gen_bv(args) -> int:
+    circuit = bv_circuit(_config(args).bv_spec())
     text = serialize_qasm(circuit)
-    if args.out:
-        _write(args.out, text)
-        print(f"wrote {args.out} ({len(circuit)} gates, depth {depth(circuit)})")
+    if args.qasm_out:
+        _write(args.qasm_out, text)
+        print(f"wrote {args.qasm_out} ({len(circuit)} gates, depth {depth(circuit)})")
     else:
         sys.stdout.write(text)
     return 0
 
 
-def cmd_train_baseline(cfg: HarnessConfig, args) -> int:
+def cmd_train_baseline(args) -> int:
+    cfg = _config(args)
     spec = cfg.bv_spec()
     out = _out_dir(cfg, f"bv{cfg.n}-baseline-seed{cfg.seed}")
     agent_cfg = harness.benchmark_agent_config(spec, cfg.epochs, cfg.seed)
@@ -165,16 +180,15 @@ def cmd_train_baseline(cfg: HarnessConfig, args) -> int:
     os.makedirs(out, exist_ok=True)
     _echo_config(cfg, out)
     _write(os.path.join(out, "qtable.tsv"), qtable_to_tsv(result.qtable))
-    harness.save_corpus(result.corpus, os.path.join(out, "corpus.txt"))
+    save_corpus(result.corpus, os.path.join(out, "corpus.txt"))
     best = min(t.best_depth for t in result.traces)
     print(f"l_s = {result.l_s}, best depth = {best}, corpus -> {out}/corpus.txt")
     return 0
 
 
-def cmd_train_vae(cfg: HarnessConfig, args) -> int:
-    with open(args.corpus, encoding="utf-8") as fh:
-        blocks = [b for b in fh.read().split("\n\n") if b.strip()]
-    corpus = [dag_from_debug_text(b) for b in blocks]
+def cmd_train_vae(args) -> int:
+    cfg = _config(args)
+    corpus = load_corpus(args.corpus)
     out = _out_dir(cfg, "vae")
     os.makedirs(out, exist_ok=True)
     _echo_config(cfg, out)
@@ -193,7 +207,8 @@ def cmd_train_vae(cfg: HarnessConfig, args) -> int:
     return 0
 
 
-def cmd_train_encoded(cfg: HarnessConfig, args) -> int:
+def cmd_train_encoded(args) -> int:
+    cfg = _config(args)
     spec = cfg.bv_spec()
     out = _out_dir(cfg, f"bv{cfg.n}-encoded-seed{cfg.seed}")
     model = load_checkpoint(args.model)
@@ -212,7 +227,8 @@ def cmd_train_encoded(cfg: HarnessConfig, args) -> int:
     return 0
 
 
-def cmd_compare(cfg: HarnessConfig, args) -> int:
+def cmd_compare(args) -> int:
+    cfg = _config(args)
     out = _out_dir(cfg, f"bv{cfg.n}-compare")
     reports = harness.run_benchmark(cfg)
     harness.write_artifacts(reports, out)
@@ -286,7 +302,10 @@ def _positive_int(text: str) -> int:
     return int(text)
 
 
-def _add_config_flags(p: argparse.ArgumentParser):
+def _config_parser(sub, name: str, run) -> argparse.ArgumentParser:
+    """A subcommand with the run-config flags; its ``run`` reads them with ``_config``."""
+    p = sub.add_parser(name)
+    p.set_defaults(run=run)
     p.add_argument("--config", help="flat key = value settings file")
     p.add_argument("--n", type=int, help="data-wire count of the BV instance")
     p.add_argument("--secret", type=int, help="hidden bit string (default all ones)")
@@ -302,6 +321,7 @@ def _add_config_flags(p: argparse.ArgumentParser):
     p.add_argument("--vae-batch", dest="dvae_batch", type=int)
     p.add_argument("--beta", dest="dvae_beta", type=float)
     p.add_argument("--bin-width", dest="bin_width", type=float)
+    return p
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -312,29 +332,29 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen-bv", help="write a Bernstein-Vazirani circuit")
+    p.set_defaults(run=cmd_gen_bv)
     p.add_argument("--config", help="flat key = value settings file")
     p.add_argument("--n", type=int)
     p.add_argument("--secret", type=int)
-    p.add_argument("--out", dest="qasm_out")
+    p.add_argument("--out", dest="qasm_out", help="QASM file (default: stdout)")
 
-    for name in ("train-baseline", "train-encoded", "compare"):
-        p = sub.add_parser(name)
-        _add_config_flags(p)
-        if name == "train-encoded":
-            p.add_argument(
-                "--model", required=True,
-                help="autoencoder checkpoint; its d_h and d_z must match the config",
-            )
-
-    p = sub.add_parser("train-vae")
-    _add_config_flags(p)
+    _config_parser(sub, "train-baseline", cmd_train_baseline)
+    p = _config_parser(sub, "train-vae", cmd_train_vae)
     p.add_argument("--corpus", required=True, help="DAG corpus file")
+    p = _config_parser(sub, "train-encoded", cmd_train_encoded)
+    p.add_argument(
+        "--model", required=True,
+        help="autoencoder checkpoint; its d_h and d_z must match the config",
+    )
+    _config_parser(sub, "compare", cmd_compare)
 
     p = sub.add_parser("verify", help="soundness and validity property suite")
+    p.set_defaults(run=cmd_verify)
     p.add_argument("--circuits", type=_positive_int, default=200)
     p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("grad-check", help="finite-difference gradient check")
+    p.set_defaults(run=cmd_grad_check)
     p.add_argument("--dags", type=_positive_int, default=3)
     p.add_argument("--d-h", dest="d_h", type=int, default=5)
     p.add_argument("--seed", type=int, default=0)
@@ -350,27 +370,7 @@ def dispatch(argv: list[str]) -> int:
         return 2 if exc.code not in (0, None) else 0
 
     try:
-        if args.command == "verify":
-            return cmd_verify(args)
-        if args.command == "grad-check":
-            return cmd_grad_check(args)
-
-        overrides = {k: getattr(args, k, None) for k in _FIELD_TYPES}
-        if args.command == "gen-bv":
-            overrides["out_dir"] = None
-        cfg = load_config(args.config, overrides)
-        if args.command == "gen-bv":
-            args.out = args.qasm_out
-            return cmd_gen_bv(cfg, args)
-        if args.command == "train-baseline":
-            return cmd_train_baseline(cfg, args)
-        if args.command == "train-vae":
-            return cmd_train_vae(cfg, args)
-        if args.command == "train-encoded":
-            return cmd_train_encoded(cfg, args)
-        if args.command == "compare":
-            return cmd_compare(cfg, args)
-        raise ConfigError(f"unknown command {args.command!r}")
+        return args.run(args)
     except (ConfigError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -17,9 +17,11 @@ Node ids are a topological order: every edge ``(u, v)`` has ``u < v``.
 ``to_dag`` numbers nodes in program order, so its DAGs keep this rule, and
 the encoder visits nodes in id order.
 
-The debug text (also the corpus file format) is one ``node <id> <type>``
-line per node in id order, then one ``edge <src> <dst>`` line per edge in
-stored order, so ``dag_from_debug_text(dag_to_debug_text(d)) == d``.
+The debug text is one ``node <id> <type>`` line per node in id order, then
+one ``edge <src> <dst>`` line per edge in stored order, so
+``dag_from_debug_text(dag_to_debug_text(d)) == d``.  A corpus file
+(``save_corpus``, ``load_corpus``) holds one debug text per DAG, the blocks
+separated by a blank line.
 """
 
 from __future__ import annotations
@@ -157,7 +159,7 @@ def validate(d: CircuitDag) -> list[str]:
     return violations
 
 
-# --- debug export ----------------------------------------------------------
+# --- debug text and corpus files --------------------------------------------
 
 
 def dag_to_debug_text(d: CircuitDag) -> str:
@@ -176,22 +178,43 @@ def dag_from_debug_text(text: str) -> CircuitDag:
         line = raw.strip()
         if not line:
             continue
-        parts = line.split()
-        if len(parts) != 3:
-            raise ValueError(f"malformed debug line {line!r}")
-        if parts[0] == "node":
-            idx, label = int(parts[1]), parts[2]
-            if idx != len(types):
-                raise ValueError(f"node ids must be dense and ordered, got {idx}")
-            if label not in _TYPE_BY_LABEL:
-                raise ValueError(f"unknown node type {label!r}")
-            types.append(_TYPE_BY_LABEL[label])
-        elif parts[0] == "edge":
-            edges.append((int(parts[1]), int(parts[2])))
-        else:
-            raise ValueError(f"unknown debug line {line!r}")
+        kind, *args = line.split()
+        try:
+            if kind not in ("node", "edge") or len(args) != 2:
+                raise ValueError("malformed, expected 'node <id> <type>' or 'edge <src> <dst>'")
+            if kind == "edge":
+                edges.append((int(args[0]), int(args[1])))
+            elif int(args[0]) != len(types):
+                raise ValueError(f"node ids must be dense and ordered, expected {len(types)}")
+            elif args[1] not in _TYPE_BY_LABEL:
+                raise ValueError(f"unknown node type {args[1]!r}")
+            else:
+                types.append(_TYPE_BY_LABEL[args[1]])
+        except ValueError as exc:
+            raise ValueError(f"debug line {line!r}: {exc}") from None
     d = CircuitDag(tuple(types), tuple(edges))
     violations = validate(d)
     if violations:
         raise ValueError(f"invalid DAG: {'; '.join(violations[:3])}")
     return d
+
+
+def save_corpus(corpus: list[CircuitDag], path: str):
+    with open(path, "w", encoding="utf-8") as fh:
+        for d in corpus:
+            fh.write(dag_to_debug_text(d))
+            fh.write("\n")
+
+
+def load_corpus(path: str) -> list[CircuitDag]:
+    """Read a save_corpus file.  A bad block raises ValueError naming its
+    number, counted from 1, and what is wrong in it."""
+    with open(path, encoding="utf-8") as fh:
+        blocks = [b for b in fh.read().split("\n\n") if b.strip()]
+    corpus = []
+    for i, block in enumerate(blocks, start=1):
+        try:
+            corpus.append(dag_from_debug_text(block))
+        except ValueError as exc:
+            raise ValueError(f"{path}: DAG block {i}: {exc}") from None
+    return corpus

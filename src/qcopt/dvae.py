@@ -618,76 +618,63 @@ def train(dataset: list[CircuitDag], cfg: DvaeConfig):
 
 # --- checkpointing --------------------------------------------------------------
 
-_CKPT_HEADER = "qcopt-dvae v1"
+_FORMAT = "qcopt-dvae v2"
 
 
-def save_checkpoint(m: DvaeModel, path: str):
-    """Versioned text tensor dump; round-trips bit-exactly via float hex."""
-    lines = [_CKPT_HEADER, f"dim d_h {m.d_h}", f"dim d_z {m.d_z}"]
-    for name, tensor in m.params().items():
-        v = tensor.value
-        shape = " ".join(str(s) for s in v.shape)
-        lines.append(f"tensor {name} {shape}")
-        lines.append(" ".join(x.hex() for x in v.reshape(-1)))
+def save_checkpoint(m: DvaeModel, path: str, run: dict | None = None):
+    """One JSON object: the format tag, ``d_h``, ``d_z``, the tensors by
+    ``params()`` name as nested lists, and the keys of ``run`` (what produced
+    the model).  Python writes each float as its shortest round-trip repr, so
+    the arrays read back bit-exactly."""
+    doc = {
+        **(run or {}),
+        "format": _FORMAT,
+        "d_h": m.d_h,
+        "d_z": m.d_z,
+        "tensors": {name: p.value.tolist() for name, p in m.params().items()},
+    }
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+        json.dump(doc, fh, sort_keys=True)
+        fh.write("\n")
+
+
+def _tensor(value, shape: tuple, name: str) -> np.ndarray:
+    arr = np.array(value, dtype=object)
+    if arr.shape != shape or not all(type(x) in (int, float) for x in arr.flat):
+        raise ValueError(f"tensor {name!r} is not a {shape} array of numbers")
+    try:
+        return arr.astype(np.float64)
+    except OverflowError:
+        raise ValueError(f"tensor {name!r} holds a number beyond float64") from None
 
 
 def load_checkpoint(path: str) -> DvaeModel:
-    """Read a checkpoint written by save_checkpoint; a missing dim or tensor,
-    a truncated line or a shape mismatch raises ValueError."""
+    """Read a checkpoint written by save_checkpoint.  It comes from outside, so
+    a file that is not JSON (a truncated one too), not a JSON object or of
+    another format, a ``d_h`` or ``d_z`` that is not an integer of at least 1,
+    a missing or unknown tensor, a wrong shape or a non-numeric value raises
+    ValueError."""
     with open(path, encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    if not lines or lines[0] != _CKPT_HEADER:
-        raise ValueError(f"not a {_CKPT_HEADER} checkpoint: {path}")
-    dims = {}
-    i = 1
-    while i < len(lines) and lines[i].startswith("dim "):
-        parts = lines[i].split()
-        if len(parts) != 3:
-            raise ValueError(f"bad checkpoint line: {lines[i]!r}")
-        dims[parts[1]] = int(parts[2])
-        i += 1
-    missing_dims = {"d_h", "d_z"} - set(dims)
-    if missing_dims:
-        raise ValueError(f"checkpoint lacks dims {sorted(missing_dims)}: {path}")
-    cfg = DvaeConfig(d_h=dims["d_h"], d_z=dims["d_z"])
-    model = DvaeModel.create(cfg)
+        try:
+            doc = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path} is not a {_FORMAT} checkpoint: {exc}") from None
+    if not isinstance(doc, dict) or doc.get("format") != _FORMAT:
+        raise ValueError(f"{path} is not a {_FORMAT} checkpoint")
+    for key in ("d_h", "d_z"):
+        if type(doc.get(key)) is not int or doc[key] < 1:
+            raise ValueError(f"checkpoint {key} must be an integer of at least 1: {path}")
+    tensors = doc.get("tensors")
+    if not isinstance(tensors, dict):
+        raise ValueError(f"checkpoint lacks its tensors object: {path}")
+    model = DvaeModel._build(doc["d_h"], doc["d_z"], lambda *shape: np.empty(shape))
     params = model.params()
-    loaded = set()
-    while i < len(lines):
-        if not lines[i].strip():
-            i += 1
-            continue
-        head = lines[i].split()
-        if len(head) < 2 or head[0] != "tensor":
-            raise ValueError(f"bad checkpoint line: {lines[i]!r}")
-        name = head[1]
-        if name not in params:
-            raise ValueError(f"unknown tensor {name!r} in checkpoint")
-        if i + 1 >= len(lines):
-            raise ValueError(f"checkpoint ends before the values of tensor {name!r}")
-        shape = tuple(int(x) for x in head[2:])
-        values = np.array([float.fromhex(tok) for tok in lines[i + 1].split()])
-        if values.size != int(np.prod(shape)) or params[name].value.shape != shape:
-            raise ValueError(f"shape mismatch for tensor {name!r}")
-        params[name].value = values.reshape(shape)
-        loaded.add(name)
-        i += 2
-    missing = [name for name in params if name not in loaded]
-    if missing:
-        raise ValueError(f"checkpoint lacks tensors {missing}: {path}")
+    if set(tensors) != set(params):
+        missing, unknown = sorted(set(params) - set(tensors)), sorted(set(tensors) - set(params))
+        raise ValueError(
+            f"checkpoint tensors differ from the model's: missing {missing}, "
+            f"unknown {unknown}: {path}"
+        )
+    for name, p in params.items():
+        p.value = _tensor(tensors[name], p.value.shape, name)
     return model
-
-
-def save_metadata(path: str, cfg: DvaeConfig, corpus_hash: str, final_stats: EpochStats):
-    meta = {
-        "config": {k: getattr(cfg, k) for k in cfg.__dataclass_fields__},
-        "corpus_hash": corpus_hash,
-        "final_loss": final_stats.mean_loss,
-        "final_accuracy": final_stats.accuracy,
-        "final_discrete_edit": final_stats.discrete_edit,
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True)
-        fh.write("\n")

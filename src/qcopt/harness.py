@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import os
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -27,7 +27,7 @@ from .agent import (
 )
 from .circuit import BvSpec, bv_circuit
 from .dag import CircuitDag, dag_to_debug_text, to_dag
-from .dvae import DvaeConfig, DvaeModel, EpochStats, save_checkpoint, save_metadata, train
+from .dvae import DvaeConfig, DvaeModel, EpochStats, save_checkpoint, train
 
 # Paper reference values for the report (BV size -> epochs, l_s, l_a, shown
 # improvement); single-run numbers measured by the original authors.
@@ -142,13 +142,6 @@ def corpus_hash(corpus: list[CircuitDag]) -> str:
     return digest.hexdigest()
 
 
-def save_corpus(corpus: list[CircuitDag], path: str):
-    with open(path, "w", encoding="utf-8") as fh:
-        for d in corpus:
-            fh.write(dag_to_debug_text(d))
-            fh.write("\n")
-
-
 def train_encoder_from_corpus(
     corpus: list[CircuitDag],
     cfg: DvaeConfig,
@@ -171,10 +164,14 @@ def train_encoder_from_corpus(
         sample = [corpus[i] for i in sorted(idx)]
     model, stats = train(sample, cfg)
     if checkpoint_path:
-        save_checkpoint(model, checkpoint_path)
-        save_metadata(
-            checkpoint_path + ".meta.json", cfg, corpus_hash(sample), stats[-1]
-        )
+        last = stats[-1]
+        save_checkpoint(model, checkpoint_path, {
+            "config": asdict(cfg),
+            "corpus_hash": corpus_hash(sample),
+            "final_loss": last.mean_loss,
+            "final_accuracy": last.accuracy,
+            "final_discrete_edit": last.discrete_edit,
+        })
     return model, stats
 
 
@@ -259,7 +256,7 @@ def states_csv(reports: list[BenchmarkReport]) -> str:
 def depth_trace_csv(reports: list[BenchmarkReport]) -> str:
     lines = ["bv_size,seed,mode,episode,final_depth,best_depth"]
     for r in sorted(reports, key=lambda r: (r.bv_size, r.seed)):
-        for mode, trace in (("qasm", r.baseline_trace), ("encoder", r.encoded_trace)):
+        for mode, trace in (("exact", r.baseline_trace), ("encoder", r.encoded_trace)):
             for episode, (final_d, best_d) in enumerate(trace):
                 lines.append(f"{r.bv_size},{r.seed},{mode},{episode},{final_d},{best_d}")
     return "\n".join(lines) + "\n"

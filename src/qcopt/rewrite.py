@@ -192,14 +192,6 @@ _LAYERED = {
 }
 
 
-def find_matches(c: Circuit, kind: TemplateKind, direction: str) -> list[Site]:
-    """All sites where the template applies, in deterministic order."""
-    matcher = _MATCHERS.get((kind, direction))
-    if matcher is None:
-        raise ValueError(f"{kind.value} has no {direction} direction")
-    return matcher(c)
-
-
 # --- application -------------------------------------------------------------
 
 

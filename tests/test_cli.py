@@ -1,13 +1,15 @@
+import json
+import re
 from dataclasses import fields
 
 import pytest
 
 from qcopt import cli, harness
-from qcopt.circuit import Circuit, Gate, random_icmh_circuit
-from qcopt.cli import config_text, dispatch, load_config
-from qcopt.dag import dag_to_debug_text, to_dag
-from qcopt.dvae import DvaeConfig, DvaeModel, save_checkpoint
-from qcopt.harness import HarnessConfig, save_corpus
+from qcopt.circuit import BvSpec, Circuit, Gate, bv_circuit, random_icmh_circuit, serialize_qasm
+from qcopt.cli import OUT_ROOT_ENV, config_text, dispatch, load_config
+from qcopt.dag import dag_to_debug_text, save_corpus, to_dag
+from qcopt.dvae import DvaeConfig, DvaeModel, load_checkpoint, save_checkpoint
+from qcopt.harness import HarnessConfig
 from qcopt import rewrite
 from qcopt.rewrite import REVERSE, TemplateKind, enumerate_actions
 
@@ -68,11 +70,57 @@ def test_verify_fails_when_layered_space_is_not_a_subsequence(monkeypatch, capsy
 def test_train_encoded_truncated_checkpoint_fails_cleanly(tmp_path, capsys):
     path = tmp_path / "model.ckpt"
     save_checkpoint(DvaeModel.create(DvaeConfig(d_h=4, d_z=2)), str(path))
-    lines = path.read_text().splitlines()
-    path.write_text("\n".join(lines[:-2]) + "\n")
+    text = path.read_text()
+    path.write_text(text[: len(text) // 2])
     code = dispatch(["train-encoded", "--model", str(path), "--out", str(tmp_path / "run")])
     assert code == 1
     assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "run").exists()
+
+
+def _doc_edit(edit):
+    """A text edit of a checkpoint that applies ``edit`` to its JSON object."""
+    def apply(text):
+        doc = json.loads(text)
+        edit(doc)
+        return json.dumps(doc)
+    return apply
+
+
+MALFORMED_CHECKPOINTS = {
+    "v1-text": (lambda t: "qcopt-dvae v1\ndim d_h 4\ndim d_z 2\n", "not a qcopt-dvae v2"),
+    "not-json": (lambda t: "model weights\n", "not a qcopt-dvae v2"),
+    "truncated": (lambda t: t[: len(t) // 2], "not a qcopt-dvae v2"),
+    "not-an-object": (lambda t: f"[{t}]", "not a qcopt-dvae v2"),
+    "missing-d_h": (_doc_edit(lambda d: d.pop("d_h")), "d_h must be an integer of at least 1"),
+    "zero-d_z": (_doc_edit(lambda d: d.update(d_z=0)), "d_z must be an integer of at least 1"),
+    "float-d_h": (_doc_edit(lambda d: d.update(d_h=4.0)), "d_h must be an integer of at least 1"),
+    "missing-tensor": (_doc_edit(lambda d: d["tensors"].pop("w_mu")), "missing ['w_mu']"),
+    "unknown-tensor": (_doc_edit(lambda d: d["tensors"].update(w_x=[1.0])), "unknown ['w_x']"),
+    "wrong-shape": (_doc_edit(lambda d: d["tensors"].update(b_mu=[[0.0, 0.0]])),
+                    "tensor 'b_mu' is not a (2,) array of numbers"),
+    "non-numeric": (_doc_edit(lambda d: d["tensors"].update(b_mu=[0.0, "1"])),
+                    "tensor 'b_mu' is not a (2,) array of numbers"),
+    "beyond-float64": (_doc_edit(lambda d: d["tensors"].update(b_mu=[0.0, 10**400])),
+                       "tensor 'b_mu' holds a number beyond float64"),
+}
+
+
+@pytest.mark.parametrize(
+    "edit, message", MALFORMED_CHECKPOINTS.values(), ids=MALFORMED_CHECKPOINTS.keys()
+)
+def test_train_encoded_rejects_a_malformed_checkpoint(tmp_path, capsys, edit, message):
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(DvaeModel.create(DvaeConfig(d_h=4, d_z=2)), str(path))
+    path.write_text(edit(path.read_text()))
+    with pytest.raises(ValueError, match=re.escape(message)):
+        load_checkpoint(str(path))
+    # the config's dims match the file's, so only the file can fail
+    argv = ["train-encoded", "--model", str(path), "--d-h", "4", "--d-z", "2",
+            "--out", str(tmp_path / "run")]
+    assert dispatch(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
     assert not (tmp_path / "run").exists()
 
 
@@ -116,8 +164,32 @@ def test_train_vae_rejects_an_invalid_dag(tmp_path, capsys, edit, violation):
     code = dispatch(["train-vae", "--corpus", str(corpus), "--out", str(tmp_path / "run")])
     assert code == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and violation in err
+    assert err.startswith(f"error: {corpus}: DAG block 2: ") and violation in err
     assert not (tmp_path / "run").exists()
+
+
+def test_gen_bv_writes_only_the_qasm_file(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv(OUT_ROOT_ENV, raising=False)
+    out = tmp_path / "bv.qasm"
+    assert dispatch(["gen-bv", "--n", "3", "--secret", "5", "--out", str(out)]) == 0
+    assert out.read_text() == serialize_qasm(bv_circuit(BvSpec(3, 5)))
+    assert [p.name for p in tmp_path.iterdir()] == ["bv.qasm"]
+
+
+def test_phases_chain_through_their_files(tmp_path, capsys):
+    # each phase reads the file the phase before it wrote
+    base, vae, enc = tmp_path / "base", tmp_path / "vae", tmp_path / "enc"
+    assert dispatch(["train-baseline", "--epochs", "5", "--out", str(base)]) == 0
+    argv = ["train-vae", "--corpus", str(base / "corpus.txt"), "--vae-epochs", "1",
+            "--corpus-cap", "10", "--d-h", "4", "--d-z", "2", "--out", str(vae)]
+    assert dispatch(argv) == 0
+    assert sorted(p.name for p in vae.iterdir()) == ["config.txt", "model.ckpt"]
+    # the phase-2 config supplies the checkpoint's dims
+    argv = ["train-encoded", "--config", str(vae / "config.txt"), "--model",
+            str(vae / "model.ckpt"), "--epochs", "5", "--out", str(enc)]
+    assert dispatch(argv) == 0
+    assert sorted(p.name for p in enc.iterdir()) == ["config.txt", "qtable.tsv"]
 
 
 @pytest.mark.parametrize(
@@ -189,5 +261,7 @@ def test_compare_smoke_writes_requested_secret(tmp_path, capsys):
     row = (out / "states.csv").read_text().splitlines()[1].split(",")
     assert row[:4] == ["3", "3", "5", "0"]
     assert int(row[4]) > 1  # l_s: the agent left the start state
-    assert (out / "depth_trace.csv").is_file() and (out / "report.txt").is_file()
+    trace = (out / "depth_trace.csv").read_text().splitlines()
+    assert {line.split(",")[2] for line in trace[1:]} == {"exact", "encoder"}
+    assert (out / "report.txt").is_file()
     assert load_config(str(out / "config.txt"), {}).secret == 3

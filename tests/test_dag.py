@@ -8,6 +8,8 @@ from qcopt.dag import (
     NodeType,
     dag_from_debug_text,
     dag_to_debug_text,
+    load_corpus,
+    save_corpus,
     to_dag,
     validate,
 )
@@ -226,3 +228,15 @@ def test_debug_text_rejects_short_lines():
     for bad in ("edge 0 1 0", "edge 0", "node 0", "edge", "node"):
         with pytest.raises(ValueError, match="malformed"):
             dag_from_debug_text(good + bad + "\n")
+
+
+def test_load_corpus_names_the_bad_block(tmp_path):
+    corpus = [to_dag(random_icmh_circuit(2, 4, seed)) for seed in range(2)]
+    path = tmp_path / "corpus.txt"
+    save_corpus(corpus, str(path))
+    assert load_corpus(str(path)) == corpus
+    first, second = path.read_text().split("\n\n", 1)
+    assert "\nedge 0 " in second
+    path.write_text(first + "\n\n" + second.replace("\nedge 0 ", "\nedge a ", 1))
+    with pytest.raises(ValueError, match=r"DAG block 2: debug line 'edge a \d+': invalid literal"):
+        load_corpus(str(path))

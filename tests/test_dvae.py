@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -331,51 +332,55 @@ def test_overfit_one_greedy_reconstruction():
 
 def test_checkpoint_roundtrip_bit_exact(tmp_path):
     m = small_model(d_h=9, d_z=4, seed=13)
+    # extremes of float64 keep their bits, the sign of zero included
+    m.b_mu.value[:3] = [-0.0, 5e-324, np.finfo(np.float64).max]
     path = tmp_path / "model.ckpt"
-    save_checkpoint(m, str(path))
+    save_checkpoint(m, str(path), {"corpus_hash": "abc"})
     loaded = load_checkpoint(str(path))
     for (na, a), (nb, b) in zip(m.params().items(), loaded.params().items()):
         assert na == nb
-        assert np.array_equal(a.value, b.value), na
+        assert a.value.shape == b.value.shape and a.value.tobytes() == b.value.tobytes(), na
     d = to_dag(circ(2, Gate.cx(1, 0)))
     assert np.array_equal(encode_np(m, d).mu, encode_np(loaded, d).mu)
+    doc = json.loads(path.read_text())
+    assert doc["format"] == "qcopt-dvae v2" and doc["corpus_hash"] == "abc"
+    assert (doc["d_h"], doc["d_z"]) == (9, 4) and list(doc["tensors"]) == sorted(m.params())
 
 
 def test_checkpoint_rejects_foreign_file(tmp_path):
     path = tmp_path / "bogus.ckpt"
     path.write_text("something else\n")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="not a qcopt-dvae v2 checkpoint"):
         load_checkpoint(str(path))
 
 
-def _saved_lines(tmp_path):
+def _saved(tmp_path):
     path = tmp_path / "model.ckpt"
     save_checkpoint(small_model(d_h=4, d_z=2), str(path))
-    return path, path.read_text().splitlines()
+    return path, json.loads(path.read_text())
 
 
 def test_checkpoint_rejects_missing_tensor(tmp_path):
-    path, lines = _saved_lines(tmp_path)
-    path.write_text("\n".join(lines[:-2]) + "\n")  # cut at a tensor boundary
-    with pytest.raises(ValueError, match="lacks tensors"):
+    path, doc = _saved(tmp_path)
+    del doc["tensors"]["b_edge_out"]
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match=r"missing \['b_edge_out'\], unknown \[\]"):
         load_checkpoint(str(path))
 
 
 def test_checkpoint_rejects_truncated_tensor(tmp_path):
-    path, lines = _saved_lines(tmp_path)
-    assert lines[3].startswith("tensor enc.w_z ")
-    path.write_text("\n".join(lines[:4]) + "\n")  # header without its values
-    with pytest.raises(ValueError, match="ends before"):
-        load_checkpoint(str(path))
-    path.write_text("\n".join(lines[:4] + [" ".join(lines[4].split()[:5])]) + "\n")
-    with pytest.raises(ValueError, match="shape mismatch"):
+    path, doc = _saved(tmp_path)
+    doc["tensors"]["enc.w_z"][-1].pop()  # one value short
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match=r"tensor 'enc.w_z' is not a \(4, 6\) array"):
         load_checkpoint(str(path))
 
 
 def test_checkpoint_rejects_missing_dim(tmp_path):
-    path, lines = _saved_lines(tmp_path)
-    path.write_text("\n".join(line for line in lines if not line.startswith("dim d_z")) + "\n")
-    with pytest.raises(ValueError, match="lacks dims"):
+    path, doc = _saved(tmp_path)
+    del doc["d_z"]
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match="d_z must be an integer of at least 1"):
         load_checkpoint(str(path))
 
 

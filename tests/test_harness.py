@@ -3,11 +3,15 @@ pinned digests, so a change that alters any Q-table or checkpoint byte shows
 up here."""
 
 import hashlib
+import json
+from dataclasses import asdict
 
+import numpy as np
 import pytest
 
 from qcopt.agent import qtable_to_tsv
 from qcopt.circuit import BvSpec
+from qcopt.dvae import load_checkpoint
 from qcopt.harness import (
     HarnessConfig,
     benchmark_agent_config,
@@ -24,6 +28,17 @@ def sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+def params_digest(model) -> str:
+    """sha256 over each parameter's name, shape and float64 bytes: the
+    trained values, whatever the checkpoint file format."""
+    digest = hashlib.sha256()
+    for name, p in model.params().items():
+        digest.update(name.encode())
+        digest.update(repr(p.value.shape).encode())
+        digest.update(np.ascontiguousarray(p.value, dtype=np.float64).tobytes())
+    return digest.hexdigest()
+
+
 @pytest.fixture(scope="module")
 def harvest():
     return run_baseline(SPEC, benchmark_agent_config(SPEC, 100, 0))
@@ -34,7 +49,7 @@ def encoder(harvest, tmp_path_factory):
     path = tmp_path_factory.mktemp("vae") / "model.ckpt"
     cfg = dvae_config(HarnessConfig(dvae_epochs=1), 0)
     model, stats = train_encoder_from_corpus(harvest.corpus, cfg, 20, str(path))
-    return model, stats, path
+    return model, stats, path, cfg
 
 
 def test_baseline_qtable_pinned():
@@ -53,19 +68,22 @@ def test_harvest_qtable_pinned(harvest):
 
 
 def test_encoder_checkpoint_pinned(encoder):
-    _, stats, path = encoder
+    model, stats, path, cfg = encoder
     assert len(stats) == 1
+    assert [p.name for p in path.parent.iterdir()] == ["model.ckpt"]
     assert sha256(path.read_bytes()) == (
-        "731867ba27b9a14ba48e268ccf7074877cce429dc266535aad068330cce9b9b0"
+        "f3dcc24879d6eced13e4f8657f541c4c8aeb237a83003fe48ca45f25d47bcc2f"
     )
-    meta = path.with_name(path.name + ".meta.json")
-    assert sha256(meta.read_bytes()) == (
-        "91b3dc81901e1bafd232d608259e60c62be202838f9faec95de5c40b6a2d48a3"
+    assert params_digest(model) == params_digest(load_checkpoint(str(path))) == (
+        "6d5d3381d684862217a0c1a81f5636f8e4ff970c33abfdb1729b047abf0c7bc9"
     )
+    doc = json.loads(path.read_text())
+    assert doc["config"] == asdict(cfg) and len(doc["corpus_hash"]) == 64
+    assert doc["final_loss"] == stats[-1].mean_loss
 
 
 def test_encoded_qtable_pinned(encoder):
-    model, _, _ = encoder
+    model, _, _, _ = encoder
     result = run_encoded(SPEC, model, benchmark_agent_config(SPEC, 100, 0), 0.5)
     assert sha256(qtable_to_tsv(result.qtable).encode()) == (
         "1caac6aa0b1250431b27d22ce8ea08d63e66d8bbbbb669c5fb743f7575832092"

@@ -22,7 +22,6 @@ from qcopt.rewrite import (
     apply,
     commutes,
     enumerate_actions,
-    find_matches,
     gate_count_delta,
 )
 
@@ -31,75 +30,80 @@ def circ(n, *gates):
     return Circuit(n, tuple(gates))
 
 
+def template_sites(c, kind, direction):
+    """The sites of one template and direction, in enumeration order."""
+    return [a.site for a in enumerate_actions(c) if (a.kind, a.direction) == (kind, direction)]
+
+
 # --- matching ------------------------------------------------------------------
 
 
 def test_hh_forward_adjacent_pair():
-    assert find_matches(circ(1, Gate.h(0), Gate.h(0)), TemplateKind.HH, FORWARD) == [
+    assert template_sites(circ(1, Gate.h(0), Gate.h(0)), TemplateKind.HH, FORWARD) == [
         ("pair", 0, 1)
     ]
 
 
 def test_hh_forward_blocked_by_cnot():
     c = circ(2, Gate.h(0), Gate.cx(0, 1), Gate.h(0))
-    assert find_matches(c, TemplateKind.HH, FORWARD) == []
+    assert template_sites(c, TemplateKind.HH, FORWARD) == []
 
 
 def test_hh_forward_sees_through_other_wires():
     c = circ(2, Gate.h(0), Gate.h(1), Gate.h(0))
-    assert find_matches(c, TemplateKind.HH, FORWARD) == [("pair", 0, 2)]
+    assert template_sites(c, TemplateKind.HH, FORWARD) == [("pair", 0, 2)]
 
 
 def test_hh_forward_triple_gives_consecutive_pairs():
     c = circ(1, Gate.h(0), Gate.h(0), Gate.h(0))
-    assert find_matches(c, TemplateKind.HH, FORWARD) == [("pair", 0, 1), ("pair", 1, 2)]
+    assert template_sites(c, TemplateKind.HH, FORWARD) == [("pair", 0, 1), ("pair", 1, 2)]
 
 
 def test_cxcx_forward_pair():
     c = circ(2, Gate.cx(0, 1), Gate.cx(0, 1))
-    assert find_matches(c, TemplateKind.CXCX, FORWARD) == [("pair", 0, 1)]
+    assert template_sites(c, TemplateKind.CXCX, FORWARD) == [("pair", 0, 1)]
 
 
 def test_cxcx_forward_blocked_by_touching_gate():
     c = circ(2, Gate.cx(0, 1), Gate.h(0), Gate.cx(0, 1))
-    assert find_matches(c, TemplateKind.CXCX, FORWARD) == []
+    assert template_sites(c, TemplateKind.CXCX, FORWARD) == []
 
 
 def test_cx_par_adjacent_same_control():
     c = circ(3, Gate.cx(0, 1), Gate.cx(0, 2))
-    assert find_matches(c, TemplateKind.CX_PAR, FORWARD) == [("pair", 0, 1)]
+    assert template_sites(c, TemplateKind.CX_PAR, FORWARD) == [("pair", 0, 1)]
 
 
 def test_cx_par_crosses_commuting_gates_only():
     # H(3) is support-disjoint from CNOT(0,2), so it may be crossed
     c = circ(4, Gate.cx(0, 1), Gate.h(3), Gate.cx(0, 2))
-    assert find_matches(c, TemplateKind.CX_PAR, FORWARD) == [("pair", 0, 2)]
+    assert template_sites(c, TemplateKind.CX_PAR, FORWARD) == [("pair", 0, 2)]
     # H(2) touches the moving CNOT's target: blocked
     c = circ(4, Gate.cx(0, 1), Gate.h(2), Gate.cx(0, 2))
-    assert find_matches(c, TemplateKind.CX_PAR, FORWARD) == []
+    assert template_sites(c, TemplateKind.CX_PAR, FORWARD) == []
 
 
 def test_cx_rev_forward_every_cnot():
     c = circ(3, Gate.h(0), Gate.cx(0, 1), Gate.cx(1, 2))
-    assert find_matches(c, TemplateKind.CX_REV, FORWARD) == [("rev", 1), ("rev", 2)]
+    assert template_sites(c, TemplateKind.CX_REV, FORWARD) == [("rev", 1), ("rev", 2)]
 
 
 def test_cx_rev_reverse_never_enumerated():
     # undoing a reversal goes through CX_REV forward plus HH cancellations;
     # there is no CX_REV reverse direction to enumerate
     c = apply(circ(2, Gate.cx(0, 1)), Action(TemplateKind.CX_REV, FORWARD, ("rev", 0)))
-    with pytest.raises(ValueError):
-        find_matches(c, TemplateKind.CX_REV, REVERSE)
+    assert template_sites(c, TemplateKind.CX_REV, REVERSE) == []
 
 
 def test_cx_par_has_no_reverse():
-    with pytest.raises(ValueError):
-        find_matches(circ(2), TemplateKind.CX_PAR, REVERSE)
+    c = circ(3, Gate.cx(0, 2), Gate.cx(0, 1))  # the result of a CX_PAR move
+    assert template_sites(c, TemplateKind.CX_PAR, FORWARD) == [("pair", 0, 1)]
+    assert template_sites(c, TemplateKind.CX_PAR, REVERSE) == []
 
 
 def test_hh_reverse_positions_near_wire_gates():
     c = circ(2, Gate.h(0), Gate.cx(0, 1))
-    sites = find_matches(c, TemplateKind.HH, REVERSE)
+    sites = template_sites(c, TemplateKind.HH, REVERSE)
     assert ("ins", 0, 0) in sites and ("ins", 0, 1) in sites and ("ins", 0, 2) in sites
     # wire 1 is only touched by the CNOT at index 1
     assert ("ins", 1, 0) in sites and ("ins", 1, 1) in sites and ("ins", 1, 2) in sites
