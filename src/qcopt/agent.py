@@ -23,7 +23,6 @@ from .rewrite import (
     action_key,
     apply,
     enumerate_actions,
-    gate_count_delta,
 )
 
 StateKey = str
@@ -98,12 +97,11 @@ def available_actions(c: Circuit, cfg: AgentConfig):
     H-pair insertions would spawn a huge lattice of depth-neutral states that
     one-step tabular Q-learning cannot wade through at paper-scale episode
     budgets, and CNOT pairs never help the depth objective.  Actions that
-    would grow the circuit past ``cfg.max_gates`` are dropped as well.
+    would grow the circuit past ``cfg.max_gates`` are not enumerated: the
+    budget goes into the enumeration, which can test it once per template
+    because every site of a layered template has the same gate delta.
     """
-    actions = enumerate_actions(c, layered=True)
-    budget = cfg.max_gates - len(c.gates)
-    if budget < 2 * c.n_wires:
-        actions = [a for a in actions if gate_count_delta(a, c.n_wires) <= budget]
+    actions = enumerate_actions(c, layered=True, budget=cfg.max_gates - len(c.gates))
     return actions, [action_key(a) for a in actions]
 
 

@@ -12,8 +12,8 @@ Subcommands, with the files each writes:
                     --model checkpoint: config.txt, qtable.tsv
     compare         all three phases over several seeds: config.txt,
                     states.csv, depth_trace.csv, report.txt
-    verify          template-soundness, layered-subset and DAG-validity
-                    suite; writes nothing
+    verify          template-soundness, layered-subset, gate-budget and
+                    DAG-validity suite; writes nothing
     grad-check      finite-difference check of the autoencoder loss; writes
                     nothing
 
@@ -66,7 +66,7 @@ from .dag import load_corpus, save_corpus, to_dag, validate
 from .dvae import DvaeConfig, DvaeModel, backward, load_checkpoint, loss
 from .harness import HarnessConfig
 from .nn import finite_diff_check
-from .rewrite import enumerate_actions, apply
+from .rewrite import apply, enumerate_actions, gate_count_delta
 
 OUT_ROOT_ENV = "QCOPT_OUT_ROOT"
 
@@ -190,15 +190,16 @@ def cmd_train_vae(args) -> int:
     cfg = _config(args)
     corpus = load_corpus(args.corpus)
     out = _out_dir(cfg, "vae")
-    os.makedirs(out, exist_ok=True)
-    _echo_config(cfg, out)
     ckpt = os.path.join(out, "model.ckpt")
+    # the checkpoint's directory is made only once training has succeeded, so
+    # a run that diverges leaves no run directory behind
     model, stats = harness.train_encoder_from_corpus(
         corpus,
         harness.dvae_config(cfg, cfg.seed),
         cfg.corpus_cap,
         checkpoint_path=ckpt,
     )
+    _echo_config(cfg, out)
     print(
         f"trained on {min(len(corpus), cfg.corpus_cap)} of {len(corpus)} DAGs; "
         f"final loss {stats[-1].mean_loss:.4f}, accuracy {stats[-1].accuracy:.4f}; "
@@ -253,10 +254,17 @@ def cmd_verify(args) -> int:
             print(f"FAIL dag-validity: {state_string(c)!r}")
             continue
         full = enumerate_actions(c)
+        layered = enumerate_actions(c, layered=True)
         rest = iter(full)
-        if not all(a in rest for a in enumerate_actions(c, layered=True)):
+        if not all(a in rest for a in layered):
             failures += 1
             print(f"FAIL layered-subset: {state_string(c)!r}")
+        n = c.n_wires
+        for budget in (-3, 0, 2, 4, 2 * n):
+            kept = [a for a in layered if gate_count_delta(a, n) <= budget]
+            if enumerate_actions(c, layered=True, budget=budget) != kept:
+                failures += 1
+                print(f"FAIL budget: {state_string(c)!r} budget {budget}")
         for a in full:
             out = apply(c, a)
             checked_actions += 1
@@ -371,7 +379,7 @@ def dispatch(argv: list[str]) -> int:
 
     try:
         return args.run(args)
-    except (ConfigError, ValueError, OSError) as exc:
+    except (ConfigError, ValueError, OSError, FloatingPointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

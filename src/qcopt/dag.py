@@ -75,46 +75,47 @@ class CircuitDag:
 
 
 def to_dag(c: Circuit) -> CircuitDag:
-    """Convert a circuit to its typed-node DAG (always passes validate)."""
+    """Convert a circuit to its typed-node DAG (always passes validate).
+
+    Nodes are numbered in program order: the n + 1 inputs (wire w is node w,
+    the fake wire node n), then each gate's nodes, then the n + 1 outputs."""
+    # members bound once: an Enum class attribute lookup is slow
+    hadamard, ctrl_op, trgt_op, helper_op = (
+        NodeType.HADAMARD, NodeType.CTRL_OP, NodeType.TRGT_OP, NodeType.HELPER)
     n = c.n_wires
     fake = n
-    types: list[NodeType] = []
+    types: list[NodeType] = [NodeType.INPUT] * (n + 1)
     edges: list[tuple[int, int]] = []
-
-    def add_node(t: NodeType) -> int:
-        types.append(t)
-        return len(types) - 1
-
-    last = [add_node(NodeType.INPUT) for _ in range(n + 1)]
-    fake_last = last[fake]
+    last = list(range(n + 1))
+    fake_last = fake
 
     for g in c.gates:
         if g.is_cx:
             cq, tq = g.qubits
             if fake_last == last[cq]:
                 # fake edge would parallel the real edge into the ctrl node
-                helper = add_node(NodeType.HELPER)
+                helper = len(types)
+                types.append(helper_op)
                 edges.append((fake_last, helper))
                 fake_last = helper
-            ctrl = add_node(NodeType.CTRL_OP)
-            edges.append((last[cq], ctrl))
-            edges.append((fake_last, ctrl))
-            trgt = add_node(NodeType.TRGT_OP)
-            edges.append((last[tq], trgt))
-            edges.append((ctrl, trgt))
+            ctrl = len(types)
+            trgt = ctrl + 1
+            types += (ctrl_op, trgt_op)
+            edges += ((last[cq], ctrl), (fake_last, ctrl), (last[tq], trgt), (ctrl, trgt))
             last[cq] = ctrl
             last[tq] = trgt
             fake_last = trgt
         else:
             q = g.qubits[0]
-            node = add_node(NodeType.HADAMARD)
+            node = len(types)
+            types.append(hadamard)
             edges.append((last[q], node))
             last[q] = node
 
     last[fake] = fake_last
-    for w in range(n + 1):
-        out = add_node(NodeType.OUTPUT)
-        edges.append((last[w], out))
+    first_out = len(types)
+    types += [NodeType.OUTPUT] * (n + 1)
+    edges += [(last[w], first_out + w) for w in range(n + 1)]
 
     return CircuitDag(tuple(types), tuple(edges))
 

@@ -583,7 +583,8 @@ def train(dataset: list[CircuitDag], cfg: DvaeConfig):
     Each mini-batch takes one ``loss`` call, one ``backward`` call and one
     ``adam_step`` call: the forward and the backward run the batch level by
     level (the k-th node of every graph at once), and Adam steps on the
-    batch-mean gradient.  Returns (model, per-epoch EpochStats list).
+    batch-mean gradient.  Returns (model, per-epoch EpochStats list);
+    raises FloatingPointError, naming the epoch, at the first overflow or NaN.
     """
     if not dataset:
         raise ValueError("training needs a non-empty dataset")
@@ -593,26 +594,32 @@ def train(dataset: list[CircuitDag], cfg: DvaeConfig):
     rng = np.random.default_rng(cfg.seed + 1)
     stats: list[EpochStats] = []
 
-    for epoch in range(cfg.epochs):
-        perm = rng.permutation(len(dataset))
-        total = 0.0
-        hits = 0
-        preds = 0
-        edit = 0.0
-        for start in range(0, len(perm), cfg.batch_size):
-            batch = [dataset[i] for i in perm[start : start + cfg.batch_size]]
-            noise = rng.standard_normal((len(batch), cfg.d_z))
-            _, parts, cache = loss(model, batch, noise, cfg)
-            grads = backward(model, cache)
-            del cache  # free the activations before the next batch's forward
-            adam_step(params, [g / len(batch) for g in grads], adam)
-            total += parts.total
-            hits += parts.n_type_correct + parts.n_edge_correct
-            preds += parts.n_types + parts.n_edges
-            edit += parts.n_edges - parts.n_edge_correct
-        stats.append(EpochStats(epoch, total / len(dataset), hits / preds, edit))
-        if not math.isfinite(stats[-1].mean_loss):
-            raise FloatingPointError(f"loss diverged at epoch {epoch}")
+    # a diverging run stops at its first overflow or NaN, with one error
+    # instead of a warning per numpy call that meets the bad values
+    try:
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            for epoch in range(cfg.epochs):
+                perm = rng.permutation(len(dataset))
+                total = 0.0
+                hits = 0
+                preds = 0
+                edit = 0.0
+                for start in range(0, len(perm), cfg.batch_size):
+                    batch = [dataset[i] for i in perm[start : start + cfg.batch_size]]
+                    noise = rng.standard_normal((len(batch), cfg.d_z))
+                    _, parts, cache = loss(model, batch, noise, cfg)
+                    grads = backward(model, cache)
+                    del cache  # free the activations before the next batch's forward
+                    adam_step(params, [g / len(batch) for g in grads], adam)
+                    total += parts.total
+                    hits += parts.n_type_correct + parts.n_edge_correct
+                    preds += parts.n_types + parts.n_edges
+                    edit += parts.n_edges - parts.n_edge_correct
+                stats.append(EpochStats(epoch, total / len(dataset), hits / preds, edit))
+                if not math.isfinite(stats[-1].mean_loss):
+                    raise FloatingPointError("the mean loss is not finite")
+    except FloatingPointError as exc:
+        raise FloatingPointError(f"loss diverged at epoch {epoch}: {exc}") from None
     return model, stats
 
 

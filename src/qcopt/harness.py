@@ -153,7 +153,9 @@ def train_encoder_from_corpus(
     The corpus must pass ``dag.validate``, as ``to_dag`` output and DAGs read
     by ``dag_from_debug_text`` do; it is not checked again here.  Corpora
     larger than corpus_cap are subsampled deterministically (seeded by
-    cfg.seed) to keep training desk-scale.
+    cfg.seed) to keep training desk-scale.  The checkpoint's directory is
+    created only after training succeeds; a diverging run raises
+    FloatingPointError and writes nothing.
     """
     if not corpus:
         raise ValueError("corpus is empty")
@@ -164,6 +166,7 @@ def train_encoder_from_corpus(
         sample = [corpus[i] for i in sorted(idx)]
     model, stats = train(sample, cfg)
     if checkpoint_path:
+        os.makedirs(os.path.dirname(checkpoint_path) or ".", exist_ok=True)
         last = stats[-1]
         save_checkpoint(model, checkpoint_path, {
             "config": asdict(cfg),

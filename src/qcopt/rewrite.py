@@ -70,14 +70,27 @@ def _site_str(site: Site) -> str:
 
 
 def action_key(a: Action) -> str:
-    return f"{a.kind.value}.{a.direction}@{_site_str(a.site)}"
+    # on the agent's hot path: ``_value_`` skips the ``Enum.value`` descriptor,
+    # and pair and rev sites, most of the layered space, are formatted inline
+    kind, direction, site = a
+    tag = site[0]
+    if tag == "pair":
+        return f"{kind._value_}.{direction}@{site[1]}-{site[2]}"
+    if tag == "rev":
+        return f"{kind._value_}.{direction}@{site[1]}"
+    return f"{kind._value_}.{direction}@{_site_str(site)}"
 
 
 def commutes(a: Gate, b: Gate) -> bool:
-    """Sound commutation rule: disjoint supports, or CNOTs sharing only a control."""
-    if a.is_cx and b.is_cx and a.control == b.control and a.target != b.target:
-        return True
-    return not set(a.qubits).intersection(b.qubits)
+    """Sound commutation rule: disjoint supports, or CNOTs sharing only a control.
+
+    Compares the one- or two-wire tuples directly; no set is built."""
+    qa, qb = a.qubits, b.qubits
+    if b.is_cx:
+        if a.is_cx and qa[0] == qb[0]:
+            return qa[1] != qb[1]
+        return qb[0] not in qa and qb[1] not in qa
+    return qb[0] not in qa
 
 
 # --- forward matches ---------------------------------------------------------
@@ -89,8 +102,9 @@ def _matches_hh_fwd(c: Circuit) -> list[Site]:
     last_h = [-1] * c.n_wires
     for i, g in enumerate(c.gates):
         if g.is_cx:
-            last_h[g.control] = -1
-            last_h[g.target] = -1
+            cq, tq = g.qubits
+            last_h[cq] = -1
+            last_h[tq] = -1
         else:
             q = g.qubits[0]
             if last_h[q] >= 0:
@@ -106,11 +120,13 @@ def _matches_cxcx_fwd(c: Circuit) -> list[Site]:
     for i, g in enumerate(gates):
         if not g.is_cx:
             continue
+        q = g.qubits
+        cq, tq = q
         for j in range(i + 1, len(gates)):
-            other = gates[j]
-            if not (g.control in other.qubits or g.target in other.qubits):
+            other = gates[j].qubits
+            if cq not in other and tq not in other:
                 continue
-            if other.is_cx and other.qubits == g.qubits:
+            if other == q:  # two wires: a CNOT
                 sites.append(("pair", i, j))
             break
     return sites
@@ -124,13 +140,14 @@ def _matches_cx_par(c: Circuit) -> list[Site]:
     for j, gj in enumerate(gates):
         if not gj.is_cx:
             continue
+        cq, tq = gj.qubits
         for k in range(j - 1, -1, -1):
             gk = gates[k]
-            if gk.is_cx and gk.control == gj.control and gk.target != gj.target:
+            if gk.is_cx and gk.qubits[0] == cq and gk.qubits[1] != tq:
                 sites.append(("pair", k, j))
             if not commutes(gk, gj):
                 break
-    sites.sort(key=lambda s: (s[1], s[2]))
+    sites.sort()
     return sites
 
 
@@ -283,27 +300,44 @@ def apply(c: Circuit, a: Action) -> Circuit:
     raise StaleSiteError(f"unsupported action {a!r}")
 
 
+# by ``TemplateKind`` value: a string key hashes faster than an Enum member
+_FORWARD_DELTA = {"HH": -2, "CXCX": -2, "CX_PAR": 0, "CX_REV": 4}
+
+
 def gate_count_delta(a: Action, n_wires: int) -> int:
     """How many gates the action adds (negative for cancellations)."""
     kind, direction, site = a
     if direction == FORWARD:
-        if kind in (TemplateKind.HH, TemplateKind.CXCX):
-            return -2
-        if kind is TemplateKind.CX_REV:
-            return 4
-        return 0
+        return _FORWARD_DELTA[kind._value_]
     if site[0] == "all":
         return 2 * n_wires
     return 2
 
 
-def enumerate_actions(c: Circuit, layered: bool = False) -> list[Action]:
+def enumerate_actions(
+    c: Circuit, layered: bool = False, budget: int | None = None
+) -> list[Action]:
     """Union of all template matches in ``_MATCHERS`` order, unique keys.
 
     ``layered`` gives the agent's space, an order-preserving subsequence: H
     layers on all wires at either end only, CNOT pairs on the empty circuit only.
+
+    ``budget`` (layered space only) keeps exactly the actions whose
+    ``gate_count_delta`` is at most ``budget``.  In the layered space every
+    site of one template has the same delta (HH reverse yields only ``all``
+    sites, CXCX reverse only ``cxins`` sites, and the forward templates' deltas
+    do not depend on the site), so the delta is computed once per template
+    from its first site and a template over budget is skipped whole.
     """
+    if budget is not None and not layered:
+        raise ValueError("a gate budget needs the layered space")
+    n = c.n_wires
     actions: list[Action] = []
     for (kind, direction), matcher in (_LAYERED if layered else _MATCHERS).items():
-        actions.extend(Action(kind, direction, s) for s in matcher(c))
+        sites = matcher(c)
+        if not sites:
+            continue
+        if budget is not None and gate_count_delta(Action(kind, direction, sites[0]), n) > budget:
+            continue
+        actions.extend([Action(kind, direction, s) for s in sites])
     return actions

@@ -1,6 +1,7 @@
 """Shared test oracles: DAG isomorphism, node relabelling, random topological
-orders, the agent's layered action space as a filter over the full one, and
-forward-action BFS to a target depth.
+orders, the agent's layered action space as a filter over the full one, the
+gate budget as a per-action filter, action keys through ``Enum.value``, the
+set-based commutation rule, and forward-action BFS to a target depth.
 
 The search is restricted to the forward direction of all four templates
 (gate-count-nonincreasing, or structurally necessary for CX_REV).  The
@@ -14,9 +15,9 @@ from __future__ import annotations
 import networkx as nx
 import numpy as np
 
-from qcopt.circuit import Circuit, depth, state_string
+from qcopt.circuit import Circuit, Gate, depth, state_string
 from qcopt.dag import CircuitDag, NodeType
-from qcopt.rewrite import REVERSE, Action, apply, enumerate_actions
+from qcopt.rewrite import REVERSE, Action, apply, enumerate_actions, gate_count_delta
 
 
 def _digraph(d: CircuitDag) -> nx.MultiDiGraph:
@@ -80,6 +81,34 @@ def layered_filter(c: Circuit, actions: list[Action]) -> list[Action]:
         return True
 
     return [a for a in actions if keep(a)]
+
+
+def budget_filter(actions: list[Action], n_wires: int, budget: int) -> list[Action]:
+    """Reference for ``enumerate_actions(c, layered=True, budget=budget)``:
+    the layered space filtered per action by its gate delta."""
+    return [a for a in actions if gate_count_delta(a, n_wires) <= budget]
+
+
+def reference_key(a: Action) -> str:
+    """Reference for ``action_key``: the kind through ``Enum.value`` and one
+    format per site tag."""
+    tag, *rest = a.site
+    site = {
+        "pair": "{}-{}",
+        "ins": "{}:{}",
+        "all": "all:{}",
+        "cxins": "{}-{}:{}",
+        "rev": "{}",
+    }[tag].format(*rest)
+    return f"{a.kind.value}.{a.direction}@{site}"
+
+
+def commutes_by_sets(a: Gate, b: Gate) -> bool:
+    """Reference for ``rewrite.commutes``: disjoint wire sets, or CNOTs
+    sharing only a control."""
+    if a.is_cx and b.is_cx and a.control == b.control and a.target != b.target:
+        return True
+    return not set(a.qubits).intersection(b.qubits)
 
 
 def _oracle_actions(c: Circuit) -> list[Action]:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from oracles import bfs_optimize
+from oracles import bfs_optimize, budget_filter, reference_key
 from qcopt.agent import (
     TARGET_DEPTH,
     AgentConfig,
@@ -258,6 +258,27 @@ def test_available_actions_respect_gate_cap():
     from qcopt.rewrite import gate_count_delta
 
     assert all(len(c) + gate_count_delta(a, c.n_wires) <= 10 for a in actions)
+
+
+def test_available_actions_equal_the_per_action_budget_filter():
+    # list equality, order included, at every budget from below the largest
+    # cancellation (-2) to above the largest insertion (2n); a cap below one
+    # gate is not a valid config, so those budgets go to the enumeration
+    circuits = [random_icmh_circuit(2 + i % 4, i % 31, 900 + i) for i in range(300)]
+    circuits += [circ(3)] + [bv_circuit(BvSpec(n, (1 << n) - 1)) for n in (2, 3, 4)]
+    for c in circuits:
+        n = c.n_wires
+        layered = enumerate_actions(c, layered=True)
+        for budget in range(-3, 2 * n + 6):
+            want = budget_filter(layered, n, budget)
+            cap = len(c.gates) + budget
+            if cap >= 1:
+                got, keys = available_actions(c, AgentConfig(epochs=1, max_gates=cap))
+            else:
+                got = enumerate_actions(c, layered=True, budget=budget)
+                keys = [action_key(a) for a in got]
+            assert got == want, (state_string(c), budget)
+            assert keys == [reference_key(a) for a in want]
 
 
 # --- train_agent ------------------------------------------------------------------------

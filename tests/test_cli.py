@@ -57,14 +57,25 @@ def test_count_below_one_is_usage_error(argv, capsys):
 
 
 def test_verify_fails_when_layered_space_is_not_a_subsequence(monkeypatch, capsys):
-    def reordered(c, layered=False):
-        actions = enumerate_actions(c, layered)
+    def reordered(c, layered=False, budget=None):
+        actions = enumerate_actions(c, layered, budget)
         return actions[::-1] if layered else actions
 
     monkeypatch.setattr(cli, "enumerate_actions", reordered)
     assert dispatch(["verify", "--circuits", "3"]) == 1
     out = capsys.readouterr().out
     assert out.count("FAIL layered-subset: ") == 3 and "3 failures" in out
+
+
+def test_verify_fails_when_the_budget_drops_an_action_within_it(monkeypatch, capsys):
+    # one gate short: an action that uses the whole budget is dropped
+    def short(c, layered=False, budget=None):
+        return enumerate_actions(c, layered, None if budget is None else budget - 1)
+
+    monkeypatch.setattr(cli, "enumerate_actions", short)
+    assert dispatch(["verify", "--circuits", "3"]) == 1
+    out = capsys.readouterr().out
+    assert "FAIL budget: '' budget " in out and "FAIL layered-subset" not in out
 
 
 def test_train_encoded_truncated_checkpoint_fails_cleanly(tmp_path, capsys):
@@ -147,6 +158,17 @@ def test_train_vae_trains_on_a_corpus_file(tmp_path, capsys):
     assert dispatch(argv) == 0
     assert "trained on 3 of 3 DAGs" in capsys.readouterr().out
     assert (tmp_path / "run" / "model.ckpt").is_file()
+
+
+def test_train_vae_divergence_is_an_error_and_leaves_no_run_directory(tmp_path, capsys):
+    corpus = tmp_path / "corpus.txt"
+    save_corpus([to_dag(random_icmh_circuit(2, 4, s)) for s in range(8)], str(corpus))
+    argv = ["train-vae", "--corpus", str(corpus), "--out", str(tmp_path / "run"),
+            "--vae-lr", "1e9", "--vae-epochs", "3", "--d-h", "4", "--d-z", "2"]
+    assert dispatch(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: loss diverged at epoch ") and err.count("\n") == 1
+    assert not (tmp_path / "run").exists()
 
 
 @pytest.mark.parametrize(

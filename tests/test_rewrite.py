@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from oracles import bfs_optimize, layered_filter
+from oracles import bfs_optimize, commutes_by_sets, layered_filter, reference_key
 from qcopt.circuit import (
     BvSpec,
     Circuit,
@@ -178,8 +178,10 @@ def test_enumerate_unoptimised_bv2():
 def test_action_keys_unique_and_stable():
     for seed in range(30):
         c = random_icmh_circuit(3, seed % 10, seed)
-        keys = [action_key(a) for a in enumerate_actions(c)]
+        actions = enumerate_actions(c)
+        keys = [action_key(a) for a in actions]
         assert len(keys) == len(set(keys))
+        assert keys == [reference_key(a) for a in actions]
     c = circ(3, Gate.cx(0, 1))
     assert action_key(Action(TemplateKind.CX_REV, FORWARD, ("rev", 0))) == "CX_REV.fwd@0"
     assert action_key(Action(TemplateKind.HH, REVERSE, ("ins", 2, 1))) == "HH.rev@2:1"
@@ -202,6 +204,11 @@ def test_layered_enumeration_equals_filtered_full_space():
     assert ("cxins", 0, 1, 0) in [a.site for a in enumerate_actions(cnot_free)]
     sites = [a.site for a in enumerate_actions(cnot_free, layered=True)]
     assert sites == [("pair", 0, 1), ("all", 0), ("all", 2)]
+
+
+def test_budget_needs_the_layered_space():
+    with pytest.raises(ValueError, match="layered"):
+        enumerate_actions(circ(2), budget=4)
 
 
 def test_enumeration_deterministic():
@@ -239,6 +246,14 @@ def test_commutes_rule():
     assert not commutes(Gate.h(0), Gate.cx(0, 1))
     assert commutes(Gate.h(2), Gate.cx(0, 1))
     assert commutes(Gate.h(0), Gate.h(1))
+
+
+def test_commutes_truth_table_matches_set_rule():
+    gates = [Gate.h(q) for q in range(4)]
+    gates += [Gate.cx(c, t) for c in range(4) for t in range(4) if c != t]
+    for a in gates:
+        for b in gates:
+            assert commutes(a, b) == commutes_by_sets(a, b), (a, b)
 
 
 def test_bfs_reaches_depth_three_within_six_actions():
