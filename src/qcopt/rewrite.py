@@ -54,37 +54,26 @@ class StaleSiteError(ValueError):
     """The site does not match the circuit it is being applied to."""
 
 
-def _site_str(site: Site) -> str:
+def action_key(a: Action) -> str:
+    # on the agent's hot path: ``_value_`` skips the ``Enum.value`` descriptor
+    kind, direction, site = a
+    k = kind._value_
     tag = site[0]
     if tag == "pair":
-        return f"{site[1]}-{site[2]}"
-    if tag == "ins":
-        return f"{site[1]}:{site[2]}"
-    if tag == "all":
-        return f"all:{site[1]}"
-    if tag == "cxins":
-        return f"{site[1]}-{site[2]}:{site[3]}"
+        return f"{k}.{direction}@{site[1]}-{site[2]}"
     if tag == "rev":
-        return str(site[1])
+        return f"{k}.{direction}@{site[1]}"
+    if tag == "ins":
+        return f"{k}.{direction}@{site[1]}:{site[2]}"
+    if tag == "all":
+        return f"{k}.{direction}@all:{site[1]}"
+    if tag == "cxins":
+        return f"{k}.{direction}@{site[1]}-{site[2]}:{site[3]}"
     raise ValueError(f"unknown site {site!r}")
 
 
-def action_key(a: Action) -> str:
-    # on the agent's hot path: ``_value_`` skips the ``Enum.value`` descriptor,
-    # and pair and rev sites, most of the layered space, are formatted inline
-    kind, direction, site = a
-    tag = site[0]
-    if tag == "pair":
-        return f"{kind._value_}.{direction}@{site[1]}-{site[2]}"
-    if tag == "rev":
-        return f"{kind._value_}.{direction}@{site[1]}"
-    return f"{kind._value_}.{direction}@{_site_str(site)}"
-
-
 def commutes(a: Gate, b: Gate) -> bool:
-    """Sound commutation rule: disjoint supports, or CNOTs sharing only a control.
-
-    Compares the one- or two-wire tuples directly; no set is built."""
+    """Sound commutation rule: disjoint supports, or CNOTs sharing only a control."""
     qa, qb = a.qubits, b.qubits
     if b.is_cx:
         if a.is_cx and qa[0] == qb[0]:
@@ -300,15 +289,15 @@ def apply(c: Circuit, a: Action) -> Circuit:
     raise StaleSiteError(f"unsupported action {a!r}")
 
 
-# by ``TemplateKind`` value: a string key hashes faster than an Enum member
-_FORWARD_DELTA = {"HH": -2, "CXCX": -2, "CX_PAR": 0, "CX_REV": 4}
-
-
 def gate_count_delta(a: Action, n_wires: int) -> int:
     """How many gates the action adds (negative for cancellations)."""
     kind, direction, site = a
     if direction == FORWARD:
-        return _FORWARD_DELTA[kind._value_]
+        if kind in (TemplateKind.HH, TemplateKind.CXCX):
+            return -2
+        if kind is TemplateKind.CX_REV:
+            return 4
+        return 0
     if site[0] == "all":
         return 2 * n_wires
     return 2
