@@ -1,7 +1,9 @@
 """Circuit IR: H/CNOT gate lists, QASM output, depth metric, unitary oracle.
 
 The circuit is the RL environment's state carrier.  Gates are restricted to
-Hadamard and CNOT; the depth metric uses ASAP scheduling with one relaxation:
+Hadamard and CNOT, and a gate is named by its wires: ``(q,)`` for H,
+``(control, target)`` for CNOT, with an ``is_cx`` flag stored beside them.
+The depth metric uses ASAP scheduling with one relaxation:
 CNOTs that share only their control qubit may occupy the same moment (this is
 the fan-out parallelism that makes the optimised Bernstein-Vazirani circuit
 depth three).
@@ -10,8 +12,7 @@ depth three).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from enum import Enum
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,30 +23,21 @@ class CircuitError(ValueError):
     """Invalid circuit structure (wire out of range, control == target)."""
 
 
-class GateKind(Enum):
-    H = "h"
-    CNOT = "cx"
-
-
 @dataclass(frozen=True, slots=True)
 class Gate:
-    """One gate: ``kind`` plus its wire tuple ((q,) for H, (control, target) for CNOT)."""
+    """One gate, named by its wires: ``(q,)`` for H, ``(control, target)`` for CNOT."""
 
-    kind: GateKind
     qubits: tuple[int, ...]
-    # stored, not a property: the rewrite matchers read it on every gate
-    is_cx: bool = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "is_cx", self.kind is GateKind.CNOT)
+    # stored, not derived from len(qubits): the rewrite matchers read it on every gate
+    is_cx: bool
 
     @staticmethod
     def h(q: int) -> "Gate":
-        return Gate(GateKind.H, (q,))
+        return Gate((q,), False)
 
     @staticmethod
     def cx(control: int, target: int) -> "Gate":
-        return Gate(GateKind.CNOT, (control, target))
+        return Gate((control, target), True)
 
     @property
     def control(self) -> int:

@@ -120,10 +120,10 @@ def load_config(path: str | None, overrides: dict) -> HarnessConfig:
     spec = cfg.bv_spec()
     cfg = replace(cfg, secret=spec.secret, epochs=cfg.resolved_epochs())
     # fail before any phase runs or any run directory exists
-    for key in ("seeds", "corpus_cap"):
+    for key, low in (("seed", 0), ("seeds", 1), ("corpus_cap", 1)):
         value = getattr(cfg, key)
-        if value < 1:
-            raise ConfigError(f"config key {key!r} must be at least 1, got {value}")
+        if value < low:
+            raise ConfigError(f"config key {key!r} must be at least {low}, got {value}")
     harness.dvae_config(cfg, cfg.seed)
     harness.benchmark_agent_config(spec, cfg.epochs, cfg.seed)
     return cfg
@@ -304,10 +304,14 @@ def cmd_grad_check(args) -> int:
 # --- argument parsing ----------------------------------------------------------------
 
 
-def _positive_int(text: str) -> int:
-    if int(text) < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {text}")
-    return int(text)
+def _int_at_least(low: int):
+    def int_at_least(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {text}")
+        return value
+
+    return int_at_least
 
 
 def _config_parser(sub, name: str, run) -> argparse.ArgumentParser:
@@ -358,14 +362,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="soundness and validity property suite")
     p.set_defaults(run=cmd_verify)
-    p.add_argument("--circuits", type=_positive_int, default=200)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--circuits", type=_int_at_least(1), default=200)
+    p.add_argument("--seed", type=_int_at_least(0), default=0)
 
     p = sub.add_parser("grad-check", help="finite-difference gradient check")
     p.set_defaults(run=cmd_grad_check)
-    p.add_argument("--dags", type=_positive_int, default=3)
+    p.add_argument("--dags", type=_int_at_least(1), default=3)
     p.add_argument("--d-h", dest="d_h", type=int, default=5)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_int_at_least(0), default=0)
 
     return parser
 

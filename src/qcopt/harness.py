@@ -110,8 +110,6 @@ class BenchmarkReport:
     l_s: int
     l_a: int
     improvement: float  # (l_s - l_a) / l_s
-    best_depth_baseline: int
-    best_depth_encoded: int
     baseline_trace: list[tuple[int, int]]  # (final_depth, best_depth) per episode
     encoded_trace: list[tuple[int, int]]
 
@@ -205,8 +203,6 @@ def compare(
         l_s=baseline.l_s,
         l_a=encoded.l_a,
         improvement=(baseline.l_s - encoded.l_a) / baseline.l_s,
-        best_depth_baseline=min(t.best_depth for t in baseline.traces),
-        best_depth_encoded=min(t.best_depth for t in encoded.traces),
         baseline_trace=[(t.final_depth, t.best_depth) for t in baseline.traces],
         encoded_trace=[(t.final_depth, t.best_depth) for t in encoded.traces],
     )

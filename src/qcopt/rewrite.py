@@ -14,25 +14,24 @@ Match enumeration over a circuit defines the RL action space; the agent's
 layered part of it is enumerated directly.  Every action is unitary-preserving;
 sites carry enough indices to re-apply the action, and each action has a
 stable text key ``<KIND>.<fwd|rev>@<site>`` used by the Q-table (sites render
-as ``i-j``, ``q:p``, ``all:p``, ``c-t:p`` or ``i``).
+as ``i-j``, ``q:p``, ``all:p``, ``c-t:p`` or ``i``).  A template kind is the
+string its keys start with (``HH``, ``CXCX``, ``CX_PAR``, ``CX_REV``), as a
+direction is the string ``fwd`` or ``rev``.
 """
 
 from __future__ import annotations
 
-from enum import Enum
 from typing import NamedTuple
 
-from .circuit import Circuit, Gate, GateKind
+from .circuit import Circuit, Gate
 
 FORWARD = "fwd"
 REVERSE = "rev"
 
-
-class TemplateKind(Enum):
-    HH = "HH"
-    CXCX = "CXCX"
-    CX_PAR = "CX_PAR"
-    CX_REV = "CX_REV"
+HH = "HH"
+CXCX = "CXCX"
+CX_PAR = "CX_PAR"
+CX_REV = "CX_REV"
 
 
 # Site variants, as tagged tuples:
@@ -45,7 +44,7 @@ Site = tuple
 
 
 class Action(NamedTuple):
-    kind: TemplateKind
+    kind: str
     direction: str
     site: Site
 
@@ -55,20 +54,18 @@ class StaleSiteError(ValueError):
 
 
 def action_key(a: Action) -> str:
-    # on the agent's hot path: ``_value_`` skips the ``Enum.value`` descriptor
     kind, direction, site = a
-    k = kind._value_
     tag = site[0]
     if tag == "pair":
-        return f"{k}.{direction}@{site[1]}-{site[2]}"
+        return f"{kind}.{direction}@{site[1]}-{site[2]}"
     if tag == "rev":
-        return f"{k}.{direction}@{site[1]}"
+        return f"{kind}.{direction}@{site[1]}"
     if tag == "ins":
-        return f"{k}.{direction}@{site[1]}:{site[2]}"
+        return f"{kind}.{direction}@{site[1]}:{site[2]}"
     if tag == "all":
-        return f"{k}.{direction}@all:{site[1]}"
+        return f"{kind}.{direction}@all:{site[1]}"
     if tag == "cxins":
-        return f"{k}.{direction}@{site[1]}-{site[2]}:{site[3]}"
+        return f"{kind}.{direction}@{site[1]}-{site[2]}:{site[3]}"
     raise ValueError(f"unknown site {site!r}")
 
 
@@ -147,11 +144,11 @@ def _matches_cx_rev_fwd(c: Circuit) -> list[Site]:
 # --- reverse matches ---------------------------------------------------------
 
 
-def _insert_positions(c: Circuit, relevant: tuple[int, ...]) -> list[int]:
-    # positions adjacent to gates touching any relevant wire, plus position 0
+def _insert_positions(c: Circuit, q: int) -> list[int]:
+    # positions adjacent to gates touching wire q, plus position 0
     pos = {0}
     for k, g in enumerate(c.gates):
-        if any(w in g.qubits for w in relevant):
+        if q in g.qubits:
             pos.add(k)
             pos.add(k + 1)
     return sorted(pos)
@@ -160,7 +157,7 @@ def _insert_positions(c: Circuit, relevant: tuple[int, ...]) -> list[int]:
 def _matches_hh_rev(c: Circuit) -> list[Site]:
     sites: list[Site] = []
     for q in range(c.n_wires):
-        sites.extend(("ins", q, p) for p in _insert_positions(c, (q,)))
+        sites.extend(("ins", q, p) for p in _insert_positions(c, q))
     sites.extend(("all", p) for p in range(len(c.gates) + 1))
     return sites
 
@@ -183,18 +180,18 @@ def _matches_cxcx_rev(c: Circuit) -> list[Site]:
 
 
 _MATCHERS = {
-    (TemplateKind.HH, FORWARD): _matches_hh_fwd,
-    (TemplateKind.HH, REVERSE): _matches_hh_rev,
-    (TemplateKind.CXCX, FORWARD): _matches_cxcx_fwd,
-    (TemplateKind.CXCX, REVERSE): _matches_cxcx_rev,
-    (TemplateKind.CX_PAR, FORWARD): _matches_cx_par,
-    (TemplateKind.CX_REV, FORWARD): _matches_cx_rev_fwd,
+    (HH, FORWARD): _matches_hh_fwd,
+    (HH, REVERSE): _matches_hh_rev,
+    (CXCX, FORWARD): _matches_cxcx_fwd,
+    (CXCX, REVERSE): _matches_cxcx_rev,
+    (CX_PAR, FORWARD): _matches_cx_par,
+    (CX_REV, FORWARD): _matches_cx_rev_fwd,
 }
 # same keys in the same order: updating a key keeps its place
 _LAYERED = {
     **_MATCHERS,
-    (TemplateKind.HH, REVERSE): lambda c: [("all", p) for p in sorted({0, len(c.gates)})],
-    (TemplateKind.CXCX, REVERSE): lambda c: [] if c.gates else _matches_cxcx_rev(c),
+    (HH, REVERSE): lambda c: [("all", p) for p in sorted({0, len(c.gates)})],
+    (CXCX, REVERSE): lambda c: [] if c.gates else _matches_cxcx_rev(c),
 }
 
 
@@ -221,18 +218,19 @@ def apply(c: Circuit, a: Action) -> Circuit:
     gates = c.gates
     kind, direction, site = a
 
-    if kind is TemplateKind.HH and direction == FORWARD:
+    if direction == FORWARD and kind in (HH, CXCX):
+        # two identical gates with nothing between them on their wires cancel
         _, i, j = site
         _check(0 <= i < j < len(gates), "gate index out of range")
-        gi, gj = gates[i], gates[j]
+        gi = gates[i]
         _check(
-            not gi.is_cx and not gj.is_cx and gi.qubits == gj.qubits,
-            "site is not an H pair on one wire",
+            gi == gates[j] and gi.is_cx == (kind == CXCX),
+            "site is not two identical gates of the template's kind",
         )
-        _check(_segment_clear(gates, i, j, gi.qubits), "a gate blocks the wire")
+        _check(_segment_clear(gates, i, j, gi.qubits), "a gate blocks the wires")
         return c.with_gates(gates[:i] + gates[i + 1 : j] + gates[j + 1 :])
 
-    if kind is TemplateKind.HH and direction == REVERSE:
+    if kind == HH and direction == REVERSE:
         if site[0] == "all":
             p = site[1]
             _check(0 <= p <= len(gates), "position out of range")
@@ -242,18 +240,7 @@ def apply(c: Circuit, a: Action) -> Circuit:
         _check(0 <= q < c.n_wires and 0 <= p <= len(gates), "site out of range")
         return c.with_gates(gates[:p] + (Gate.h(q), Gate.h(q)) + gates[p:])
 
-    if kind is TemplateKind.CXCX and direction == FORWARD:
-        _, i, j = site
-        _check(0 <= i < j < len(gates), "gate index out of range")
-        gi, gj = gates[i], gates[j]
-        _check(
-            gi.is_cx and gj.is_cx and gi.qubits == gj.qubits,
-            "site is not an identical CNOT pair",
-        )
-        _check(_segment_clear(gates, i, j, gi.qubits), "a gate blocks the wires")
-        return c.with_gates(gates[:i] + gates[i + 1 : j] + gates[j + 1 :])
-
-    if kind is TemplateKind.CXCX and direction == REVERSE:
+    if kind == CXCX and direction == REVERSE:
         _, ctrl, tgt, p = site
         _check(
             0 <= ctrl < c.n_wires and 0 <= tgt < c.n_wires and ctrl != tgt,
@@ -263,7 +250,7 @@ def apply(c: Circuit, a: Action) -> Circuit:
         pair = (Gate.cx(ctrl, tgt), Gate.cx(ctrl, tgt))
         return c.with_gates(gates[:p] + pair + gates[p:])
 
-    if kind is TemplateKind.CX_PAR and direction == FORWARD:
+    if kind == CX_PAR and direction == FORWARD:
         _, i, j = site
         _check(0 <= i < j < len(gates), "gate index out of range")
         gi, gj = gates[i], gates[j]
@@ -279,7 +266,7 @@ def apply(c: Circuit, a: Action) -> Circuit:
             gates[: i + 1] + (gj,) + gates[i + 1 : j] + gates[j + 1 :]
         )
 
-    if kind is TemplateKind.CX_REV and direction == FORWARD:
+    if kind == CX_REV and direction == FORWARD:
         _, i = site
         _check(0 <= i < len(gates) and gates[i].is_cx, "site is not a CNOT")
         cq, tq = gates[i].qubits
@@ -293,9 +280,9 @@ def gate_count_delta(a: Action, n_wires: int) -> int:
     """How many gates the action adds (negative for cancellations)."""
     kind, direction, site = a
     if direction == FORWARD:
-        if kind in (TemplateKind.HH, TemplateKind.CXCX):
+        if kind in (HH, CXCX):
             return -2
-        if kind is TemplateKind.CX_REV:
+        if kind == CX_REV:
             return 4
         return 0
     if site[0] == "all":

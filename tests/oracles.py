@@ -1,7 +1,7 @@
 """Shared test oracles: DAG isomorphism, node relabelling, random topological
 orders, the agent's layered action space as a filter over the full one, the
-gate budget as a per-action filter, action keys through ``Enum.value``, the
-set-based commutation rule, and forward-action BFS to a target depth.
+gate budget as a per-action filter, action keys through a per-tag format
+table, the set-based commutation rule, and forward-action BFS to a target depth.
 
 The search is restricted to the forward direction of all four templates
 (gate-count-nonincreasing, or structurally necessary for CX_REV).  The
@@ -90,8 +90,8 @@ def budget_filter(actions: list[Action], n_wires: int, budget: int) -> list[Acti
 
 
 def reference_key(a: Action) -> str:
-    """Reference for ``action_key``: the kind through ``Enum.value`` and one
-    format per site tag."""
+    """Reference for ``action_key``: a table of one format per site tag,
+    written apart from ``action_key``'s branches."""
     tag, *rest = a.site
     site = {
         "pair": "{}-{}",
@@ -100,7 +100,7 @@ def reference_key(a: Action) -> str:
         "cxins": "{}-{}:{}",
         "rev": "{}",
     }[tag].format(*rest)
-    return f"{a.kind.value}.{a.direction}@{site}"
+    return f"{a.kind}.{a.direction}@{site}"
 
 
 def commutes_by_sets(a: Gate, b: Gate) -> bool:

@@ -29,9 +29,9 @@ from qcopt.circuit import (
 from qcopt.dvae import DvaeConfig, DvaeModel
 from qcopt.harness import benchmark_agent_config
 from qcopt.rewrite import (
+    CX_REV,
     FORWARD,
     Action,
-    TemplateKind,
     action_key,
     apply,
     enumerate_actions,
@@ -80,7 +80,7 @@ def test_encoder_abstraction_deterministic_and_cached():
 
 def _toy_actions():
     actions = [
-        Action(TemplateKind.CX_REV, FORWARD, ("rev", i)) for i in range(4)
+        Action(CX_REV, FORWARD, ("rev", i)) for i in range(4)
     ]
     return actions, [action_key(a) for a in actions]
 

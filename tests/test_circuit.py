@@ -9,7 +9,6 @@ from qcopt.circuit import (
     Circuit,
     CircuitError,
     Gate,
-    GateKind,
     asap_moments,
     bv_circuit,
     depth,
@@ -60,12 +59,13 @@ def test_cnot_equal_wires_rejected():
         circ(2, Gate.cx(1, 1))
 
 
-def test_gate_kind_flag_is_stored_but_not_compared():
+def test_gate_is_its_wires_and_cx_flag():
     assert Gate.h(1).is_cx is False
     assert Gate.cx(0, 1).is_cx is True
-    assert Gate(GateKind.H, (0,)) == Gate.h(0)
-    assert hash(Gate(GateKind.CNOT, (0, 1))) == hash(Gate.cx(0, 1))
-    assert repr(Gate.h(0)) == "Gate(kind=<GateKind.H: 'h'>, qubits=(0,))"
+    assert Gate((0,), False) == Gate.h(0)
+    assert hash(Gate((0, 1), True)) == hash(Gate.cx(0, 1))
+    assert Gate((0, 1), False) != Gate.cx(0, 1)
+    assert repr(Gate.h(0)) == "Gate(qubits=(0,), is_cx=False)"
     with pytest.raises(FrozenInstanceError):
         Gate.h(0).is_cx = True
 

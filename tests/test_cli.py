@@ -11,7 +11,7 @@ from qcopt.dag import dag_to_debug_text, save_corpus, to_dag
 from qcopt.dvae import DvaeConfig, DvaeModel, load_checkpoint, save_checkpoint
 from qcopt.harness import HarnessConfig
 from qcopt import rewrite
-from qcopt.rewrite import REVERSE, TemplateKind, enumerate_actions
+from qcopt.rewrite import CXCX, REVERSE, enumerate_actions
 
 
 def test_grad_check_one_dag_passes(capsys):
@@ -33,7 +33,7 @@ def test_verify_small_suite_passes(capsys):
 def test_verify_draws_the_empty_circuit(monkeypatch, capsys):
     # reorder the CNOT-pair sites that the layered space seeds on the empty
     # circuit only; the layered space is then not a subsequence there
-    key = (TemplateKind.CXCX, REVERSE)
+    key = (CXCX, REVERSE)
     seed_pairs = rewrite._LAYERED[key]
     monkeypatch.setitem(rewrite._LAYERED, key, lambda c: seed_pairs(c)[::-1])
     assert dispatch(["verify", "--circuits", "3"]) == 1
@@ -46,14 +46,19 @@ def test_unknown_flag_is_usage_error(capsys):
 
 
 @pytest.mark.parametrize(
-    "argv", [["verify", "--circuits", "0"], ["verify", "--circuits", "-3"],
-             ["grad-check", "--dags", "0"]],
-    ids=["verify-0", "verify-negative", "grad-check-0"],
+    "argv, message",
+    [(["verify", "--circuits", "0"], "--circuits: must be at least 1, got 0"),
+     (["verify", "--circuits", "-3"], "--circuits: must be at least 1, got -3"),
+     (["grad-check", "--dags", "0"], "--dags: must be at least 1, got 0"),
+     (["verify", "--seed", "-1"], "--seed: must be at least 0, got -1"),
+     (["grad-check", "--seed", "-1"], "--seed: must be at least 0, got -1")],
+    ids=["verify-0", "verify-negative", "grad-check-0", "verify-seed-negative",
+         "grad-check-seed-negative"],
 )
-def test_count_below_one_is_usage_error(argv, capsys):
+def test_count_below_one_is_usage_error(argv, message, capsys):
     assert dispatch(argv) == 2
     err = capsys.readouterr().err
-    assert "must be at least 1" in err and "verified" not in err
+    assert message in err and "verified" not in err
 
 
 def test_verify_fails_when_layered_space_is_not_a_subsequence(monkeypatch, capsys):
@@ -221,8 +226,10 @@ def test_phases_chain_through_their_files(tmp_path, capsys):
      (["compare", "--n", "3", "--bin-width", "0"], "bin_width and lr must be positive"),
      (["compare", "--corpus-cap", "0"], "'corpus_cap' must be at least 1, got 0"),
      (["train-baseline", "--epochs", "0"], "epochs and max_gates must be positive"),
-     (["train-vae", "--d-h", "0"], "dimensions, epochs and batch size must be positive")],
-    ids=["seeds-0", "seeds-negative", "bin-width-0", "corpus-cap-0", "epochs-0", "d-h-0"],
+     (["train-vae", "--d-h", "0"], "dimensions, epochs and batch size must be positive"),
+     (["train-baseline", "--seed", "-1"], "'seed' must be at least 0, got -1")],
+    ids=["seeds-0", "seeds-negative", "bin-width-0", "corpus-cap-0", "epochs-0", "d-h-0",
+         "seed-negative"],
 )
 def test_bad_setting_fails_before_any_work(tmp_path, monkeypatch, capsys, argv, message):
     def no_phase(*args):

@@ -13,11 +13,14 @@ from qcopt.circuit import (
     unitary,
 )
 from qcopt.rewrite import (
+    CX_PAR,
+    CX_REV,
+    CXCX,
     FORWARD,
+    HH,
     REVERSE,
     Action,
     StaleSiteError,
-    TemplateKind,
     action_key,
     apply,
     commutes,
@@ -39,71 +42,71 @@ def template_sites(c, kind, direction):
 
 
 def test_hh_forward_adjacent_pair():
-    assert template_sites(circ(1, Gate.h(0), Gate.h(0)), TemplateKind.HH, FORWARD) == [
+    assert template_sites(circ(1, Gate.h(0), Gate.h(0)), HH, FORWARD) == [
         ("pair", 0, 1)
     ]
 
 
 def test_hh_forward_blocked_by_cnot():
     c = circ(2, Gate.h(0), Gate.cx(0, 1), Gate.h(0))
-    assert template_sites(c, TemplateKind.HH, FORWARD) == []
+    assert template_sites(c, HH, FORWARD) == []
 
 
 def test_hh_forward_sees_through_other_wires():
     c = circ(2, Gate.h(0), Gate.h(1), Gate.h(0))
-    assert template_sites(c, TemplateKind.HH, FORWARD) == [("pair", 0, 2)]
+    assert template_sites(c, HH, FORWARD) == [("pair", 0, 2)]
 
 
 def test_hh_forward_triple_gives_consecutive_pairs():
     c = circ(1, Gate.h(0), Gate.h(0), Gate.h(0))
-    assert template_sites(c, TemplateKind.HH, FORWARD) == [("pair", 0, 1), ("pair", 1, 2)]
+    assert template_sites(c, HH, FORWARD) == [("pair", 0, 1), ("pair", 1, 2)]
 
 
 def test_cxcx_forward_pair():
     c = circ(2, Gate.cx(0, 1), Gate.cx(0, 1))
-    assert template_sites(c, TemplateKind.CXCX, FORWARD) == [("pair", 0, 1)]
+    assert template_sites(c, CXCX, FORWARD) == [("pair", 0, 1)]
 
 
 def test_cxcx_forward_blocked_by_touching_gate():
     c = circ(2, Gate.cx(0, 1), Gate.h(0), Gate.cx(0, 1))
-    assert template_sites(c, TemplateKind.CXCX, FORWARD) == []
+    assert template_sites(c, CXCX, FORWARD) == []
 
 
 def test_cx_par_adjacent_same_control():
     c = circ(3, Gate.cx(0, 1), Gate.cx(0, 2))
-    assert template_sites(c, TemplateKind.CX_PAR, FORWARD) == [("pair", 0, 1)]
+    assert template_sites(c, CX_PAR, FORWARD) == [("pair", 0, 1)]
 
 
 def test_cx_par_crosses_commuting_gates_only():
     # H(3) is support-disjoint from CNOT(0,2), so it may be crossed
     c = circ(4, Gate.cx(0, 1), Gate.h(3), Gate.cx(0, 2))
-    assert template_sites(c, TemplateKind.CX_PAR, FORWARD) == [("pair", 0, 2)]
+    assert template_sites(c, CX_PAR, FORWARD) == [("pair", 0, 2)]
     # H(2) touches the moving CNOT's target: blocked
     c = circ(4, Gate.cx(0, 1), Gate.h(2), Gate.cx(0, 2))
-    assert template_sites(c, TemplateKind.CX_PAR, FORWARD) == []
+    assert template_sites(c, CX_PAR, FORWARD) == []
 
 
 def test_cx_rev_forward_every_cnot():
     c = circ(3, Gate.h(0), Gate.cx(0, 1), Gate.cx(1, 2))
-    assert template_sites(c, TemplateKind.CX_REV, FORWARD) == [("rev", 1), ("rev", 2)]
+    assert template_sites(c, CX_REV, FORWARD) == [("rev", 1), ("rev", 2)]
 
 
 def test_cx_rev_reverse_never_enumerated():
     # undoing a reversal goes through CX_REV forward plus HH cancellations;
     # there is no CX_REV reverse direction to enumerate
-    c = apply(circ(2, Gate.cx(0, 1)), Action(TemplateKind.CX_REV, FORWARD, ("rev", 0)))
-    assert template_sites(c, TemplateKind.CX_REV, REVERSE) == []
+    c = apply(circ(2, Gate.cx(0, 1)), Action(CX_REV, FORWARD, ("rev", 0)))
+    assert template_sites(c, CX_REV, REVERSE) == []
 
 
 def test_cx_par_has_no_reverse():
     c = circ(3, Gate.cx(0, 2), Gate.cx(0, 1))  # the result of a CX_PAR move
-    assert template_sites(c, TemplateKind.CX_PAR, FORWARD) == [("pair", 0, 1)]
-    assert template_sites(c, TemplateKind.CX_PAR, REVERSE) == []
+    assert template_sites(c, CX_PAR, FORWARD) == [("pair", 0, 1)]
+    assert template_sites(c, CX_PAR, REVERSE) == []
 
 
 def test_hh_reverse_positions_near_wire_gates():
     c = circ(2, Gate.h(0), Gate.cx(0, 1))
-    sites = template_sites(c, TemplateKind.HH, REVERSE)
+    sites = template_sites(c, HH, REVERSE)
     assert ("ins", 0, 0) in sites and ("ins", 0, 1) in sites and ("ins", 0, 2) in sites
     # wire 1 is only touched by the CNOT at index 1
     assert ("ins", 1, 0) in sites and ("ins", 1, 1) in sites and ("ins", 1, 2) in sites
@@ -115,43 +118,48 @@ def test_hh_reverse_positions_near_wire_gates():
 
 
 def test_apply_cx_rev_forward():
-    c = apply(circ(2, Gate.cx(0, 1)), Action(TemplateKind.CX_REV, FORWARD, ("rev", 0)))
+    c = apply(circ(2, Gate.cx(0, 1)), Action(CX_REV, FORWARD, ("rev", 0)))
     assert c.gates == (Gate.h(0), Gate.h(1), Gate.cx(1, 0), Gate.h(0), Gate.h(1))
 
 
 def test_apply_hh_forward_deletes_pair():
     c = apply(
-        circ(1, Gate.h(0), Gate.h(0)), Action(TemplateKind.HH, FORWARD, ("pair", 0, 1))
+        circ(1, Gate.h(0), Gate.h(0)), Action(HH, FORWARD, ("pair", 0, 1))
     )
     assert c.gates == ()
 
 
 def test_hh_insert_then_cancel_roundtrip():
     c0 = circ(2, Gate.cx(0, 1))
-    ins = Action(TemplateKind.HH, REVERSE, ("ins", 1, 1))
+    ins = Action(HH, REVERSE, ("ins", 1, 1))
     c1 = apply(c0, ins)
     assert c1.gates == (Gate.cx(0, 1), Gate.h(1), Gate.h(1))
-    c2 = apply(c1, Action(TemplateKind.HH, FORWARD, ("pair", 1, 2)))
+    c2 = apply(c1, Action(HH, FORWARD, ("pair", 1, 2)))
     assert c2 == c0
 
 
 def test_apply_all_wires_insertion():
-    c = apply(circ(2, Gate.cx(0, 1)), Action(TemplateKind.HH, REVERSE, ("all", 1)))
+    c = apply(circ(2, Gate.cx(0, 1)), Action(HH, REVERSE, ("all", 1)))
     assert c.gates == (Gate.cx(0, 1), Gate.h(0), Gate.h(1), Gate.h(0), Gate.h(1))
 
 
 def test_apply_cx_par_moves_gate():
     c = circ(4, Gate.cx(0, 1), Gate.h(3), Gate.cx(0, 2))
-    moved = apply(c, Action(TemplateKind.CX_PAR, FORWARD, ("pair", 0, 2)))
+    moved = apply(c, Action(CX_PAR, FORWARD, ("pair", 0, 2)))
     assert moved.gates == (Gate.cx(0, 1), Gate.cx(0, 2), Gate.h(3))
 
 
 def test_apply_stale_site_raises():
     c = circ(2, Gate.h(0), Gate.cx(0, 1), Gate.h(0))
     with pytest.raises(StaleSiteError):
-        apply(c, Action(TemplateKind.HH, FORWARD, ("pair", 0, 2)))
+        apply(c, Action(HH, FORWARD, ("pair", 0, 2)))
     with pytest.raises(StaleSiteError):
-        apply(c, Action(TemplateKind.CX_REV, FORWARD, ("rev", 0)))
+        apply(c, Action(CX_REV, FORWARD, ("rev", 0)))
+    # identical adjacent gates of the other template's kind
+    with pytest.raises(StaleSiteError):
+        apply(circ(2, Gate.cx(0, 1), Gate.cx(0, 1)), Action(HH, FORWARD, ("pair", 0, 1)))
+    with pytest.raises(StaleSiteError):
+        apply(circ(1, Gate.h(0), Gate.h(0)), Action(CXCX, FORWARD, ("pair", 0, 1)))
 
 
 # --- enumeration ----------------------------------------------------------------
@@ -160,7 +168,7 @@ def test_apply_stale_site_raises():
 def test_enumerate_empty_circuit():
     actions = enumerate_actions(circ(2))
     kinds = {(a.kind, a.direction) for a in actions}
-    assert kinds == {(TemplateKind.HH, REVERSE), (TemplateKind.CXCX, REVERSE)}
+    assert kinds == {(HH, REVERSE), (CXCX, REVERSE)}
     assert all(a.site[-1] == 0 for a in actions)  # every insertion at position 0
     assert ("all", 0) in [a.site for a in actions]
 
@@ -168,10 +176,10 @@ def test_enumerate_empty_circuit():
 def test_enumerate_unoptimised_bv2():
     c = bv_circuit(BvSpec(2, 0b11))
     actions = enumerate_actions(c)
-    rev_sites = [a.site for a in actions if a.kind is TemplateKind.CX_REV]
+    rev_sites = [a.site for a in actions if a.kind == CX_REV]
     assert ("rev", 3) in rev_sites and ("rev", 4) in rev_sites
     assert not any(
-        a.kind is TemplateKind.HH and a.direction == FORWARD for a in actions
+        a.kind == HH and a.direction == FORWARD for a in actions
     )
 
 
@@ -183,11 +191,11 @@ def test_action_keys_unique_and_stable():
         assert len(keys) == len(set(keys))
         assert keys == [reference_key(a) for a in actions]
     c = circ(3, Gate.cx(0, 1))
-    assert action_key(Action(TemplateKind.CX_REV, FORWARD, ("rev", 0))) == "CX_REV.fwd@0"
-    assert action_key(Action(TemplateKind.HH, REVERSE, ("ins", 2, 1))) == "HH.rev@2:1"
-    assert action_key(Action(TemplateKind.HH, REVERSE, ("all", 3))) == "HH.rev@all:3"
-    assert action_key(Action(TemplateKind.CXCX, REVERSE, ("cxins", 0, 2, 1))) == "CXCX.rev@0-2:1"
-    assert action_key(Action(TemplateKind.HH, FORWARD, ("pair", 1, 4))) == "HH.fwd@1-4"
+    assert action_key(Action(CX_REV, FORWARD, ("rev", 0))) == "CX_REV.fwd@0"
+    assert action_key(Action(HH, REVERSE, ("ins", 2, 1))) == "HH.rev@2:1"
+    assert action_key(Action(HH, REVERSE, ("all", 3))) == "HH.rev@all:3"
+    assert action_key(Action(CXCX, REVERSE, ("cxins", 0, 2, 1))) == "CXCX.rev@0-2:1"
+    assert action_key(Action(HH, FORWARD, ("pair", 1, 4))) == "HH.fwd@1-4"
 
 
 def test_layered_enumeration_equals_filtered_full_space():
@@ -225,7 +233,7 @@ def test_gate_count_deltas():
         for a in enumerate_actions(c):
             out = apply(c, a)
             assert len(out) - len(c) == gate_count_delta(a, c.n_wires), (a, c)
-            if a.kind is TemplateKind.CX_PAR:
+            if a.kind == CX_PAR:
                 assert sorted(map(repr, out.gates)) == sorted(map(repr, c.gates))
 
 
