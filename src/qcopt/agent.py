@@ -17,7 +17,7 @@ import numpy as np
 
 from .circuit import Circuit, depth, state_string
 from .dag import to_dag
-from .dvae import DvaeModel, NodeTable, encode_np, latent_key
+from .dvae import DvaeModel, EncodeTable, encode_np, latent_key
 from .rewrite import (
     Action,
     action_key,
@@ -71,21 +71,27 @@ class EncoderAbstraction:
     RL loop revisits circuits constantly.  A new circuit is one local rewrite
     away from one seen before, so most of its DAG nodes have the same type
     and predecessor states in edge order, and hence the same state; one
-    ``encode_np`` node table per instance (one run, one model) shares them.
+    ``encode_np`` table per instance (one run, one model) shares them, and
+    whole graphs by their output-node states.  The key depends on the latent
+    mean alone, so it is computed once per distinct mean.
     """
 
     def __init__(self, model: DvaeModel, bin_width: float):
         self.model = model
         self.bin_width = bin_width
+        self.table = EncodeTable()
         self._cache: dict[str, StateKey] = {}
-        self._nodes: NodeTable = {}
+        self._keys: dict[bytes, StateKey] = {}
 
     def __call__(self, c: Circuit) -> StateKey:
         exact = state_string(c)
         key = self._cache.get(exact)
         if key is None:
-            latent = encode_np(self.model, to_dag(c), self._nodes)
-            key = latent_key(latent, self.bin_width)
+            latent = encode_np(self.model, to_dag(c), self.table)
+            mu = latent.mu.tobytes()
+            key = self._keys.get(mu)
+            if key is None:
+                key = self._keys[mu] = latent_key(latent, self.bin_width)
             self._cache[exact] = key
         return key
 

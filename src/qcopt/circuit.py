@@ -20,7 +20,7 @@ MAX_UNITARY_WIRES = 6
 
 
 class CircuitError(ValueError):
-    """Invalid circuit structure (wire out of range, control == target)."""
+    """Invalid circuit structure (wrong wire count, wire out of range, control == target)."""
 
 
 @dataclass(frozen=True, slots=True)
@@ -58,18 +58,32 @@ class Circuit:
     def __post_init__(self):
         if self.n_wires < 1:
             raise CircuitError(f"circuit needs at least one wire, got {self.n_wires}")
+        # every rewrite builds a circuit, so the check is one test per kind;
+        # _gate_fault says what failed
+        n = self.n_wires
         for g in self.gates:
-            for q in g.qubits:
-                if not 0 <= q < self.n_wires:
-                    raise CircuitError(f"wire {q} out of range for {self.n_wires} wires")
-            if g.is_cx and g.control == g.target:
-                raise CircuitError(f"CNOT control equals target (wire {g.control})")
+            qs = g.qubits
+            if g.is_cx:
+                if len(qs) != 2 or qs[0] == qs[1] or not (0 <= qs[0] < n and 0 <= qs[1] < n):
+                    raise CircuitError(_gate_fault(g, n))
+            elif len(qs) != 1 or not 0 <= qs[0] < n:
+                raise CircuitError(_gate_fault(g, n))
 
     def with_gates(self, gates) -> "Circuit":
         return Circuit(self.n_wires, tuple(gates))
 
     def __len__(self) -> int:
         return len(self.gates)
+
+
+def _gate_fault(g: Gate, n_wires: int) -> str:
+    if len(g.qubits) != 1 + g.is_cx:
+        wires = "a CNOT takes 2 wires" if g.is_cx else "an H gate takes 1 wire"
+        return f"{wires}, got {g.qubits}"
+    for q in g.qubits:
+        if not 0 <= q < n_wires:
+            return f"wire {q} out of range for {n_wires} wires"
+    return f"CNOT control equals target (wire {g.qubits[0]})"
 
 
 @dataclass(frozen=True, slots=True)

@@ -224,7 +224,7 @@ def cmd_train_encoded(args) -> int:
     _echo_config(cfg, out)
     _write(os.path.join(out, "qtable.tsv"), qtable_to_tsv(result.qtable))
     best = min(t.best_depth for t in result.traces)
-    print(f"l_a = {result.l_a}, best depth = {best}")
+    print(f"l_a = {result.l_a}, best depth = {best}, {result.graph_states} graph states")
     return 0
 
 

@@ -30,15 +30,16 @@ returns the summed value, its parts and a cache; ``backward`` walks that
 cache level by level in reverse and returns the parameter gradients.  A
 batch of one DAG is the single-graph case.  The inference-only
 ``encode_np`` shares the encoder's node update and readout but runs node by
-node and keeps no activations; it hash-conses node states in a table that a
-caller can carry across DAGs.
+node and keeps no activations; it hash-conses node states, and whole graphs
+by their output nodes' states, in a table that a caller can carry across
+DAGs.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from typing import NamedTuple
 
 import numpy as np
@@ -287,25 +288,36 @@ def _encoder_forward(m: DvaeModel, batch: Batch) -> tuple[Latent, EncoderActs]:
     return latent, EncoderActs(steps, readout, hg)
 
 
-# (node type, table ids of the predecessors in edge order) -> (id, (1, d_h) state)
-NodeTable = dict[tuple, tuple[int, np.ndarray]]
+@dataclass
+class EncodeTable:
+    """``encode_np``'s hash-consed states, kept for a run of one model."""
+
+    # (node type, table ids of the predecessors in edge order) -> (id, (1, d_h) state)
+    nodes: dict[tuple, tuple[int, np.ndarray]] = field(default_factory=dict)
+    # table ids of the output nodes in id order -> the graph's latent
+    graphs: dict[tuple, Latent] = field(default_factory=dict)
 
 
-def encode_np(m: DvaeModel, d: CircuitDag, nodes: NodeTable | None = None) -> Latent:
+def encode_np(m: DvaeModel, d: CircuitDag, table: EncodeTable | None = None) -> Latent:
     """Latent distribution of one DAG, equal bit for bit to the latent that
     ``loss`` computes for a batch of that DAG alone; used by the RL loop,
     which needs no gradients.
 
     A node's state depends only on its type and on its predecessors' states
-    taken in edge order, so states are hash-consed in ``nodes``: each node is
-    keyed by its type and its predecessors' table ids, and the node update
-    runs only for a key the table lacks.  Passing one table to many calls
-    shares states across DAGs that differ by a local rewrite.  A table
-    belongs to the model that filled it; ``None`` starts a fresh one.  An
-    edge that does not go forward raises ValueError.
+    taken in edge order, so states are hash-consed in ``table.nodes``: each
+    node is keyed by its type and its predecessors' table ids, and the node
+    update runs only for a key the table lacks.  Whole graphs are
+    hash-consed too: the latent depends only on the output nodes' states in
+    id order, so ``table.graphs`` keys it by their table ids and the readout
+    runs only for a tuple the table lacks (gate orders that differ only on
+    disjoint wires give one tuple).  Passing one table to many calls shares
+    states across DAGs that differ by a local rewrite.  A table belongs to
+    the model that filled it; ``None`` starts a fresh one.  An edge that
+    does not go forward raises ValueError.
     """
-    if nodes is None:
-        nodes = {}
+    if table is None:
+        table = EncodeTable()
+    nodes = table.nodes
     preds = d.predecessors()
     entries: list = [None] * d.n_nodes
     sinks = []
@@ -322,10 +334,14 @@ def encode_np(m: DvaeModel, d: CircuitDag, nodes: NodeTable | None = None) -> La
             entry = nodes[key] = (len(nodes), h)
         entries[v] = entry
         if t is NodeType.OUTPUT:
-            sinks.append(entry[1])
-    h_sinks = np.concatenate(sinks) if sinks else np.empty((0, m.d_h))
-    mu, logvar = _readout(m, h_sinks, np.zeros(len(sinks), dtype=np.intp), 1)[0]
-    return Latent(mu[0], logvar[0])
+            sinks.append(entry)
+    graph = tuple([e[0] for e in sinks])
+    latent = table.graphs.get(graph)
+    if latent is None:
+        h_sinks = np.concatenate([e[1] for e in sinks]) if sinks else np.empty((0, m.d_h))
+        mu, logvar = _readout(m, h_sinks, np.zeros(len(sinks), dtype=np.intp), 1)[0]
+        latent = table.graphs[graph] = Latent(mu[0], logvar[0])
+    return latent
 
 
 def _encoder_backward(

@@ -99,6 +99,7 @@ class EncodedResult:
     qtable: QTable
     traces: list[EpisodeTrace]
     l_a: int
+    graph_states: int  # distinct output-state tuples the encoder read out
 
 
 @dataclass
@@ -182,7 +183,9 @@ def run_encoded(
     """Phase 3: retrain from scratch with the quantised-latent states."""
     abstraction = EncoderAbstraction(model, bin_width)
     result = train_agent(bv_circuit(spec), abstraction, cfg)
-    return EncodedResult(result.qtable, result.traces, result.state_count)
+    return EncodedResult(
+        result.qtable, result.traces, result.state_count, len(abstraction.table.graphs)
+    )
 
 
 def compare(

@@ -59,6 +59,19 @@ def test_cnot_equal_wires_rejected():
         circ(2, Gate.cx(1, 1))
 
 
+@pytest.mark.parametrize("gate, message", [
+    # a two-wire H would read back as "h 0"; a one-wire CNOT has no target
+    (Gate((0, 1), False), r"an H gate takes 1 wire, got \(0, 1\)"),
+    (Gate((1,), True), r"a CNOT takes 2 wires, got \(1,\)"),
+    (Gate.h(2), "wire 2 out of range for 2 wires"),
+    (Gate.cx(0, -1), "wire -1 out of range for 2 wires"),
+    (Gate.cx(1, 1), r"CNOT control equals target \(wire 1\)"),
+])
+def test_bad_gate_error_names_the_fault(gate, message):
+    with pytest.raises(CircuitError, match=message):
+        circ(2, gate)
+
+
 def test_gate_is_its_wires_and_cx_flag():
     assert Gate.h(1).is_cx is False
     assert Gate.cx(0, 1).is_cx is True

@@ -217,6 +217,10 @@ def test_phases_chain_through_their_files(tmp_path, capsys):
             str(vae / "model.ckpt"), "--epochs", "5", "--out", str(enc)]
     assert dispatch(argv) == 0
     assert sorted(p.name for p in enc.iterdir()) == ["config.txt", "qtable.tsv"]
+    # every key comes from one graph state's latent, so l_a cannot exceed their count
+    last = capsys.readouterr().out.splitlines()[-1]
+    found = re.fullmatch(r"l_a = (\d+), best depth = \d+, (\d+) graph states", last)
+    assert found and 1 <= int(found[1]) <= int(found[2])
 
 
 @pytest.mark.parametrize(

@@ -5,11 +5,13 @@ import numpy as np
 import pytest
 
 from oracles import random_topological_order, relabelled
+from qcopt import agent, dvae, harness
 from qcopt.circuit import BvSpec, Circuit, Gate, bv_circuit, random_icmh_circuit
 from qcopt.dag import CircuitDag, NodeType, to_dag
 from qcopt.dvae import (
     DvaeConfig,
     DvaeModel,
+    EncodeTable,
     Latent,
     backward,
     encode_np,
@@ -137,11 +139,11 @@ def test_encode_np_matches_loss_encoder():
 def test_encode_np_shared_table_equals_encoder_forward():
     # the training forward is the reference; a shared table must not move a bit
     m = small_model(d_h=12, d_z=4, seed=3)
-    nodes = {}
+    table = EncodeTable()
     for seed in range(240):
         d = to_dag(random_icmh_circuit(2 + seed % 4, seed % 16, seed))
         ref = batch_cache(m, [d]).latent
-        for got in (encode_np(m, d, nodes), encode_np(m, d)):
+        for got in (encode_np(m, d, table), encode_np(m, d)):
             assert np.array_equal(got.mu, ref.mu[0])
             assert np.array_equal(got.logvar, ref.logvar[0])
 
@@ -150,14 +152,55 @@ def test_encode_np_table_reuses_node_states():
     m = small_model()
     start = bv_circuit(BvSpec(2, 0b11))
     assert to_dag(start).n_nodes == 18
-    nodes = {}
-    encode_np(m, to_dag(start), nodes)
-    assert len(nodes) == 13  # the inputs share one state, as do the first Hs
-    encode_np(m, to_dag(start), nodes)
-    assert len(nodes) == 13
+    table = EncodeTable()
+    encode_np(m, to_dag(start), table)
+    assert len(table.nodes) == 13  # the inputs share one state, as do the first Hs
+    encode_np(m, to_dag(start), table)
+    assert len(table.nodes) == 13
     longer = Circuit(start.n_wires, start.gates + (Gate.h(0), Gate.h(0)))
-    encode_np(m, to_dag(longer), nodes)
-    assert len(nodes) == 16  # two H nodes and the wire-0 output
+    encode_np(m, to_dag(longer), table)
+    assert len(table.nodes) == 16  # two H nodes and the wire-0 output
+    assert len(table.graphs) == 2  # graph latents stay out of the node part
+
+
+def test_encode_np_commuting_gate_orders_share_one_graph_entry():
+    m = small_model()
+    table = EncodeTable()
+    first = encode_np(m, to_dag(circ(2, Gate.h(0), Gate.h(1))), table)
+    assert len(table.graphs) == 1
+    swapped = to_dag(circ(2, Gate.h(1), Gate.h(0)))
+    hit = encode_np(m, swapped, table)
+    assert len(table.graphs) == 1 and hit is first
+    fresh = encode_np(m, swapped)
+    assert np.array_equal(hit.mu, fresh.mu) and np.array_equal(hit.logvar, fresh.logvar)
+
+
+def test_encoded_run_reads_out_and_keys_each_distinct_graph_once(monkeypatch):
+    calls = {"encode": 0, "readout": [], "key": []}
+    encode, readout, key = dvae.encode_np, dvae._readout, dvae.latent_key
+
+    def counting_encode(*args):
+        calls["encode"] += 1
+        return encode(*args)
+
+    def counting_readout(m, h_sinks, seg, n):
+        calls["readout"].append(h_sinks.tobytes())
+        return readout(m, h_sinks, seg, n)
+
+    def counting_key(latent, bin_width):
+        calls["key"].append(latent.mu.tobytes())
+        return key(latent, bin_width)
+
+    monkeypatch.setattr(agent, "encode_np", counting_encode)
+    monkeypatch.setattr(dvae, "_readout", counting_readout)
+    monkeypatch.setattr(agent, "latent_key", counting_key)
+    spec = BvSpec(2, 0b11)
+    result = harness.run_encoded(
+        spec, small_model(), harness.benchmark_agent_config(spec, 20, 0), 1e-4
+    )
+    assert len(calls["readout"]) == len(set(calls["readout"])) == result.graph_states
+    assert len(calls["key"]) == len(set(calls["key"])) <= result.graph_states
+    assert result.graph_states < calls["encode"]
 
 
 # --- teacher-forced decoding -------------------------------------------------------

@@ -88,3 +88,14 @@ def test_encoded_qtable_pinned(encoder):
     assert sha256(qtable_to_tsv(result.qtable).encode()) == (
         "1caac6aa0b1250431b27d22ce8ea08d63e66d8bbbbb669c5fb743f7575832092"
     )
+
+
+def test_encoded_qtable_pinned_at_a_fine_bin(encoder):
+    # at bin 0.5 every state shares one key (l_a = 1), so that pin cannot see
+    # a state given another state's key; at bin 1e-4 the keys split the table
+    model, _, _, _ = encoder
+    result = run_encoded(SPEC, model, benchmark_agent_config(SPEC, 100, 0), 1e-4)
+    assert result.l_a == 226
+    assert sha256(qtable_to_tsv(result.qtable).encode()) == (
+        "8f0d9c3c2a04f4bcfa8c0173343d924d0cf55da5e6d31cabf079705c71d26392"
+    )
