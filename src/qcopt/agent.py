@@ -240,13 +240,12 @@ def run_episode(
 class TrainResult:
     qtable: QTable
     traces: list[EpisodeTrace]
-    state_count: int
     visited: dict[StateKey, Circuit]
 
 
 def train_agent(start: Circuit, abstraction, cfg: AgentConfig) -> TrainResult:
     """cfg.epochs episodes from the same start circuit with per-episode
-    epsilon decay; returns the table, all traces and l = number of states."""
+    epsilon decay; returns the table, whose length is l, all traces and ``visited``."""
     q: QTable = {}
     visited: dict[StateKey, Circuit] = {}
     rng = np.random.default_rng(cfg.seed)
@@ -255,7 +254,7 @@ def train_agent(start: Circuit, abstraction, cfg: AgentConfig) -> TrainResult:
     for _ in range(cfg.epochs):
         traces.append(run_episode(start, q, abstraction, cfg, rng, epsilon, visited))
         epsilon = max(EPSILON_MIN, epsilon * EPSILON_DECAY)
-    return TrainResult(q, traces, len(q), visited)
+    return TrainResult(q, traces, visited)
 
 
 def greedy_trajectory(

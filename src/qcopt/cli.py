@@ -22,23 +22,8 @@ file, then command-line flags (later wins).  In the config file a line whose
 first non-blank character is `#` is a comment; a `#` anywhere else is part
 of the value.  Every run directory receives the fully resolved configuration
 as `config.txt`, which `--config` reads back, so a run can be reproduced
-byte-exactly.  The keys are the fields of
-`harness.HarnessConfig`, each with the flag that sets it:
-
-    n             --n            data-wire count of the BV instance
-    secret        --secret       hidden bit string (default all ones)
-    epochs        --epochs       episodes per agent (default per size)
-    seeds         --seeds        compare runs seeds 0 .. seeds-1
-    seed          --seed         seed of the single-phase subcommands
-    out_dir       --out          output directory
-    corpus_cap    --corpus-cap   DAGs sampled from the corpus for phase 2
-    dvae_d_h      --d-h          autoencoder hidden width
-    dvae_d_z      --d-z          latent width
-    dvae_epochs   --vae-epochs   autoencoder training epochs
-    dvae_lr       --vae-lr       Adam learning rate
-    dvae_batch    --vae-batch    mini-batch size
-    dvae_beta     --beta         KL weight
-    bin_width     --bin-width    latent quantisation step
+byte-exactly.  The keys are the fields of `harness.HarnessConfig`; `FLAGS`
+gives each its flag and help line, and `qcopt <subcommand> --help` shows them.
 
 Exit codes: 0 success, 1 validation failure, 2 usage error.
 """
@@ -75,23 +60,42 @@ class ConfigError(ValueError):
     pass
 
 
-_FIELD_TYPES = {f.name: f for f in fields(HarnessConfig)}
+# each HarnessConfig field's flag and help line, in field order
+FLAGS = {
+    "n": ("--n", "data-wire count of the BV instance"),
+    "secret": ("--secret", "hidden bit string (default all ones)"),
+    "epochs": ("--epochs", "episodes per agent (default per size)"),
+    "seeds": ("--seeds", "compare runs seeds 0 .. seeds-1"),
+    "seed": ("--seed", "seed of the single-phase subcommands"),
+    "out_dir": ("--out", "output directory"),
+    "corpus_cap": ("--corpus-cap", "DAGs sampled from the corpus for phase 2"),
+    "dvae_d_h": ("--d-h", "autoencoder hidden width"),
+    "dvae_d_z": ("--d-z", "latent width"),
+    "dvae_epochs": ("--vae-epochs", "autoencoder training epochs"),
+    "dvae_lr": ("--vae-lr", "Adam learning rate"),
+    "dvae_batch": ("--vae-batch", "mini-batch size"),
+    "dvae_beta": ("--beta", "KL weight"),
+    "bin_width": ("--bin-width", "latent quantisation step"),
+}
+
+# a field's annotation -> the converter of its values, flags and config file
+# alike, and what a config-file error says it expects
+_CONVERTERS = {
+    "int": (int, "an integer"),
+    "int | None": (int, "an integer"),
+    "float": (float, "a number"),
+    "str": (str, "text"),
+}
+_FIELD_TYPES = {f.name: _CONVERTERS[f.type] for f in fields(HarnessConfig)}
 
 
 def _parse_value(key: str, raw: str):
-    field = _FIELD_TYPES[key]
+    convert, expected = _FIELD_TYPES[key]
     raw = raw.strip()
-    if field.type in ("int", "int | None"):
-        try:
-            return int(raw)
-        except ValueError:
-            raise ConfigError(f"config key {key!r} expects an integer, got {raw!r}")
-    if field.type == "float":
-        try:
-            return float(raw)
-        except ValueError:
-            raise ConfigError(f"config key {key!r} expects a number, got {raw!r}")
-    return raw
+    try:
+        return convert(raw)
+    except ValueError:
+        raise ConfigError(f"config key {key!r} expects {expected}, got {raw!r}") from None
 
 
 def load_config(path: str | None, overrides: dict) -> HarnessConfig:
@@ -314,25 +318,15 @@ def _int_at_least(low: int):
     return int_at_least
 
 
-def _config_parser(sub, name: str, run) -> argparse.ArgumentParser:
-    """A subcommand with the run-config flags; its ``run`` reads them with ``_config``."""
-    p = sub.add_parser(name)
+def _config_parser(sub, name: str, run, keys=FLAGS, **kwargs) -> argparse.ArgumentParser:
+    """A subcommand with ``--config`` and the flags of the config ``keys``;
+    its ``run`` reads them with ``_config``."""
+    p = sub.add_parser(name, **kwargs)
     p.set_defaults(run=run)
     p.add_argument("--config", help="flat key = value settings file")
-    p.add_argument("--n", type=int, help="data-wire count of the BV instance")
-    p.add_argument("--secret", type=int, help="hidden bit string (default all ones)")
-    p.add_argument("--epochs", type=int, help="episodes per agent")
-    p.add_argument("--seed", type=int, help="seed for single runs")
-    p.add_argument("--seeds", type=int, help="seed count for compare")
-    p.add_argument("--out", dest="out_dir", help="output directory")
-    p.add_argument("--corpus-cap", dest="corpus_cap", type=int)
-    p.add_argument("--d-h", dest="dvae_d_h", type=int)
-    p.add_argument("--d-z", dest="dvae_d_z", type=int)
-    p.add_argument("--vae-epochs", dest="dvae_epochs", type=int)
-    p.add_argument("--vae-lr", dest="dvae_lr", type=float)
-    p.add_argument("--vae-batch", dest="dvae_batch", type=int)
-    p.add_argument("--beta", dest="dvae_beta", type=float)
-    p.add_argument("--bin-width", dest="bin_width", type=float)
+    for key in keys:
+        flag, help_text = FLAGS[key]
+        p.add_argument(flag, dest=key, type=_FIELD_TYPES[key][0], help=help_text)
     return p
 
 
@@ -343,11 +337,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("gen-bv", help="write a Bernstein-Vazirani circuit")
-    p.set_defaults(run=cmd_gen_bv)
-    p.add_argument("--config", help="flat key = value settings file")
-    p.add_argument("--n", type=int)
-    p.add_argument("--secret", type=int)
+    p = _config_parser(
+        sub, "gen-bv", cmd_gen_bv, ("n", "secret"), help="write a Bernstein-Vazirani circuit"
+    )
     p.add_argument("--out", dest="qasm_out", help="QASM file (default: stdout)")
 
     _config_parser(sub, "train-baseline", cmd_train_baseline)
@@ -383,7 +375,7 @@ def dispatch(argv: list[str]) -> int:
 
     try:
         return args.run(args)
-    except (ConfigError, ValueError, OSError, FloatingPointError) as exc:
+    except (ValueError, OSError, FloatingPointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

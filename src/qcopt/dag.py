@@ -27,13 +27,13 @@ separated by a blank line.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
+from enum import IntEnum
 
 from .circuit import Circuit
 
 
-class NodeType(Enum):
-    # values are the one-hot feature indices
+class NodeType(IntEnum):
+    # a type is its one-hot feature index
     INPUT = 0
     OUTPUT = 1
     HADAMARD = 2

@@ -72,11 +72,13 @@ class Latent(NamedTuple):
 
 @dataclass
 class DvaeConfig:
-    d_h: int = 64
+    """Autoencoder settings; ``harness.HarnessConfig`` takes its defaults from here."""
+
+    d_h: int = 32
     d_z: int = 8
     beta: float = 0.005         # KL scale; 0 recovers the bare R + E loss
-    lr: float = 1e-3
-    epochs: int = 50
+    lr: float = 3e-3
+    epochs: int = 16
     batch_size: int = 16
     bin_width: float = 0.5      # latent quantisation step
     seed: int = 0
@@ -215,7 +217,7 @@ def _layout(dags: list[CircuitDag]) -> Batch:
     for b, d in enumerate(dags):
         first = int(start[b]) + 1
         pred_rows.append([[first + u for u in p] for p in d.predecessors()])
-        targets += [t.value for t in d.types] + [END_TYPE]
+        targets += (*d.types, END_TYPE)
         sinks = [first + v for v, t in enumerate(d.types) if t is NodeType.OUTPUT]
         sink_rows += sinks
         sink_seg += [b] * len(sinks)
@@ -318,6 +320,7 @@ def encode_np(m: DvaeModel, d: CircuitDag, table: EncodeTable | None = None) -> 
     if table is None:
         table = EncodeTable()
     nodes = table.nodes
+    output = NodeType.OUTPUT
     preds = d.predecessors()
     entries: list = [None] * d.n_nodes
     sinks = []
@@ -329,11 +332,11 @@ def encode_np(m: DvaeModel, d: CircuitDag, table: EncodeTable | None = None) -> 
             hs = [entries[u][1] for u in preds[v]]
             h_preds = np.concatenate(hs) if hs else np.empty((0, m.d_h))
             h, _ = _node_states(
-                m, _EYE[t.value : t.value + 1], h_preds, np.zeros(len(hs), dtype=np.intp), 1
+                m, _EYE[t : t + 1], h_preds, np.zeros(len(hs), dtype=np.intp), 1
             )
             entry = nodes[key] = (len(nodes), h)
         entries[v] = entry
-        if t is NodeType.OUTPUT:
+        if t is output:
             sinks.append(entry)
     graph = tuple([e[0] for e in sinks])
     latent = table.graphs.get(graph)

@@ -45,12 +45,11 @@ def benchmark_agent_config(spec: BvSpec, epochs: int, seed: int) -> AgentConfig:
     """Benchmark settings for one Bernstein-Vazirani instance: episodes
     slightly longer than twice the optimal action sequence, and room for
     eight gates beyond the start circuit."""
-    start_gates = 2 * (spec.n_data + 1) + len(spec.secret_bits())
     return AgentConfig(
         epochs=epochs,
         seed=seed,
         max_steps=28 + 4 * spec.n_data,
-        max_gates=start_gates + 8,
+        max_gates=len(bv_circuit(spec)) + 8,
     )
 
 
@@ -59,22 +58,22 @@ class HarnessConfig:
     """The settings of a run: the BV instance, the agents' episode budget and
     seeds, the autoencoder and the latent bin width.  A ``secret`` or
     ``epochs`` left at None takes its per-size default through ``bv_spec``
-    and ``resolved_epochs``."""
+    and ``resolved_epochs``; the autoencoder's defaults are ``DvaeConfig``'s."""
 
     n: int = 2
     secret: int | None = None        # default: all ones on the n data wires
-    epochs: int | None = None        # default: DEFAULT_EPOCHS for n, else 3000
+    epochs: int | None = None        # default: DEFAULT_EPOCHS for n, else AgentConfig's
     seeds: int = 5                   # compare runs seeds 0 .. seeds-1
     seed: int = 0                    # seed of the single-phase subcommands
     out_dir: str = ""
     corpus_cap: int = 160
-    dvae_d_h: int = 32
-    dvae_d_z: int = 8
-    dvae_epochs: int = 16
-    dvae_lr: float = 3e-3
-    dvae_batch: int = 16
-    dvae_beta: float = 0.005
-    bin_width: float = 0.5
+    dvae_d_h: int = DvaeConfig.d_h
+    dvae_d_z: int = DvaeConfig.d_z
+    dvae_epochs: int = DvaeConfig.epochs
+    dvae_lr: float = DvaeConfig.lr
+    dvae_batch: int = DvaeConfig.batch_size
+    dvae_beta: float = DvaeConfig.beta
+    bin_width: float = DvaeConfig.bin_width
 
     def bv_spec(self) -> BvSpec:
         secret = self.secret if self.secret is not None else (1 << self.n) - 1
@@ -83,7 +82,7 @@ class HarnessConfig:
     def resolved_epochs(self) -> int:
         if self.epochs is not None:
             return self.epochs
-        return DEFAULT_EPOCHS.get(self.n, 3000)
+        return DEFAULT_EPOCHS.get(self.n, AgentConfig.epochs)
 
 
 @dataclass
@@ -91,15 +90,21 @@ class BaselineResult:
     qtable: QTable
     corpus: list[CircuitDag]
     traces: list[EpisodeTrace]
-    l_s: int
+
+    @property
+    def l_s(self) -> int:
+        return len(self.qtable)
 
 
 @dataclass
 class EncodedResult:
     qtable: QTable
     traces: list[EpisodeTrace]
-    l_a: int
     graph_states: int  # distinct output-state tuples the encoder read out
+
+    @property
+    def l_a(self) -> int:
+        return len(self.qtable)
 
 
 @dataclass
@@ -110,9 +115,12 @@ class BenchmarkReport:
     seed: int
     l_s: int
     l_a: int
-    improvement: float  # (l_s - l_a) / l_s
     baseline_trace: list[tuple[int, int]]  # (final_depth, best_depth) per episode
     encoded_trace: list[tuple[int, int]]
+
+    @property
+    def improvement(self) -> float:
+        return (self.l_s - self.l_a) / self.l_s
 
 
 def harvest_corpus(result: TrainResult) -> list[CircuitDag]:
@@ -131,7 +139,7 @@ def run_baseline(spec: BvSpec, cfg: AgentConfig) -> BaselineResult:
     """Phase 1: exact-representation training plus corpus harvest."""
     result = train_agent(bv_circuit(spec), ExactAbstraction(), cfg)
     corpus = harvest_corpus(result)
-    return BaselineResult(result.qtable, corpus, result.traces, result.state_count)
+    return BaselineResult(result.qtable, corpus, result.traces)
 
 
 def corpus_hash(corpus: list[CircuitDag]) -> str:
@@ -183,32 +191,7 @@ def run_encoded(
     """Phase 3: retrain from scratch with the quantised-latent states."""
     abstraction = EncoderAbstraction(model, bin_width)
     result = train_agent(bv_circuit(spec), abstraction, cfg)
-    return EncodedResult(
-        result.qtable, result.traces, result.state_count, len(abstraction.table.graphs)
-    )
-
-
-def compare(
-    spec: BvSpec,
-    epochs: int,
-    seed: int,
-    baseline: BaselineResult,
-    encoded: EncodedResult,
-) -> BenchmarkReport:
-    """Combine one seed's baseline and encoded runs into a report row."""
-    if len(baseline.traces) != len(encoded.traces):
-        raise ValueError("baseline and encoded runs use different epoch counts")
-    return BenchmarkReport(
-        bv_size=spec.n_data,
-        secret=spec.secret,
-        epochs=epochs,
-        seed=seed,
-        l_s=baseline.l_s,
-        l_a=encoded.l_a,
-        improvement=(baseline.l_s - encoded.l_a) / baseline.l_s,
-        baseline_trace=[(t.final_depth, t.best_depth) for t in baseline.traces],
-        encoded_trace=[(t.final_depth, t.best_depth) for t in encoded.traces],
-    )
+    return EncodedResult(result.qtable, result.traces, len(abstraction.table.graphs))
 
 
 def dvae_config(hcfg: HarnessConfig, seed: int) -> DvaeConfig:
@@ -234,7 +217,16 @@ def run_cell(hcfg: HarnessConfig, seed: int) -> BenchmarkReport:
         baseline.corpus, dvae_config(hcfg, seed), hcfg.corpus_cap
     )
     encoded = run_encoded(spec, model, agent_cfg, hcfg.bin_width)
-    return compare(spec, epochs, seed, baseline, encoded)
+    return BenchmarkReport(
+        bv_size=spec.n_data,
+        secret=spec.secret,
+        epochs=epochs,
+        seed=seed,
+        l_s=baseline.l_s,
+        l_a=encoded.l_a,
+        baseline_trace=[(t.final_depth, t.best_depth) for t in baseline.traces],
+        encoded_trace=[(t.final_depth, t.best_depth) for t in encoded.traces],
+    )
 
 
 def run_benchmark(hcfg: HarnessConfig) -> list[BenchmarkReport]:

@@ -314,7 +314,6 @@ def test_train_agent_deterministic():
     r2 = train_agent(start, ExactAbstraction(), cfg)
     assert r1.qtable == r2.qtable
     assert [t.steps for t in r1.traces] == [t.steps for t in r2.traces]
-    assert r1.state_count == r2.state_count
 
 
 def test_greedy_trajectory_short_after_training():

@@ -247,6 +247,15 @@ def test_bv_rejects_oversized_secret():
         BvSpec(2, 4)
 
 
+@pytest.mark.parametrize("make, message", [
+    (lambda: Circuit(0, ()), "circuit needs at least one wire, got 0"),
+    (lambda: BvSpec(0, 0), "BV needs at least one data wire"),
+], ids=["circuit-no-wires", "bv-no-data-wires"])
+def test_no_wires_rejected(make, message):
+    with pytest.raises(CircuitError, match=message):
+        make()
+
+
 # --- random generator ----------------------------------------------------------------
 
 

@@ -1,3 +1,4 @@
+import argparse
 import json
 import re
 from dataclasses import fields
@@ -119,6 +120,7 @@ MALFORMED_CHECKPOINTS = {
                     "tensor 'b_mu' is not a (2,) array of numbers"),
     "beyond-float64": (_doc_edit(lambda d: d["tensors"].update(b_mu=[0.0, 10**400])),
                        "tensor 'b_mu' holds a number beyond float64"),
+    "no-tensors": (_doc_edit(lambda d: d.pop("tensors")), "checkpoint lacks its tensors object"),
 }
 
 
@@ -179,8 +181,11 @@ def test_train_vae_divergence_is_an_error_and_leaves_no_run_directory(tmp_path, 
 @pytest.mark.parametrize(
     "edit, violation",
     [(("edge 2 3\n", "edge 3 2\n"), "edge (3, 2) does not go forward"),
-     (("edge 2 3\n", "edge 2 3\nedge 0 2\n"), "parallel edge (0, 2)")],
-    ids=["backward-edge", "parallel-edge"],
+     (("edge 2 3\n", "edge 2 3\nedge 0 2\n"), "parallel edge (0, 2)"),
+     (("node 2 hadamard\n", "node 2 toffoli\n"), "unknown node type 'toffoli'"),
+     (("node 4 output\n", "node 5 output\n"), "node ids must be dense and ordered, expected 4"),
+     (("edge 2 3\n", "edge 2 3\nedge 2 9\n"), "edge (2, 9) references unknown node")],
+    ids=["backward-edge", "parallel-edge", "unknown-type", "sparse-ids", "unknown-node"],
 )
 def test_train_vae_rejects_an_invalid_dag(tmp_path, capsys, edit, violation):
     good = dag_to_debug_text(to_dag(random_icmh_circuit(2, 4, 0)))
@@ -231,9 +236,10 @@ def test_phases_chain_through_their_files(tmp_path, capsys):
      (["compare", "--corpus-cap", "0"], "'corpus_cap' must be at least 1, got 0"),
      (["train-baseline", "--epochs", "0"], "epochs and max_gates must be positive"),
      (["train-vae", "--d-h", "0"], "dimensions, epochs and batch size must be positive"),
-     (["train-baseline", "--seed", "-1"], "'seed' must be at least 0, got -1")],
+     (["train-baseline", "--seed", "-1"], "'seed' must be at least 0, got -1"),
+     (["compare", "--beta", "-1"], "beta must be non-negative")],
     ids=["seeds-0", "seeds-negative", "bin-width-0", "corpus-cap-0", "epochs-0", "d-h-0",
-         "seed-negative"],
+         "seed-negative", "beta-negative"],
 )
 def test_bad_setting_fails_before_any_work(tmp_path, monkeypatch, capsys, argv, message):
     def no_phase(*args):
@@ -263,6 +269,51 @@ def test_config_text_reads_back(tmp_path, overrides):
     path = tmp_path / "config.txt"
     path.write_text(config_text(cfg))
     assert load_config(str(path), {}) == cfg
+
+
+def _subcommand_parser(name: str) -> argparse.ArgumentParser:
+    subparsers = next(
+        a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    )
+    return subparsers.choices[name]
+
+
+@pytest.mark.parametrize(
+    "command, required",
+    [("train-baseline", []), ("train-vae", ["--corpus", "corpus.txt"]),
+     ("train-encoded", ["--model", "model.ckpt"]), ("compare", [])],
+    ids=["train-baseline", "train-vae", "train-encoded", "compare"],
+)
+def test_every_config_field_has_one_typed_flag_with_help(command, required):
+    # a HarnessConfig field added without a flag in cli.FLAGS fails here
+    parser = _subcommand_parser(command)
+    text = parser.format_help()
+    for f in fields(HarnessConfig):
+        actions = [a for a in parser._actions if a.dest == f.name]
+        assert len(actions) == 1, f.name
+        (flag,) = actions[0].option_strings
+        assert actions[0].help and actions[0].help in text, f.name
+        value = getattr(parser.parse_args([flag, str(EVERY_KEY[f.name])] + required), f.name)
+        assert value == EVERY_KEY[f.name] and type(value) is type(EVERY_KEY[f.name]), f.name
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [(None, "config file not found: "),
+     ("n = 3\nepochs 9\n", ":2: expected 'key = value'"),
+     ("n = two\n", "config key 'n' expects an integer, got 'two'"),
+     ("dvae_lr = fast\n", "config key 'dvae_lr' expects a number, got 'fast'")],
+    ids=["missing-file", "no-equals", "int-not-a-number", "float-not-a-number"],
+)
+def test_bad_config_file_fails_before_any_work(tmp_path, capsys, text, message):
+    cfg_file = tmp_path / "run.cfg"
+    if text is not None:
+        cfg_file.write_text(text)
+    argv = ["train-baseline", "--config", str(cfg_file), "--out", str(tmp_path / "run")]
+    assert dispatch(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert not (tmp_path / "run").exists()
 
 
 def test_flags_override_file_override_defaults(tmp_path, capsys):
