@@ -151,9 +151,9 @@ def asap_moments(c: Circuit) -> list[int]:
 
     Two gates conflict iff their wire supports intersect, except that two
     CNOTs whose every shared wire is a common control do not conflict.
-    O(gates) via per-wire frontiers: ``blocked[w]`` is the last moment of a
-    gate using w as H wire or CNOT target, ``ctrl[w]`` the last moment of a
-    gate using w as CNOT control.
+    O(gates) via per-wire frontiers, updated by comparisons, not builtin
+    ``max``: ``blocked[w]`` is the last moment of a gate using w as H wire or
+    CNOT target, ``ctrl[w]`` of a gate using w as CNOT control.
     """
     blocked = [-1] * c.n_wires
     ctrl = [-1] * c.n_wires
@@ -161,17 +161,17 @@ def asap_moments(c: Circuit) -> list[int]:
     for g in c.gates:
         if g.is_cx:
             cq, tq = g.qubits
-            m = max(blocked[cq], blocked[tq], ctrl[tq]) + 1
+            m, b, t = blocked[cq], blocked[tq], ctrl[tq]
+            m = m if m > b else b
+            blocked[tq] = m = (m if m > t else t) + 1  # always past blocked[tq]
             moments.append(m)
             if m > ctrl[cq]:
                 ctrl[cq] = m
-            if m > blocked[tq]:
-                blocked[tq] = m
         else:
             q = g.qubits[0]
-            m = max(blocked[q], ctrl[q]) + 1
+            b, t = blocked[q], ctrl[q]
+            blocked[q] = m = (b if b > t else t) + 1
             moments.append(m)
-            blocked[q] = m
     return moments
 
 

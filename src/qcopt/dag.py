@@ -79,7 +79,7 @@ def to_dag(c: Circuit) -> CircuitDag:
 
     Nodes are numbered in program order: the n + 1 inputs (wire w is node w,
     the fake wire node n), then each gate's nodes, then the n + 1 outputs."""
-    # members bound once: an Enum class attribute lookup is slow
+    # members bound once (an Enum class attribute read is slow); k counts node ids
     hadamard, ctrl_op, trgt_op, helper_op = (
         NodeType.HADAMARD, NodeType.CTRL_OP, NodeType.TRGT_OP, NodeType.HELPER)
     n = c.n_wires
@@ -87,35 +87,33 @@ def to_dag(c: Circuit) -> CircuitDag:
     types: list[NodeType] = [NodeType.INPUT] * (n + 1)
     edges: list[tuple[int, int]] = []
     last = list(range(n + 1))
-    fake_last = fake
+    fake_last, k = fake, n + 1
 
     for g in c.gates:
         if g.is_cx:
             cq, tq = g.qubits
             if fake_last == last[cq]:
                 # fake edge would parallel the real edge into the ctrl node
-                helper = len(types)
                 types.append(helper_op)
-                edges.append((fake_last, helper))
-                fake_last = helper
-            ctrl = len(types)
-            trgt = ctrl + 1
+                edges.append((fake_last, k))
+                fake_last = k
+                k += 1
+            trgt = k + 1
             types += (ctrl_op, trgt_op)
-            edges += ((last[cq], ctrl), (fake_last, ctrl), (last[tq], trgt), (ctrl, trgt))
-            last[cq] = ctrl
-            last[tq] = trgt
-            fake_last = trgt
+            edges += ((last[cq], k), (fake_last, k), (last[tq], trgt), (k, trgt))
+            last[cq] = k
+            last[tq] = fake_last = trgt
+            k += 2
         else:
             q = g.qubits[0]
-            node = len(types)
             types.append(hadamard)
-            edges.append((last[q], node))
-            last[q] = node
+            edges.append((last[q], k))
+            last[q] = k
+            k += 1
 
     last[fake] = fake_last
-    first_out = len(types)
     types += [NodeType.OUTPUT] * (n + 1)
-    edges += [(last[w], first_out + w) for w in range(n + 1)]
+    edges += [(last[w], k + w) for w in range(n + 1)]
 
     return CircuitDag(tuple(types), tuple(edges))
 

@@ -190,7 +190,7 @@ _MATCHERS = {
 # same keys in the same order: updating a key keeps its place
 _LAYERED = {
     **_MATCHERS,
-    (HH, REVERSE): lambda c: [("all", p) for p in sorted({0, len(c.gates)})],
+    (HH, REVERSE): lambda c: [("all", 0), ("all", len(c.gates))] if c.gates else [("all", 0)],
     (CXCX, REVERSE): lambda c: [] if c.gates else _matches_cxcx_rev(c),
 }
 
@@ -304,6 +304,7 @@ def enumerate_actions(
     sites, CXCX reverse only ``cxins`` sites, and the forward templates' deltas
     do not depend on the site), so the delta is computed once per template
     from its first site and a template over budget is skipped whole.
+    ``tuple.__new__`` (namedtuple's C-level ``_make`` path) skips ``Action.__new__``.
     """
     if budget is not None and not layered:
         raise ValueError("a gate budget needs the layered space")
@@ -313,7 +314,7 @@ def enumerate_actions(
         sites = matcher(c)
         if not sites:
             continue
-        if budget is not None and gate_count_delta(Action(kind, direction, sites[0]), n) > budget:
+        if budget is not None and gate_count_delta((kind, direction, sites[0]), n) > budget:
             continue
-        actions.extend([Action(kind, direction, s) for s in sites])
+        actions += [tuple.__new__(Action, (kind, direction, s)) for s in sites]
     return actions

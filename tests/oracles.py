@@ -1,7 +1,9 @@
 """Shared test oracles: DAG isomorphism, node relabelling, random topological
 orders, the agent's layered action space as a filter over the full one, the
 gate budget as a per-action filter, action keys through a per-tag format
-table, the set-based commutation rule, and forward-action BFS to a target depth.
+table, the set-based commutation rule, forward-action BFS to a target depth,
+and frozen copies of the ``max``-based ASAP scheduler and of the ``len``-numbered
+``to_dag`` that the faster versions in ``src/`` must match bit for bit.
 
 The search is restricted to the forward direction of all four templates
 (gate-count-nonincreasing, or structurally necessary for CX_REV).  The
@@ -151,3 +153,83 @@ def bfs_optimize(
                 next_frontier.append(nxt)
         frontier = next_frontier
     return None
+
+
+# --- frozen references for the scheduler and the DAG builder ------------------
+# Copied unchanged from the versions they replaced, so every moment, node id
+# and edge of the current code can be compared against them.
+
+
+def reference_asap_moments(c: Circuit) -> list[int]:
+    """Moment index per gate under ASAP scheduling.
+
+    Two gates conflict iff their wire supports intersect, except that two
+    CNOTs whose every shared wire is a common control do not conflict.
+    O(gates) via per-wire frontiers: ``blocked[w]`` is the last moment of a
+    gate using w as H wire or CNOT target, ``ctrl[w]`` the last moment of a
+    gate using w as CNOT control.
+    """
+    blocked = [-1] * c.n_wires
+    ctrl = [-1] * c.n_wires
+    moments = []
+    for g in c.gates:
+        if g.is_cx:
+            cq, tq = g.qubits
+            m = max(blocked[cq], blocked[tq], ctrl[tq]) + 1
+            moments.append(m)
+            if m > ctrl[cq]:
+                ctrl[cq] = m
+            if m > blocked[tq]:
+                blocked[tq] = m
+        else:
+            q = g.qubits[0]
+            m = max(blocked[q], ctrl[q]) + 1
+            moments.append(m)
+            blocked[q] = m
+    return moments
+
+
+def reference_to_dag(c: Circuit) -> CircuitDag:
+    """Convert a circuit to its typed-node DAG (always passes validate).
+
+    Nodes are numbered in program order: the n + 1 inputs (wire w is node w,
+    the fake wire node n), then each gate's nodes, then the n + 1 outputs."""
+    # members bound once: an Enum class attribute lookup is slow
+    hadamard, ctrl_op, trgt_op, helper_op = (
+        NodeType.HADAMARD, NodeType.CTRL_OP, NodeType.TRGT_OP, NodeType.HELPER)
+    n = c.n_wires
+    fake = n
+    types: list[NodeType] = [NodeType.INPUT] * (n + 1)
+    edges: list[tuple[int, int]] = []
+    last = list(range(n + 1))
+    fake_last = fake
+
+    for g in c.gates:
+        if g.is_cx:
+            cq, tq = g.qubits
+            if fake_last == last[cq]:
+                # fake edge would parallel the real edge into the ctrl node
+                helper = len(types)
+                types.append(helper_op)
+                edges.append((fake_last, helper))
+                fake_last = helper
+            ctrl = len(types)
+            trgt = ctrl + 1
+            types += (ctrl_op, trgt_op)
+            edges += ((last[cq], ctrl), (fake_last, ctrl), (last[tq], trgt), (ctrl, trgt))
+            last[cq] = ctrl
+            last[tq] = trgt
+            fake_last = trgt
+        else:
+            q = g.qubits[0]
+            node = len(types)
+            types.append(hadamard)
+            edges.append((last[q], node))
+            last[q] = node
+
+    last[fake] = fake_last
+    first_out = len(types)
+    types += [NodeType.OUTPUT] * (n + 1)
+    edges += [(last[w], first_out + w) for w in range(n + 1)]
+
+    return CircuitDag(tuple(types), tuple(edges))

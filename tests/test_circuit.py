@@ -4,6 +4,7 @@ from dataclasses import FrozenInstanceError
 import numpy as np
 import pytest
 
+from oracles import reference_asap_moments
 from qcopt.circuit import (
     BvSpec,
     Circuit,
@@ -152,6 +153,27 @@ def test_depth_matches_pairwise_oracle():
     for seed in range(200):
         c = random_icmh_circuit(2 + seed % 4, seed % 15, seed)
         assert depth(c) == oracle_depth(c), state_string(c)
+
+
+def test_moments_match_the_max_based_scheduler():
+    # per gate, not just the depth that test_depth_matches_pairwise_oracle checks
+    for seed in range(600):
+        c = random_icmh_circuit(2 + seed % 5, seed % 31, 3000 + seed)
+        assert asap_moments(c) == reference_asap_moments(c), state_string(c)
+    fan = circ(5, *(Gate.cx(0, t) for t in range(1, 5)))  # one shared control
+    chain = circ(5, *(Gate.cx(q, 4) for q in range(4)))  # one shared target
+    # cx 0 3 lands before the control's frontier, which must not move back
+    late_fan = circ(4, Gate.cx(1, 2), Gate.cx(0, 2), Gate.cx(0, 3), Gate.h(0))
+    mixed = circ(4, Gate.h(0), Gate.cx(0, 1), Gate.cx(0, 2), Gate.cx(3, 2), Gate.cx(2, 0),
+                 Gate.cx(0, 3), Gate.h(3), Gate.cx(1, 3), Gate.cx(2, 3))
+    for c, want in [
+        (fan, [0, 0, 0, 0]),
+        (chain, [0, 1, 2, 3]),
+        (late_fan, [0, 1, 0, 2]),
+        (mixed, [0, 1, 1, 2, 3, 4, 5, 6, 7]),
+    ]:
+        assert asap_moments(c) == reference_asap_moments(c) == want, state_string(c)
+        assert depth(c) == max(want) + 1 == oracle_depth(c)
 
 
 def test_depth_invariant_under_in_moment_reordering():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from oracles import is_isomorphic, relabelled
+from oracles import is_isomorphic, reference_to_dag, relabelled
 from qcopt.circuit import BvSpec, Circuit, Gate, bv_circuit, random_icmh_circuit
 from qcopt.dag import (
     CircuitDag,
@@ -93,6 +93,27 @@ def test_node_count_formula():
         n_helpers = count_types(d, NodeType.HELPER)
         assert d.n_nodes == 2 * (c.n_wires + 1) + n_h + 2 * n_cx + n_helpers
         assert validate(d) == [], c
+
+
+def test_to_dag_matches_the_len_numbered_builder():
+    # same node ids, types and edge order as the builder that read len(types)
+    circuits = [random_icmh_circuit(2 + i % 5, i % 31, 7000 + i) for i in range(600)]
+    circuits += [bv_circuit(BvSpec(n, s)) for n in (2, 3, 4, 5) for s in range(1 << n)]
+    # consecutive opposite-orientation CNOTs insert helper nodes
+    flips = [
+        circ(2, Gate.cx(0, 1), Gate.cx(1, 0)),
+        circ(2, Gate.cx(0, 1), Gate.cx(1, 0), Gate.cx(0, 1), Gate.cx(1, 0)),
+        circ(3, Gate.h(2), Gate.cx(0, 1), Gate.cx(1, 2), Gate.cx(2, 0), Gate.h(0), Gate.cx(0, 2)),
+    ]
+    assert all(count_types(to_dag(c), NodeType.HELPER) > 0 for c in flips)
+    helpers = 0
+    for c in circuits + flips:
+        d = to_dag(c)
+        ref = reference_to_dag(c)
+        assert d == ref, c
+        assert dag_to_debug_text(d) == dag_to_debug_text(ref)
+        helpers += count_types(d, NodeType.HELPER)
+    assert helpers > 100
 
 
 def test_bv_dag_valid():

@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
 
-from oracles import bfs_optimize, commutes_by_sets, layered_filter, reference_key
+from oracles import (
+    bfs_optimize,
+    budget_filter,
+    commutes_by_sets,
+    layered_filter,
+    reference_key,
+)
 from qcopt.circuit import (
     BvSpec,
     Circuit,
@@ -212,6 +218,30 @@ def test_layered_enumeration_equals_filtered_full_space():
     assert ("cxins", 0, 1, 0) in [a.site for a in enumerate_actions(cnot_free)]
     sites = [a.site for a in enumerate_actions(cnot_free, layered=True)]
     assert sites == [("pair", 0, 1), ("all", 0), ("all", 2)]
+
+
+def test_fast_path_actions_are_real_actions():
+    # enumerate_actions builds each Action with tuple.__new__: every item must
+    # still be an Action in type, fields, equality, key and application
+    circuits = [random_icmh_circuit(2 + i % 5, i % 23, 900 + i) for i in range(300)]
+    circuits.append(circ(3))
+    circuits += [bv_circuit(BvSpec(n, s)) for n in (2, 3, 4) for s in range(1 << n)]
+    for c in circuits:
+        n = c.n_wires
+        layered = enumerate_actions(c, layered=True)
+        spaces = [enumerate_actions(c), layered]
+        for budget in range(-3, 2 * n + 6):
+            budgeted = enumerate_actions(c, layered=True, budget=budget)
+            assert budgeted == budget_filter(layered, n, budget), (state_string(c), budget)
+            spaces.append(budgeted)
+        for actions in spaces:
+            for a in actions:
+                assert type(a) is Action
+                slow = Action(a.kind, a.direction, a.site)
+                assert a == slow and hash(a) == hash(slow)
+                assert (a.kind, a.direction, a.site) == tuple(slow)
+                assert action_key(a) == action_key(slow) == reference_key(slow)
+                assert apply(c, a) == apply(c, slow)
 
 
 def test_budget_needs_the_layered_space():
