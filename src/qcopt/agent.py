@@ -57,42 +57,37 @@ class AgentConfig:
 
 
 class ExactAbstraction:
-    """Non-lossy state function: the circuit's gate-list string."""
+    """Non-lossy state function: the circuit's gate-list string, or ``exact``
+    when the caller already built it."""
 
-    def __call__(self, c: Circuit) -> StateKey:
-        return state_string(c)
+    def __call__(self, c: Circuit, exact: str | None = None) -> StateKey:
+        return state_string(c) if exact is None else exact
 
 
 class EncoderAbstraction:
     """Lossy state function: quantised latent mean of the circuit's DAG.
 
     Uses the deterministic latent mean (never a sample) so a circuit always
-    maps to the same key; keys are cached per exact gate string because the
-    RL loop revisits circuits constantly.  A new circuit is one local rewrite
-    away from one seen before, so most of its DAG nodes have the same type
-    and predecessor states in edge order, and hence the same state; one
-    ``encode_np`` table per instance (one run, one model) shares them, and
-    whole graphs by their output-node states.  The key depends on the latent
-    mean alone, so it is computed once per distinct mean.
+    maps to the same key.  A new circuit is one local rewrite away from one
+    seen before, so most of its DAG nodes have the same type and predecessor
+    states in edge order, and hence the same state; one ``encode_np`` table
+    per instance (one run, one model) shares them, and whole graphs by their
+    output-node states.  The key depends on the latent mean alone, so it is
+    computed once per distinct mean.  The gate string ``exact`` is unused.
     """
 
     def __init__(self, model: DvaeModel, bin_width: float):
         self.model = model
         self.bin_width = bin_width
         self.table = EncodeTable()
-        self._cache: dict[str, StateKey] = {}
         self._keys: dict[bytes, StateKey] = {}
 
-    def __call__(self, c: Circuit) -> StateKey:
-        exact = state_string(c)
-        key = self._cache.get(exact)
+    def __call__(self, c: Circuit, exact: str | None = None) -> StateKey:
+        latent = encode_np(self.model, to_dag(c), self.table)
+        mu = latent.mu.tobytes()
+        key = self._keys.get(mu)
         if key is None:
-            latent = encode_np(self.model, to_dag(c), self.table)
-            mu = latent.mu.tobytes()
-            key = self._keys.get(mu)
-            if key is None:
-                key = self._keys[mu] = latent_key(latent, self.bin_width)
-            self._cache[exact] = key
+            key = self._keys[mu] = latent_key(latent, self.bin_width)
         return key
 
 
@@ -190,6 +185,39 @@ class EpisodeTrace:
         return len(self.steps)
 
 
+class StateInfo(NamedTuple):
+    """A run's state table maps each exact gate string to what the run has
+    worked out about that circuit.  The environment is deterministic and the
+    RL loop revisits circuits constantly, so each circuit's depth,
+    abstraction key and action list are worked out once per run."""
+
+    depth: int
+    key: StateKey  # the abstraction's key
+    actions: list[Action]  # empty at the depth target, which ends an episode
+    action_keys: list[str]
+
+
+StateTable = dict[str, StateInfo]
+
+
+def _state_info(
+    c: Circuit, abstraction, cfg: AgentConfig, states: StateTable,
+    visited: dict[StateKey, Circuit],
+) -> StateInfo:
+    """The table entry of ``c``, made on its first visit; the abstraction is
+    handed the gate string the lookup built.  ``visited`` gains the circuit
+    if its key is new."""
+    exact = state_string(c)
+    info = states.get(exact)
+    if info is None:
+        d = depth(c)
+        s = abstraction(c, exact)
+        visited.setdefault(s, c)
+        actions, keys = ([], []) if d <= TARGET_DEPTH else available_actions(c, cfg)
+        info = states[exact] = StateInfo(d, s, actions, keys)
+    return info
+
+
 def run_episode(
     start: Circuit,
     q: QTable,
@@ -198,33 +226,28 @@ def run_episode(
     rng: np.random.Generator,
     epsilon: float,
     visited: dict[StateKey, Circuit],
+    states: StateTable | None = None,
 ) -> EpisodeTrace:
     """One episode: enumerate, choose, apply, reward, update, until the depth
     target is reached or max_steps runs out.  ``visited`` keeps the first
-    circuit seen under each state key."""
+    circuit seen under each state key; ``states`` is the run's state table
+    (``None`` starts a fresh one)."""
+    if states is None:
+        states = {}
     c = start
-    d = depth(c)
-    s = abstraction(c)
-    visited.setdefault(s, c)
+    d, s, actions, keys = _state_info(c, abstraction, cfg, states, visited)
     trace = EpisodeTrace(best_depth=d, final_depth=d)
     if d <= TARGET_DEPTH:
         q.setdefault(s, {})
         return trace
 
-    actions, keys = available_actions(c, cfg)
     for _ in range(cfg.max_steps):
         if not actions:
             break
         a, a_key = choose_action(q, s, actions, epsilon, rng, keys)
         c2 = apply(c, a)
-        d2 = depth(c2)
+        d2, s2, actions2, keys2 = _state_info(c2, abstraction, cfg, states, visited)
         done = d2 <= TARGET_DEPTH
-        s2 = abstraction(c2)
-        visited.setdefault(s2, c2)
-        if done:
-            actions2, keys2 = [], []
-        else:
-            actions2, keys2 = available_actions(c2, cfg)
         r = reward(d, d2, done)
         q_update(q, s, a_key, r, s2, keys2)
         trace.steps.append(EpisodeStep(s, a_key, r, d2))
@@ -245,14 +268,16 @@ class TrainResult:
 
 def train_agent(start: Circuit, abstraction, cfg: AgentConfig) -> TrainResult:
     """cfg.epochs episodes from the same start circuit with per-episode
-    epsilon decay; returns the table, whose length is l, all traces and ``visited``."""
+    epsilon decay; returns the table, whose length is l, all traces and
+    ``visited``.  One state table serves every episode of the run."""
     q: QTable = {}
     visited: dict[StateKey, Circuit] = {}
+    states: StateTable = {}
     rng = np.random.default_rng(cfg.seed)
     traces: list[EpisodeTrace] = []
     epsilon = 1.0
     for _ in range(cfg.epochs):
-        traces.append(run_episode(start, q, abstraction, cfg, rng, epsilon, visited))
+        traces.append(run_episode(start, q, abstraction, cfg, rng, epsilon, visited, states))
         epsilon = max(EPSILON_MIN, epsilon * EPSILON_DECAY)
     return TrainResult(q, traces, visited)
 

@@ -294,8 +294,10 @@ def _encoder_forward(m: DvaeModel, batch: Batch) -> tuple[Latent, EncoderActs]:
 class EncodeTable:
     """``encode_np``'s hash-consed states, kept for a run of one model."""
 
-    # (node type, table ids of the predecessors in edge order) -> (id, (1, d_h) state)
-    nodes: dict[tuple, tuple[int, np.ndarray]] = field(default_factory=dict)
+    # (node type, then the predecessors' table ids in edge order) -> table id
+    nodes: dict[tuple, int] = field(default_factory=dict)
+    # table id -> (1, d_h) node state
+    states: list[np.ndarray] = field(default_factory=list)
     # table ids of the output nodes in id order -> the graph's latent
     graphs: dict[tuple, Latent] = field(default_factory=dict)
 
@@ -306,43 +308,43 @@ def encode_np(m: DvaeModel, d: CircuitDag, table: EncodeTable | None = None) -> 
     which needs no gradients.
 
     A node's state depends only on its type and on its predecessors' states
-    taken in edge order, so states are hash-consed in ``table.nodes``: each
-    node is keyed by its type and its predecessors' table ids, and the node
-    update runs only for a key the table lacks.  Whole graphs are
-    hash-consed too: the latent depends only on the output nodes' states in
-    id order, so ``table.graphs`` keys it by their table ids and the readout
-    runs only for a tuple the table lacks (gate orders that differ only on
-    disjoint wires give one tuple).  Passing one table to many calls shares
-    states across DAGs that differ by a local rewrite.  A table belongs to
-    the model that filled it; ``None`` starts a fresh one.  An edge that
-    does not go forward raises ValueError.
+    taken in edge order, so states are hash-consed in ``table``: the walk
+    keeps one table id per node, keys each node by its type followed by its
+    predecessors' ids, and runs the node update only for a key the table
+    lacks.  Whole graphs are hash-consed too: the latent depends only on the
+    output nodes' states in id order, so ``table.graphs`` keys it by their
+    table ids and the readout runs only for a tuple the table lacks (gate
+    orders that differ only on disjoint wires give one tuple).  Passing one
+    table to many calls shares states across DAGs that differ by a local
+    rewrite.  A table belongs to the model that filled it; ``None`` starts a
+    fresh one.  An edge that does not go forward raises ValueError.
     """
     if table is None:
         table = EncodeTable()
-    nodes = table.nodes
+    nodes, states = table.nodes, table.states
     output = NodeType.OUTPUT
-    preds = d.predecessors()
-    entries: list = [None] * d.n_nodes
-    sinks = []
-    for v in range(d.n_nodes):
-        t = d.types[v]
-        key = (t, tuple([entries[u][0] for u in preds[v]]))
-        entry = nodes.get(key)
-        if entry is None:
-            hs = [entries[u][1] for u in preds[v]]
+    ids, sinks = [], []
+    id_of = ids.__getitem__
+    for t, preds in zip(d.types, d.predecessors()):
+        # most nodes have one predecessor; that key needs no unpacking
+        key = (t, ids[preds[0]]) if len(preds) == 1 else (t, *map(id_of, preds))
+        i = nodes.get(key)
+        if i is None:
+            hs = [states[ids[u]] for u in preds]
             h_preds = np.concatenate(hs) if hs else np.empty((0, m.d_h))
             h, _ = _node_states(
                 m, _EYE[t : t + 1], h_preds, np.zeros(len(hs), dtype=np.intp), 1
             )
-            entry = nodes[key] = (len(nodes), h)
-        entries[v] = entry
+            i = nodes[key] = len(states)
+            states.append(h)
+        ids.append(i)
         if t is output:
-            sinks.append(entry)
-    graph = tuple([e[0] for e in sinks])
+            sinks.append(i)
+    graph = tuple(sinks)
     latent = table.graphs.get(graph)
     if latent is None:
-        h_sinks = np.concatenate([e[1] for e in sinks]) if sinks else np.empty((0, m.d_h))
-        mu, logvar = _readout(m, h_sinks, np.zeros(len(sinks), dtype=np.intp), 1)[0]
+        h_sinks = np.concatenate([states[i] for i in graph]) if graph else np.empty((0, m.d_h))
+        mu, logvar = _readout(m, h_sinks, np.zeros(len(graph), dtype=np.intp), 1)[0]
         latent = table.graphs[graph] = Latent(mu[0], logvar[0])
     return latent
 

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from oracles import bfs_optimize, budget_filter, reference_key
+from qcopt import agent
 from qcopt.agent import (
     TARGET_DEPTH,
     AgentConfig,
@@ -63,16 +64,33 @@ def test_exact_abstraction_injective():
         seen[key] = c
 
 
-def test_encoder_abstraction_deterministic_and_cached():
+def reached_circuits(monkeypatch, start):
+    """Record, by gate string, the start and every circuit ``apply`` returns
+    during the run; returns that dict and a one-item list counting applies."""
+    reached, applies, plain = {state_string(start): start}, [0], agent.apply
+
+    def counting_apply(c, a):
+        applies[0] += 1
+        c2 = plain(c, a)
+        reached.setdefault(state_string(c2), c2)
+        return c2
+
+    monkeypatch.setattr(agent, "apply", counting_apply)
+    return reached, applies
+
+
+def test_encoder_abstraction_deterministic_and_cached(monkeypatch):
     model = DvaeModel.create(DvaeConfig(d_h=10, d_z=3, seed=1))
-    abstraction = EncoderAbstraction(model, bin_width=0.5)
     c = bv_circuit(BvSpec(2, 0b11))
-    k1 = abstraction(c)
-    k2 = abstraction(c)
-    assert k1 == k2
+    k1 = EncoderAbstraction(model, bin_width=0.5)(c)
+    assert k1 == EncoderAbstraction(model, bin_width=0.5)(c)
     assert len(k1.split(",")) == 3
-    fresh = EncoderAbstraction(model, bin_width=0.5)
-    assert fresh(c) == k1
+    # the run's state table answers a revisit before the abstraction is asked
+    encoded, plain = [], agent.encode_np
+    monkeypatch.setattr(agent, "encode_np", lambda *args: encoded.append(1) or plain(*args))
+    reached, applies = reached_circuits(monkeypatch, c)
+    train_agent(c, EncoderAbstraction(model, 1e-4), AgentConfig(epochs=20, max_gates=20))
+    assert len(encoded) == len(reached) < applies[0]
 
 
 # --- choose_action ------------------------------------------------------------------
@@ -314,6 +332,55 @@ def test_train_agent_deterministic():
     r2 = train_agent(start, ExactAbstraction(), cfg)
     assert r1.qtable == r2.qtable
     assert [t.steps for t in r1.traces] == [t.steps for t in r2.traces]
+
+
+@pytest.mark.parametrize("encoded", [False, True])
+def test_state_table_works_out_each_circuit_once(monkeypatch, encoded):
+    model = DvaeModel.create(DvaeConfig(d_h=10, d_z=3, seed=1))
+
+    def make_abstraction():
+        return EncoderAbstraction(model, 1e-4) if encoded else ExactAbstraction()
+
+    calls = {"depth": [], "actions": [], "abstraction": []}
+
+    def counting(name, fn):
+        def wrapped(c, *args):
+            calls[name].append(state_string(c))
+            return fn(c, *args)
+        return wrapped
+
+    monkeypatch.setattr(agent, "depth", counting("depth", agent.depth))
+    monkeypatch.setattr(
+        agent, "available_actions", counting("actions", agent.available_actions)
+    )
+    tables, plain_episode = [], agent.run_episode
+
+    def spy_episode(*args):
+        tables.append(args[-1])
+        return plain_episode(*args)
+
+    monkeypatch.setattr(agent, "run_episode", spy_episode)
+    start = bv_circuit(BvSpec(2, 0b11))
+    reached, applies = reached_circuits(monkeypatch, start)
+    cfg = AgentConfig(epochs=30, max_steps=20, max_gates=20, seed=2)
+    result = train_agent(start, counting("abstraction", make_abstraction()), cfg)
+
+    assert all(t is tables[0] for t in tables)  # one table for the whole run
+    states = tables[0]
+    assert applies[0] == sum(len(t) for t in result.traces) > len(reached)
+    for name in ("depth", "abstraction"):
+        assert sorted(calls[name]) == sorted(reached)
+    open_circuits = [s for s, c in reached.items() if depth(c) > TARGET_DEPTH]
+    assert sorted(calls["actions"]) == sorted(open_circuits)
+    assert set(states) == set(reached)
+    fresh = make_abstraction()
+    for s, info in states.items():
+        c = reached[s]
+        d = depth(c)
+        assert info.depth == d
+        assert info.key == fresh(c)
+        want = available_actions(c, cfg) if d > TARGET_DEPTH else ([], [])
+        assert (info.actions, info.action_keys) == want
 
 
 def test_greedy_trajectory_short_after_training():

@@ -7,7 +7,13 @@ import pytest
 from oracles import random_topological_order, relabelled
 from qcopt import agent, dvae, harness
 from qcopt.circuit import BvSpec, Circuit, Gate, bv_circuit, random_icmh_circuit
-from qcopt.dag import CircuitDag, NodeType, to_dag
+from qcopt.dag import (
+    CircuitDag,
+    NodeType,
+    dag_from_debug_text,
+    dag_to_debug_text,
+    to_dag,
+)
 from qcopt.dvae import (
     DvaeConfig,
     DvaeModel,
@@ -136,16 +142,38 @@ def test_encode_np_matches_loss_encoder():
         assert np.array_equal(cache.decoder.z[0], mu)
 
 
+def shuffled_edges(d, rng):
+    """The same DAG with its edge list stored in a seeded random order, as a
+    corpus file may hold it."""
+    return CircuitDag(d.types, tuple(d.edges[i] for i in rng.permutation(len(d.edges))))
+
+
 def test_encode_np_shared_table_equals_encoder_forward():
-    # the training forward is the reference; a shared table must not move a bit
+    # the training forward is the reference; a shared table must not move a
+    # bit, also for edge lists stored out of destination order, where a
+    # node's predecessors come in another order; a backward edge is refused
+    # by predecessors(), the one place that checks the rule
     m = small_model(d_h=12, d_z=4, seed=3)
+    rng = np.random.default_rng(3)
     table = EncodeTable()
+    reordered = 0
     for seed in range(240):
         d = to_dag(random_icmh_circuit(2 + seed % 4, seed % 16, seed))
-        ref = batch_cache(m, [d]).latent
-        for got in (encode_np(m, d, table), encode_np(m, d)):
-            assert np.array_equal(got.mu, ref.mu[0])
-            assert np.array_equal(got.logvar, ref.logvar[0])
+        shuffled = shuffled_edges(d, rng)
+        read_back = dag_from_debug_text(dag_to_debug_text(shuffled_edges(d, rng)))
+        reordered += shuffled.predecessors() != d.predecessors()
+        for dag in (d, shuffled, read_back):
+            ref = batch_cache(m, [dag]).latent
+            for got in (encode_np(m, dag, table), encode_np(m, dag)):
+                assert np.array_equal(got.mu, ref.mu[0])
+                assert np.array_equal(got.logvar, ref.logvar[0])
+        i = int(rng.integers(len(d.edges)))
+        u, v = shuffled.edges[i]
+        broken = CircuitDag(d.types, shuffled.edges[:i] + ((v, u),) + shuffled.edges[i + 1 :])
+        with pytest.raises(ValueError, match="does not go forward") as err:
+            encode_np(m, broken, table)
+        assert err.traceback[-1].name == "predecessors"
+    assert reordered >= 100
 
 
 def test_encode_np_table_reuses_node_states():
