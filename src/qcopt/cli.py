@@ -12,8 +12,8 @@ Subcommands, with the files each writes:
                     --model checkpoint: config.txt, qtable.tsv
     compare         all three phases over several seeds: config.txt,
                     states.csv, depth_trace.csv, report.txt
-    verify          template-soundness, layered-subset, gate-budget and
-                    DAG-validity suite; writes nothing
+    verify          template-soundness, layered-subset, gate-budget,
+                    DAG-validity and encode-equivalence suite; writes nothing
     grad-check      finite-difference check of the autoencoder loss; writes
                     nothing
 
@@ -48,7 +48,7 @@ from .circuit import (
     unitary,
 )
 from .dag import load_corpus, save_corpus, to_dag, validate
-from .dvae import DvaeConfig, DvaeModel, backward, load_checkpoint, loss
+from .dvae import DvaeConfig, DvaeModel, EncodeTable, backward, encode_np, load_checkpoint, loss
 from .harness import HarnessConfig
 from .nn import finite_diff_check
 from .rewrite import apply, enumerate_actions, gate_count_delta
@@ -248,6 +248,12 @@ def cmd_verify(args) -> int:
     rng_base = args.seed
     failures = 0
     checked_actions = 0
+    # the encoder's circuit walk must make the node keys and the latent of
+    # the circuit's DAG: the DAG walk then adds no node to the shared table
+    # (a key with its two predecessors swapped has the same state, so only
+    # the keys show that mistake)
+    model = DvaeModel.create(DvaeConfig(d_h=8, d_z=3, seed=rng_base))
+    table = EncodeTable()
     for i in range(n_circuits):
         # circuit 0 is empty: only there does the layered space seed CNOT pairs
         c = random_icmh_circuit(2 + i % 3, 2 + i % 11 if i else 0, rng_base + i)
@@ -257,6 +263,14 @@ def cmd_verify(args) -> int:
             failures += 1
             print(f"FAIL dag-validity: {state_string(c)!r}")
             continue
+        walked = encode_np(model, c, table)
+        known = len(table.nodes)
+        built = encode_np(model, d, table)
+        if len(table.nodes) != known or any(
+            x.tobytes() != y.tobytes() for x, y in zip(walked, built)
+        ):
+            failures += 1
+            print(f"FAIL encode-equivalence: {state_string(c)!r}")
         full = enumerate_actions(c)
         layered = enumerate_actions(c, layered=True)
         rest = iter(full)
@@ -360,7 +374,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("grad-check", help="finite-difference gradient check")
     p.set_defaults(run=cmd_grad_check)
     p.add_argument("--dags", type=_int_at_least(1), default=3)
-    p.add_argument("--d-h", dest="d_h", type=int, default=5)
+    p.add_argument("--d-h", dest="d_h", type=_int_at_least(1), default=5)
     p.add_argument("--seed", type=_int_at_least(0), default=0)
 
     return parser

@@ -15,7 +15,11 @@ parallel edges.
 
 Node ids are a topological order: every edge ``(u, v)`` has ``u < v``.
 ``to_dag`` numbers nodes in program order, so its DAGs keep this rule, and
-the encoder visits nodes in id order.
+the encoder visits nodes in id order.  ``dvae.encode_np`` also encodes a
+circuit directly, walking its wires by the rules of ``to_dag`` below without
+building the DAG; a change to those rules must change that walk too, and
+``tests/test_dvae.py`` (``test_encode_np_circuit_walk_equals_dag_walk``)
+holds the two equal bit for bit.
 
 The debug text is one ``node <id> <type>`` line per node in id order, then
 one ``edge <src> <dst>`` line per edge in stored order, so

@@ -30,9 +30,10 @@ returns the summed value, its parts and a cache; ``backward`` walks that
 cache level by level in reverse and returns the parameter gradients.  A
 batch of one DAG is the single-graph case.  The inference-only
 ``encode_np`` shares the encoder's node update and readout but runs node by
-node and keeps no activations; it hash-conses node states, and whole graphs
-by their output nodes' states, in a table that a caller can carry across
-DAGs.
+node and keeps no activations; it takes a DAG, or a circuit whose wires it
+walks as ``to_dag`` would, without building the DAG.  It hash-conses node
+states, and whole graphs by their output nodes' states, in one table that a
+caller can carry across inputs of both kinds.
 """
 
 from __future__ import annotations
@@ -44,6 +45,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .circuit import Circuit
 from .dag import CircuitDag, N_NODE_TYPES, NodeType
 from .nn import (
     AdamState,
@@ -302,51 +304,116 @@ class EncodeTable:
     graphs: dict[tuple, Latent] = field(default_factory=dict)
 
 
-def encode_np(m: DvaeModel, d: CircuitDag, table: EncodeTable | None = None) -> Latent:
-    """Latent distribution of one DAG, equal bit for bit to the latent that
-    ``loss`` computes for a batch of that DAG alone; used by the RL loop,
-    which needs no gradients.
+def encode_np(m: DvaeModel, x: Circuit | CircuitDag, table: EncodeTable | None = None) -> Latent:
+    """Latent distribution of one DAG, or of ``to_dag(x)`` for a circuit,
+    equal bit for bit to the latent that ``loss`` computes for a batch of
+    that DAG alone; used by the RL loop, which needs no gradients.
 
     A node's state depends only on its type and on its predecessors' states
     taken in edge order, so states are hash-consed in ``table``: the walk
     keeps one table id per node, keys each node by its type followed by its
     predecessors' ids, and runs the node update only for a key the table
-    lacks.  Whole graphs are hash-consed too: the latent depends only on the
-    output nodes' states in id order, so ``table.graphs`` keys it by their
-    table ids and the readout runs only for a tuple the table lacks (gate
-    orders that differ only on disjoint wires give one tuple).  Passing one
-    table to many calls shares states across DAGs that differ by a local
-    rewrite.  A table belongs to the model that filled it; ``None`` starts a
-    fresh one.  An edge that does not go forward raises ValueError.
+    lacks.  A DAG is walked in id order; a circuit along its wires, making
+    ``to_dag``'s nodes in the same order but building no DAG.  Whole graphs
+    are hash-consed too: the latent depends only on the output nodes' states
+    in id order, so ``table.graphs`` keys it by their table ids and the
+    readout runs only for a tuple the table lacks (gate orders that differ
+    only on disjoint wires give one tuple).  One table takes both kinds of
+    input; passing it to many calls shares states across circuits that
+    differ by a local rewrite.  A table belongs to the model that filled it;
+    ``None`` starts a fresh one.  A DAG edge that does not go forward raises
+    ValueError.
     """
     if table is None:
         table = EncodeTable()
-    nodes, states = table.nodes, table.states
+    walk = _circuit_sinks if isinstance(x, Circuit) else _dag_sinks
+    graph = walk(m, x, table)
+    latent = table.graphs.get(graph)
+    if latent is None:
+        states = table.states
+        h_sinks = np.concatenate([states[i] for i in graph]) if graph else np.empty((0, m.d_h))
+        mu, logvar = _readout(m, h_sinks, np.zeros(len(graph), dtype=np.intp), 1)[0]
+        latent = table.graphs[graph] = Latent(mu[0], logvar[0])
+    return latent
+
+
+def _new_node(m: DvaeModel, table: EncodeTable, key: tuple) -> int:
+    """Run the node update for a key ``(type, *predecessor table ids)`` that
+    the table lacks, and return the new table id."""
+    states = table.states
+    hs = [states[i] for i in key[1:]]
+    h_preds = np.concatenate(hs) if hs else np.empty((0, m.d_h))
+    t = key[0]
+    h, _ = _node_states(m, _EYE[t : t + 1], h_preds, np.zeros(len(hs), dtype=np.intp), 1)
+    i = table.nodes[key] = len(states)
+    states.append(h)
+    return i
+
+
+def _dag_sinks(m: DvaeModel, d: CircuitDag, table: EncodeTable) -> tuple[int, ...]:
+    """Table ids of the DAG's output nodes in id order."""
+    get = table.nodes.get
     output = NodeType.OUTPUT
     ids, sinks = [], []
     id_of = ids.__getitem__
     for t, preds in zip(d.types, d.predecessors()):
         # most nodes have one predecessor; that key needs no unpacking
         key = (t, ids[preds[0]]) if len(preds) == 1 else (t, *map(id_of, preds))
-        i = nodes.get(key)
+        i = get(key)
         if i is None:
-            hs = [states[ids[u]] for u in preds]
-            h_preds = np.concatenate(hs) if hs else np.empty((0, m.d_h))
-            h, _ = _node_states(
-                m, _EYE[t : t + 1], h_preds, np.zeros(len(hs), dtype=np.intp), 1
-            )
-            i = nodes[key] = len(states)
-            states.append(h)
+            i = _new_node(m, table, key)
         ids.append(i)
         if t is output:
             sinks.append(i)
-    graph = tuple(sinks)
-    latent = table.graphs.get(graph)
-    if latent is None:
-        h_sinks = np.concatenate([states[i] for i in graph]) if graph else np.empty((0, m.d_h))
-        mu, logvar = _readout(m, h_sinks, np.zeros(len(graph), dtype=np.intp), 1)[0]
-        latent = table.graphs[graph] = Latent(mu[0], logvar[0])
-    return latent
+    return tuple(sinks)
+
+
+def _circuit_sinks(m: DvaeModel, c: Circuit, table: EncodeTable) -> tuple[int, ...]:
+    """Table ids of ``to_dag(c)``'s output nodes in id order.  The walk
+    follows ``to_dag``'s rules and node numbers (``last`` holds each wire's
+    last node, ``ids`` each node's table id), and a node key is looked up
+    inline, as a call per node would cost more than the lookup."""
+    hadamard, ctrl_op, trgt_op, helper_op = (
+        NodeType.HADAMARD, NodeType.CTRL_OP, NodeType.TRGT_OP, NodeType.HELPER)
+    get = table.nodes.get
+    n = c.n_wires
+    key = (NodeType.INPUT,)
+    i = get(key)
+    ids = [_new_node(m, table, key) if i is None else i] * (n + 1)
+    last = list(range(n + 1))
+    fake_last, k = n, n + 1
+    for g in c.gates:
+        if g.is_cx:
+            cq, tq = g.qubits
+            if fake_last == last[cq]:  # node numbers: the inputs share one table id
+                key = (helper_op, ids[fake_last])
+                i = get(key)
+                ids.append(_new_node(m, table, key) if i is None else i)
+                fake_last = k
+                k += 1
+            key = (ctrl_op, ids[last[cq]], ids[fake_last])
+            i = get(key)
+            ctrl = _new_node(m, table, key) if i is None else i
+            key = (trgt_op, ids[last[tq]], ctrl)
+            i = get(key)
+            ids += (ctrl, _new_node(m, table, key) if i is None else i)
+            last[cq] = k
+            last[tq] = fake_last = k + 1
+            k += 2
+        else:
+            q = g.qubits[0]
+            key = (hadamard, ids[last[q]])
+            i = get(key)
+            ids.append(_new_node(m, table, key) if i is None else i)
+            last[q] = k
+            k += 1
+    last[n] = fake_last
+    sinks = []
+    for u in last:
+        key = (NodeType.OUTPUT, ids[u])
+        i = get(key)
+        sinks.append(_new_node(m, table, key) if i is None else i)
+    return tuple(sinks)
 
 
 def _encoder_backward(

@@ -5,8 +5,16 @@ from dataclasses import fields
 
 import pytest
 
-from qcopt import cli, harness
-from qcopt.circuit import BvSpec, Circuit, Gate, bv_circuit, random_icmh_circuit, serialize_qasm
+from qcopt import cli, dvae, harness
+from qcopt.circuit import (
+    BvSpec,
+    Circuit,
+    Gate,
+    bv_circuit,
+    random_icmh_circuit,
+    serialize_qasm,
+    state_string,
+)
 from qcopt.cli import OUT_ROOT_ENV, config_text, dispatch, load_config
 from qcopt.dag import dag_to_debug_text, save_corpus, to_dag
 from qcopt.dvae import DvaeConfig, DvaeModel, load_checkpoint, save_checkpoint
@@ -52,9 +60,11 @@ def test_unknown_flag_is_usage_error(capsys):
      (["verify", "--circuits", "-3"], "--circuits: must be at least 1, got -3"),
      (["grad-check", "--dags", "0"], "--dags: must be at least 1, got 0"),
      (["verify", "--seed", "-1"], "--seed: must be at least 0, got -1"),
-     (["grad-check", "--seed", "-1"], "--seed: must be at least 0, got -1")],
+     (["grad-check", "--seed", "-1"], "--seed: must be at least 0, got -1"),
+     (["grad-check", "--d-h", "0"], "--d-h: must be at least 1, got 0"),
+     (["grad-check", "--d-h", "-2"], "--d-h: must be at least 1, got -2")],
     ids=["verify-0", "verify-negative", "grad-check-0", "verify-seed-negative",
-         "grad-check-seed-negative"],
+         "grad-check-seed-negative", "grad-check-d-h-0", "grad-check-d-h-negative"],
 )
 def test_count_below_one_is_usage_error(argv, message, capsys):
     assert dispatch(argv) == 2
@@ -82,6 +92,22 @@ def test_verify_fails_when_the_budget_drops_an_action_within_it(monkeypatch, cap
     assert dispatch(["verify", "--circuits", "3"]) == 1
     out = capsys.readouterr().out
     assert "FAIL budget: '' budget " in out and "FAIL layered-subset" not in out
+
+
+def test_verify_fails_when_the_circuit_walk_encodes_another_circuit(monkeypatch, capsys):
+    # a walk that drops the last gate agrees with the DAG walk only on the
+    # empty circuit 0, so circuit 1 alone fails
+    walk = dvae._circuit_sinks
+
+    def short_walk(m, c, table):
+        return walk(m, Circuit(c.n_wires, c.gates[:-1]), table)
+
+    monkeypatch.setattr(dvae, "_circuit_sinks", short_walk)
+    assert dispatch(["verify", "--circuits", "2"]) == 1
+    out = capsys.readouterr().out
+    second = state_string(random_icmh_circuit(3, 3, 1))
+    assert out.count("FAIL ") == 1 and f"FAIL encode-equivalence: {second!r}" in out
+    assert "1 failures" in out
 
 
 def test_train_encoded_truncated_checkpoint_fails_cleanly(tmp_path, capsys):

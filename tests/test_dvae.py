@@ -203,6 +203,52 @@ def test_encode_np_commuting_gate_orders_share_one_graph_entry():
     assert np.array_equal(hit.mu, fresh.mu) and np.array_equal(hit.logvar, fresh.logvar)
 
 
+def opposite_cnot_chain(n_wires, length, seed):
+    """CNOTs that mostly reverse the previous one's orientation on the same
+    wire pair, with a few Hs between: ``to_dag`` inserts a helper wherever a
+    CNOT's control is the previous CNOT's target with nothing in between."""
+    rng = np.random.default_rng(seed)
+    gates, cq, tq = [], 0, 1
+    for _ in range(length):
+        r = rng.random()
+        if r < 0.15:
+            gates.append(Gate.h(int(rng.integers(n_wires))))
+            continue
+        if r < 0.3:
+            cq, tq = (int(w) for w in rng.choice(n_wires, 2, replace=False))
+        gates.append(Gate.cx(cq, tq))
+        cq, tq = tq, cq
+    return Circuit(n_wires, tuple(gates))
+
+
+def latent_bytes(latent):
+    return latent.mu.tobytes(), latent.logvar.tobytes()
+
+
+def test_encode_np_circuit_walk_equals_dag_walk():
+    # the circuit walk must make to_dag's nodes, in its order and with its
+    # predecessor order, so latents and the whole table agree bit for bit
+    m = small_model(d_h=6, d_z=3, seed=5)
+    circuits = [random_icmh_circuit(2 + i % 5, i % 31, i) for i in range(2000)]
+    circuits += [bv_circuit(BvSpec(n, s)) for n in range(2, 6) for s in range(1 << n)]
+    circuits += [circ(1), circ(1, Gate.h(0), Gate.h(0)), circ(3)]
+    chains = [opposite_cnot_chain(2 + i % 4, 4 + i % 20, i) for i in range(60)]
+    helpers = sum(to_dag(c).types.count(NodeType.HELPER) for c in chains)
+    assert helpers >= 100
+    by_circuit, by_dag = EncodeTable(), EncodeTable()
+    want = {}
+    for c in circuits + chains:
+        want[c] = latent_bytes(encode_np(m, to_dag(c), by_dag))
+        assert latent_bytes(encode_np(m, c, by_circuit)) == want[c]
+    assert by_circuit.nodes == by_dag.nodes
+    assert [h.tobytes() for h in by_circuit.states] == [h.tobytes() for h in by_dag.states]
+    assert by_circuit.graphs.keys() == by_dag.graphs.keys()
+    # one table fed both kinds of input, interleaved
+    mixed = EncodeTable()
+    for i, c in enumerate(circuits[::7] + chains):
+        assert latent_bytes(encode_np(m, c if i % 2 else to_dag(c), mixed)) == want[c]
+
+
 def test_encoded_run_reads_out_and_keys_each_distinct_graph_once(monkeypatch):
     calls = {"encode": 0, "readout": [], "key": []}
     encode, readout, key = dvae.encode_np, dvae._readout, dvae.latent_key

@@ -9,6 +9,7 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
+from qcopt import agent, dag, harness
 from qcopt.agent import qtable_to_tsv
 from qcopt.circuit import BvSpec
 from qcopt.dvae import load_checkpoint
@@ -22,6 +23,8 @@ from qcopt.harness import (
 )
 
 SPEC = BvSpec(2, 0b11)
+# the phase-3 Q-table at bin width 1e-4, where the keys split the table
+FINE_BIN_QTABLE_SHA = "8f0d9c3c2a04f4bcfa8c0173343d924d0cf55da5e6d31cabf079705c71d26392"
 
 
 def sha256(data: bytes) -> str:
@@ -96,6 +99,17 @@ def test_encoded_qtable_pinned_at_a_fine_bin(encoder):
     model, _, _, _ = encoder
     result = run_encoded(SPEC, model, benchmark_agent_config(SPEC, 100, 0), 1e-4)
     assert result.l_a == 226
-    assert sha256(qtable_to_tsv(result.qtable).encode()) == (
-        "8f0d9c3c2a04f4bcfa8c0173343d924d0cf55da5e6d31cabf079705c71d26392"
-    )
+    assert sha256(qtable_to_tsv(result.qtable).encode()) == FINE_BIN_QTABLE_SHA
+
+
+def test_encoded_run_builds_no_dag(encoder, monkeypatch):
+    # phase 3 encodes each circuit by walking its wires; no DAG is built
+    def no_dag(c):
+        raise AssertionError("phase 3 built a DAG")
+
+    for module in (dag, agent, harness):
+        monkeypatch.setattr(module, "to_dag", no_dag)
+    model, _, _, _ = encoder
+    result = run_encoded(SPEC, model, benchmark_agent_config(SPEC, 100, 0), 1e-4)
+    assert result.l_a == 226
+    assert sha256(qtable_to_tsv(result.qtable).encode()) == FINE_BIN_QTABLE_SHA
