@@ -289,24 +289,22 @@ def train_agent(start: Circuit, abstraction, cfg: AgentConfig) -> TrainResult:
 def greedy_trajectory(
     start: Circuit, q: QTable, abstraction, cfg: AgentConfig
 ) -> list[EpisodeStep]:
-    """Post-training exploitation rollout: epsilon = 0, no table updates."""
+    """Post-training exploitation rollout: epsilon = 0, no table updates.
+    Each state is expanded as in training, in a state table of its own."""
     rng = np.random.default_rng(0)  # never consulted at epsilon 0
+    states: StateTable = {}
+    visited: dict[StateKey, Circuit] = {}
     steps: list[EpisodeStep] = []
     c = start
-    d = depth(c)
-    if d <= TARGET_DEPTH:
-        return steps
+    _, s, actions, keys = _state_info(c, abstraction, cfg, states, visited)
     for _ in range(cfg.max_steps):
-        actions, keys = available_actions(c, cfg)
-        if not actions:
+        if not actions:  # the depth target, or a dead end
             break
-        s = abstraction(c)
         a, a_key = choose_action(q, s, actions, 0.0, rng, keys)
         c = apply(c, a)
-        d = depth(c)
+        d, s2, actions, keys = _state_info(c, abstraction, cfg, states, visited)
         steps.append(EpisodeStep(s, a_key, 0.0, d))
-        if d <= TARGET_DEPTH:
-            break
+        s = s2
     return steps
 
 

@@ -28,12 +28,12 @@ one edge-head evaluation cover node k of every graph that has one.  ``loss``
 runs the encoder and decoder forwards and the loss heads over a batch and
 returns the summed value, its parts and a cache; ``backward`` walks that
 cache level by level in reverse and returns the parameter gradients.  A
-batch of one DAG is the single-graph case.  The inference-only
-``encode_np`` shares the encoder's node update and readout but runs node by
-node and keeps no activations; it takes a DAG, or a circuit whose wires it
-walks as ``to_dag`` would, without building the DAG.  It hash-conses node
-states, and whole graphs by their output nodes' states, in one table that a
-caller can carry across inputs of both kinds.
+batch of one DAG is the single-graph case.  ``encode_np`` encodes a DAG
+with that forward on a batch of one.  For a circuit, the RL loop's input, it
+shares the encoder's node update and readout but runs node by node, walking
+the circuit's wires as ``to_dag`` would without building the DAG, and
+hash-conses node states, and whole graphs by their output nodes' states, in
+a table that a caller carries across circuits.
 """
 
 from __future__ import annotations
@@ -88,6 +88,8 @@ class DvaeConfig:
     def __post_init__(self):
         if min(self.d_h, self.d_z, self.epochs, self.batch_size) < 1:
             raise ValueError("dimensions, epochs and batch size must be positive")
+        if not all(map(math.isfinite, (self.lr, self.beta, self.bin_width))):
+            raise ValueError("lr, beta and bin_width must be finite")
         if self.bin_width <= 0 or self.lr <= 0:
             raise ValueError("bin_width and lr must be positive")
         if self.beta < 0:
@@ -294,7 +296,7 @@ def _encoder_forward(m: DvaeModel, batch: Batch) -> tuple[Latent, EncoderActs]:
 
 @dataclass
 class EncodeTable:
-    """``encode_np``'s hash-consed states, kept for a run of one model."""
+    """``encode_np``'s hash-consed circuit states, kept for a run of one model."""
 
     # (node type, then the predecessors' table ids in edge order) -> table id
     nodes: dict[tuple, int] = field(default_factory=dict)
@@ -305,33 +307,37 @@ class EncodeTable:
 
 
 def encode_np(m: DvaeModel, x: Circuit | CircuitDag, table: EncodeTable | None = None) -> Latent:
-    """Latent distribution of one DAG, or of ``to_dag(x)`` for a circuit,
-    equal bit for bit to the latent that ``loss`` computes for a batch of
-    that DAG alone; used by the RL loop, which needs no gradients.
+    """Latent distribution of one circuit's DAG, ``to_dag(x)``, or of a DAG
+    ``x``; used by the RL loop, which needs no gradients.
 
-    A node's state depends only on its type and on its predecessors' states
-    taken in edge order, so states are hash-consed in ``table``: the walk
-    keeps one table id per node, keys each node by its type followed by its
-    predecessors' ids, and runs the node update only for a key the table
-    lacks.  A DAG is walked in id order; a circuit along its wires, making
-    ``to_dag``'s nodes in the same order but building no DAG.  Whole graphs
-    are hash-consed too: the latent depends only on the output nodes' states
-    in id order, so ``table.graphs`` keys it by their table ids and the
-    readout runs only for a tuple the table lacks (gate orders that differ
-    only on disjoint wires give one tuple).  One table takes both kinds of
-    input; passing it to many calls shares states across circuits that
-    differ by a local rewrite.  A table belongs to the model that filled it;
-    ``None`` starts a fresh one.  A DAG edge that does not go forward raises
-    ValueError.
+    A DAG gets the training forward on a batch of one, so its latent is the
+    one ``loss`` computes; an edge that does not go forward raises
+    ValueError.  A circuit is walked along its wires, making ``to_dag``'s
+    nodes in the same order but building no DAG (the latent is the DAG's,
+    bit for bit), and its node states are hash-consed in ``table``: a node's
+    state depends only on its type and on its predecessors' states taken in
+    edge order, so the walk keeps one table id per node, keys each node by
+    its type followed by its predecessors' ids, and runs the node update
+    only for a key the table lacks.  Whole graphs are hash-consed too: the
+    latent depends only on the output nodes' states in id order, so
+    ``table.graphs`` keys it by their table ids and the readout runs only
+    for a tuple the table lacks (gate orders that differ only on disjoint
+    wires give one tuple).  Passing one table to many calls shares states
+    across circuits that differ by a local rewrite.  A table belongs to the
+    model that filled it; ``None`` starts a fresh one.  A DAG shares
+    nothing, so passing a table with one raises ValueError.
     """
+    if isinstance(x, CircuitDag):
+        if table is not None:
+            raise ValueError("an encode table takes circuits; encode a DAG without one")
+        mu, logvar = _encoder_forward(m, _layout([x]))[0]
+        return Latent(mu[0], logvar[0])
     if table is None:
         table = EncodeTable()
-    walk = _circuit_sinks if isinstance(x, Circuit) else _dag_sinks
-    graph = walk(m, x, table)
+    graph = _circuit_sinks(m, x, table)
     latent = table.graphs.get(graph)
     if latent is None:
-        states = table.states
-        h_sinks = np.concatenate([states[i] for i in graph]) if graph else np.empty((0, m.d_h))
+        h_sinks = np.concatenate([table.states[i] for i in graph])
         mu, logvar = _readout(m, h_sinks, np.zeros(len(graph), dtype=np.intp), 1)[0]
         latent = table.graphs[graph] = Latent(mu[0], logvar[0])
     return latent
@@ -348,24 +354,6 @@ def _new_node(m: DvaeModel, table: EncodeTable, key: tuple) -> int:
     i = table.nodes[key] = len(states)
     states.append(h)
     return i
-
-
-def _dag_sinks(m: DvaeModel, d: CircuitDag, table: EncodeTable) -> tuple[int, ...]:
-    """Table ids of the DAG's output nodes in id order."""
-    get = table.nodes.get
-    output = NodeType.OUTPUT
-    ids, sinks = [], []
-    id_of = ids.__getitem__
-    for t, preds in zip(d.types, d.predecessors()):
-        # most nodes have one predecessor; that key needs no unpacking
-        key = (t, ids[preds[0]]) if len(preds) == 1 else (t, *map(id_of, preds))
-        i = get(key)
-        if i is None:
-            i = _new_node(m, table, key)
-        ids.append(i)
-        if t is output:
-            sinks.append(i)
-    return tuple(sinks)
 
 
 def _circuit_sinks(m: DvaeModel, c: Circuit, table: EncodeTable) -> tuple[int, ...]:
@@ -647,12 +635,14 @@ def backward(m: DvaeModel, cache: LossCache) -> list[np.ndarray]:
 
 def latent_key(l: Latent, bin_width: float) -> str:
     """Comma-joined per-dimension bin indices of the latent mean."""
-    if bin_width <= 0:
-        raise ValueError("bin_width must be positive")
-    if not np.all(np.isfinite(l.mu)):
-        raise ValueError("latent mean is not finite")
-    bins = np.floor(l.mu / bin_width).astype(int)
-    return ",".join(str(b) for b in bins)
+    if not 0 < bin_width < math.inf:
+        raise ValueError("bin_width must be positive and finite")
+    # a tiny width can overflow the quotient; that is refused below
+    with np.errstate(over="ignore"):
+        scaled = l.mu / bin_width
+    if not np.all(np.isfinite(scaled)):
+        raise ValueError("latent mean / bin_width is not finite")
+    return ",".join(str(int(b)) for b in np.floor(scaled).tolist())
 
 
 # --- training -----------------------------------------------------------------

@@ -393,6 +393,47 @@ def test_greedy_trajectory_short_after_training():
     assert len(steps) <= 12  # 2x the BFS optimum of 6
 
 
+def reference_greedy_trajectory(start, q, abstraction, cfg):
+    """The rollout as it stood before it shared the training state
+    expansion: its own enumeration, depth and abstraction calls."""
+    rng = np.random.default_rng(0)
+    steps = []
+    c = start
+    d = depth(c)
+    if d <= TARGET_DEPTH:
+        return steps
+    for _ in range(cfg.max_steps):
+        actions, keys = available_actions(c, cfg)
+        if not actions:
+            break
+        s = abstraction(c)
+        a, a_key = choose_action(q, s, actions, 0.0, rng, keys)
+        c = apply(c, a)
+        d = depth(c)
+        steps.append(agent.EpisodeStep(s, a_key, 0.0, d))
+        if d <= TARGET_DEPTH:
+            break
+    return steps
+
+
+def test_greedy_trajectory_equals_reference_rollout():
+    model = DvaeModel.create(DvaeConfig(d_h=8, d_z=3, seed=1))
+    runs = [(n, seed, ExactAbstraction) for n in (2, 3) for seed in range(3)]
+    runs += [(2, 0, lambda w=w: EncoderAbstraction(model, w)) for w in (0.5, 1e-4)]
+    lengths = set()
+    for n, seed, make in runs:
+        spec = BvSpec(n, (1 << n) - 1)
+        cfg = benchmark_agent_config(spec, 150, seed)
+        start = bv_circuit(spec)
+        q = train_agent(start, make(), cfg).qtable
+        got = greedy_trajectory(start, q, make(), cfg)
+        assert got == reference_greedy_trajectory(start, q, make(), cfg)
+        lengths.add(len(got))
+    assert len(lengths) > 1
+    # a start already at the target takes no step
+    assert greedy_trajectory(circ(2, Gate.h(0)), {}, ExactAbstraction(), cfg) == []
+
+
 def test_qtable_tsv_layout():
     q = {"s2": {"b": 1.0}, "s1": {"a": -0.25, "c": 0.5}}
     text = qtable_to_tsv(q)

@@ -95,8 +95,8 @@ def test_verify_fails_when_the_budget_drops_an_action_within_it(monkeypatch, cap
 
 
 def test_verify_fails_when_the_circuit_walk_encodes_another_circuit(monkeypatch, capsys):
-    # a walk that drops the last gate agrees with the DAG walk only on the
-    # empty circuit 0, so circuit 1 alone fails
+    # a walk that drops the last gate agrees with the training forward on
+    # the DAG only on the empty circuit 0, so circuit 1 alone fails
     walk = dvae._circuit_sinks
 
     def short_walk(m, c, table):
@@ -263,9 +263,16 @@ def test_phases_chain_through_their_files(tmp_path, capsys):
      (["train-baseline", "--epochs", "0"], "epochs and max_gates must be positive"),
      (["train-vae", "--d-h", "0"], "dimensions, epochs and batch size must be positive"),
      (["train-baseline", "--seed", "-1"], "'seed' must be at least 0, got -1"),
-     (["compare", "--beta", "-1"], "beta must be non-negative")],
+     (["compare", "--beta", "-1"], "beta must be non-negative"),
+     (["compare", "--bin-width", "nan"], "lr, beta and bin_width must be finite"),
+     (["compare", "--bin-width", "inf"], "lr, beta and bin_width must be finite"),
+     (["train-vae", "--vae-lr", "nan"], "lr, beta and bin_width must be finite"),
+     (["train-vae", "--vae-lr", "inf"], "lr, beta and bin_width must be finite"),
+     (["compare", "--beta", "nan"], "lr, beta and bin_width must be finite"),
+     (["compare", "--beta", "inf"], "lr, beta and bin_width must be finite")],
     ids=["seeds-0", "seeds-negative", "bin-width-0", "corpus-cap-0", "epochs-0", "d-h-0",
-         "seed-negative", "beta-negative"],
+         "seed-negative", "beta-negative", "bin-width-nan", "bin-width-inf", "vae-lr-nan",
+         "vae-lr-inf", "beta-nan", "beta-inf"],
 )
 def test_bad_setting_fails_before_any_work(tmp_path, monkeypatch, capsys, argv, message):
     def no_phase(*args):

@@ -149,31 +149,36 @@ def shuffled_edges(d, rng):
 
 
 def test_encode_np_shared_table_equals_encoder_forward():
-    # the training forward is the reference; a shared table must not move a
-    # bit, also for edge lists stored out of destination order, where a
-    # node's predecessors come in another order; a backward edge is refused
-    # by predecessors(), the one place that checks the rule
+    # the training forward is the reference; a DAG is encoded by it, also
+    # for edge lists stored out of destination order, where a node's
+    # predecessors come in another order, and a circuit walked under a
+    # shared table must not move a bit; a backward edge is refused by
+    # predecessors(), the one place that checks the rule
     m = small_model(d_h=12, d_z=4, seed=3)
     rng = np.random.default_rng(3)
     table = EncodeTable()
     reordered = 0
     for seed in range(240):
-        d = to_dag(random_icmh_circuit(2 + seed % 4, seed % 16, seed))
+        c = random_icmh_circuit(2 + seed % 4, seed % 16, seed)
+        d = to_dag(c)
         shuffled = shuffled_edges(d, rng)
         read_back = dag_from_debug_text(dag_to_debug_text(shuffled_edges(d, rng)))
         reordered += shuffled.predecessors() != d.predecessors()
-        for dag in (d, shuffled, read_back):
+        for x, dag in ((c, d), (d, d), (shuffled, shuffled), (read_back, read_back)):
             ref = batch_cache(m, [dag]).latent
-            for got in (encode_np(m, dag, table), encode_np(m, dag)):
-                assert np.array_equal(got.mu, ref.mu[0])
-                assert np.array_equal(got.logvar, ref.logvar[0])
+            got = encode_np(m, x, table if x is c else None)
+            assert np.array_equal(got.mu, ref.mu[0])
+            assert np.array_equal(got.logvar, ref.logvar[0])
         i = int(rng.integers(len(d.edges)))
         u, v = shuffled.edges[i]
         broken = CircuitDag(d.types, shuffled.edges[:i] + ((v, u),) + shuffled.edges[i + 1 :])
         with pytest.raises(ValueError, match="does not go forward") as err:
-            encode_np(m, broken, table)
+            encode_np(m, broken)
         assert err.traceback[-1].name == "predecessors"
     assert reordered >= 100
+    # a table hash-conses circuits; a DAG would share nothing through it
+    with pytest.raises(ValueError, match="encode a DAG without one"):
+        encode_np(m, two_node_dag(), table)
 
 
 def test_encode_np_table_reuses_node_states():
@@ -181,12 +186,12 @@ def test_encode_np_table_reuses_node_states():
     start = bv_circuit(BvSpec(2, 0b11))
     assert to_dag(start).n_nodes == 18
     table = EncodeTable()
-    encode_np(m, to_dag(start), table)
+    encode_np(m, start, table)
     assert len(table.nodes) == 13  # the inputs share one state, as do the first Hs
-    encode_np(m, to_dag(start), table)
+    encode_np(m, start, table)
     assert len(table.nodes) == 13
     longer = Circuit(start.n_wires, start.gates + (Gate.h(0), Gate.h(0)))
-    encode_np(m, to_dag(longer), table)
+    encode_np(m, longer, table)
     assert len(table.nodes) == 16  # two H nodes and the wire-0 output
     assert len(table.graphs) == 2  # graph latents stay out of the node part
 
@@ -194,9 +199,9 @@ def test_encode_np_table_reuses_node_states():
 def test_encode_np_commuting_gate_orders_share_one_graph_entry():
     m = small_model()
     table = EncodeTable()
-    first = encode_np(m, to_dag(circ(2, Gate.h(0), Gate.h(1))), table)
+    first = encode_np(m, circ(2, Gate.h(0), Gate.h(1)), table)
     assert len(table.graphs) == 1
-    swapped = to_dag(circ(2, Gate.h(1), Gate.h(0)))
+    swapped = circ(2, Gate.h(1), Gate.h(0))
     hit = encode_np(m, swapped, table)
     assert len(table.graphs) == 1 and hit is first
     fresh = encode_np(m, swapped)
@@ -225,9 +230,10 @@ def latent_bytes(latent):
     return latent.mu.tobytes(), latent.logvar.tobytes()
 
 
-def test_encode_np_circuit_walk_equals_dag_walk():
+def test_encode_np_circuit_walk_equals_training_encoder():
     # the circuit walk must make to_dag's nodes, in its order and with its
-    # predecessor order, so latents and the whole table agree bit for bit
+    # predecessor order, so under one shared table every latent is the
+    # training forward's on the circuit's DAG, bit for bit
     m = small_model(d_h=6, d_z=3, seed=5)
     circuits = [random_icmh_circuit(2 + i % 5, i % 31, i) for i in range(2000)]
     circuits += [bv_circuit(BvSpec(n, s)) for n in range(2, 6) for s in range(1 << n)]
@@ -235,18 +241,12 @@ def test_encode_np_circuit_walk_equals_dag_walk():
     chains = [opposite_cnot_chain(2 + i % 4, 4 + i % 20, i) for i in range(60)]
     helpers = sum(to_dag(c).types.count(NodeType.HELPER) for c in chains)
     assert helpers >= 100
-    by_circuit, by_dag = EncodeTable(), EncodeTable()
-    want = {}
+    table = EncodeTable()
     for c in circuits + chains:
-        want[c] = latent_bytes(encode_np(m, to_dag(c), by_dag))
-        assert latent_bytes(encode_np(m, c, by_circuit)) == want[c]
-    assert by_circuit.nodes == by_dag.nodes
-    assert [h.tobytes() for h in by_circuit.states] == [h.tobytes() for h in by_dag.states]
-    assert by_circuit.graphs.keys() == by_dag.graphs.keys()
-    # one table fed both kinds of input, interleaved
-    mixed = EncodeTable()
-    for i, c in enumerate(circuits[::7] + chains):
-        assert latent_bytes(encode_np(m, c if i % 2 else to_dag(c), mixed)) == want[c]
+        # the encoder half of batch_cache: the latent loss reads, without
+        # the decoder's cost
+        (mu, logvar), _ = dvae._encoder_forward(m, dvae._layout([to_dag(c)]))
+        assert latent_bytes(encode_np(m, c, table)) == latent_bytes(Latent(mu[0], logvar[0]))
 
 
 def test_encoded_run_reads_out_and_keys_each_distinct_graph_once(monkeypatch):
@@ -402,6 +402,15 @@ def test_latent_key_rejects_bad_inputs():
         latent_key(Latent(np.array([np.nan]), np.zeros(1)), 0.5)
     with pytest.raises(ValueError):
         latent_key(Latent(np.zeros(1), np.zeros(1)), 0.0)
+    # a width that is not finite, or so small that the quotient overflows,
+    # would put every latent in one bin or cast inf to the smallest integer
+    for width in (math.nan, math.inf, -math.inf, 1e-320):
+        with pytest.raises(ValueError):
+            latent_key(Latent(np.array([0.25, -1.0]), np.zeros(2)), width)
+    # a finite quotient beyond int64 still keys exactly
+    assert latent_key(Latent(np.array([1.0, -2.5]), np.zeros(2)), 2.0**-70) == (
+        f"{2**70},{-5 * 2**69}"
+    )
 
 
 # --- training ----------------------------------------------------------------------
