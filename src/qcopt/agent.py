@@ -191,10 +191,12 @@ class EpisodeTrace:
 
 class StateInfo(NamedTuple):
     """A run's state table maps each exact gate string to what the run has
-    worked out about that circuit.  The environment is deterministic and the
-    RL loop revisits circuits constantly, so each circuit's depth,
-    abstraction key and action list are worked out once per run."""
+    worked out about that circuit: the circuit itself, its depth,
+    abstraction key and action list.  The environment is deterministic and
+    the RL loop revisits circuits constantly, so each is worked out once per
+    run."""
 
+    circuit: Circuit
     depth: int
     key: StateKey  # the abstraction's key
     actions: list[Action]  # empty at the depth target, which ends an episode
@@ -204,22 +206,36 @@ class StateInfo(NamedTuple):
 StateTable = dict[str, StateInfo]
 
 
-def _state_info(
-    c: Circuit, abstraction, cfg: AgentConfig, states: StateTable,
-    visited: dict[StateKey, Circuit],
-) -> StateInfo:
+def _state_info(c: Circuit, abstraction, cfg: AgentConfig, states: StateTable) -> StateInfo:
     """The table entry of ``c``, made on its first visit; the abstraction is
-    handed the gate string the lookup built.  ``visited`` gains the circuit
-    if its key is new."""
+    handed the gate string the lookup built."""
     exact = state_string(c)
     info = states.get(exact)
     if info is None:
         d = depth(c)
         s = abstraction(c, exact)
-        visited.setdefault(s, c)
         actions, keys = ([], []) if d <= TARGET_DEPTH else available_actions(c, cfg)
-        info = states[exact] = StateInfo(d, s, actions, keys)
+        info = states[exact] = StateInfo(c, d, s, actions, keys)
     return info
+
+
+def _steps(
+    info: StateInfo, q: QTable, abstraction, cfg: AgentConfig, states: StateTable,
+    epsilon: float, rng: np.random.Generator,
+):
+    """The steps of an episode from the table entry ``info``: choose an
+    action, apply it and expand the new state, yielding ``(before, action
+    key, after)``.  It stops at a state with no actions (the depth target or
+    a dead end) or after ``cfg.max_steps``.  Each choice waits for the
+    caller to ask for the next step, so it reads the caller's update of
+    ``q``."""
+    for _ in range(cfg.max_steps):
+        if not info.actions:
+            return
+        a, a_key = choose_action(q, info.key, info.actions, epsilon, rng, info.action_keys)
+        after = _state_info(apply(info.circuit, a), abstraction, cfg, states)
+        yield info, a_key, after
+        info = after
 
 
 def run_episode(
@@ -229,37 +245,21 @@ def run_episode(
     cfg: AgentConfig,
     rng: np.random.Generator,
     epsilon: float,
-    visited: dict[StateKey, Circuit],
-    states: StateTable | None = None,
+    states: StateTable,
 ) -> EpisodeTrace:
-    """One episode: enumerate, choose, apply, reward, update, until the depth
-    target is reached or max_steps runs out.  ``visited`` keeps the first
-    circuit seen under each state key; ``states`` is the run's state table
-    (``None`` starts a fresh one)."""
-    if states is None:
-        states = {}
-    c = start
-    d, s, actions, keys = _state_info(c, abstraction, cfg, states, visited)
-    trace = EpisodeTrace(best_depth=d, final_depth=d)
-    if d <= TARGET_DEPTH:
-        q.setdefault(s, {})
-        return trace
-
-    for _ in range(cfg.max_steps):
-        if not actions:
-            break
-        a, a_key = choose_action(q, s, actions, epsilon, rng, keys)
-        c2 = apply(c, a)
-        d2, s2, actions2, keys2 = _state_info(c2, abstraction, cfg, states, visited)
-        done = d2 <= TARGET_DEPTH
-        r = reward(d, d2, done)
-        q_update(q, s, a_key, r, s2, keys2)
-        trace.steps.append(EpisodeStep(s, a_key, r, d2))
-        trace.best_depth = min(trace.best_depth, d2)
-        c, d, s, actions, keys = c2, d2, s2, actions2, keys2
-        if done:
-            break
-    trace.final_depth = d
+    """One training episode: each step of ``_steps`` is rewarded and updates
+    ``q``.  ``states`` is the run's state table, which gains every circuit
+    the episode reaches."""
+    info = _state_info(start, abstraction, cfg, states)
+    trace = EpisodeTrace(best_depth=info.depth, final_depth=info.depth)
+    if info.depth <= TARGET_DEPTH:
+        q.setdefault(info.key, {})
+    for before, a_key, after in _steps(info, q, abstraction, cfg, states, epsilon, rng):
+        r = reward(before.depth, after.depth, after.depth <= TARGET_DEPTH)
+        q_update(q, before.key, a_key, r, after.key, after.action_keys)
+        trace.steps.append(EpisodeStep(before.key, a_key, r, after.depth))
+        trace.best_depth = min(trace.best_depth, after.depth)
+        trace.final_depth = after.depth
     return trace
 
 
@@ -267,45 +267,38 @@ def run_episode(
 class TrainResult:
     qtable: QTable
     traces: list[EpisodeTrace]
-    visited: dict[StateKey, Circuit]
+    circuits: dict[str, Circuit]  # every reached circuit, by gate string
 
 
 def train_agent(start: Circuit, abstraction, cfg: AgentConfig) -> TrainResult:
     """cfg.epochs episodes from the same start circuit with per-episode
     epsilon decay; returns the table, whose length is l, all traces and
-    ``visited``.  One state table serves every episode of the run."""
+    every circuit the run reached.  One state table serves every episode of
+    the run; only its circuits outlive it."""
     q: QTable = {}
-    visited: dict[StateKey, Circuit] = {}
     states: StateTable = {}
     rng = np.random.default_rng(cfg.seed)
     traces: list[EpisodeTrace] = []
     epsilon = 1.0
     for _ in range(cfg.epochs):
-        traces.append(run_episode(start, q, abstraction, cfg, rng, epsilon, visited, states))
+        traces.append(run_episode(start, q, abstraction, cfg, rng, epsilon, states))
         epsilon = max(EPSILON_MIN, epsilon * EPSILON_DECAY)
-    return TrainResult(q, traces, visited)
+    return TrainResult(q, traces, {exact: info.circuit for exact, info in states.items()})
 
 
 def greedy_trajectory(
     start: Circuit, q: QTable, abstraction, cfg: AgentConfig
 ) -> list[EpisodeStep]:
-    """Post-training exploitation rollout: epsilon = 0, no table updates.
-    Each state is expanded as in training, in a state table of its own."""
+    """Post-training exploitation rollout: the steps of ``_steps`` at
+    epsilon 0, with no table updates and zero rewards, in a state table of
+    its own."""
     rng = np.random.default_rng(0)  # never consulted at epsilon 0
     states: StateTable = {}
-    visited: dict[StateKey, Circuit] = {}
-    steps: list[EpisodeStep] = []
-    c = start
-    _, s, actions, keys = _state_info(c, abstraction, cfg, states, visited)
-    for _ in range(cfg.max_steps):
-        if not actions:  # the depth target, or a dead end
-            break
-        a, a_key = choose_action(q, s, actions, 0.0, rng, keys)
-        c = apply(c, a)
-        d, s2, actions, keys = _state_info(c, abstraction, cfg, states, visited)
-        steps.append(EpisodeStep(s, a_key, 0.0, d))
-        s = s2
-    return steps
+    info = _state_info(start, abstraction, cfg, states)
+    return [
+        EpisodeStep(before.key, a_key, 0.0, after.depth)
+        for before, a_key, after in _steps(info, q, abstraction, cfg, states, 0.0, rng)
+    ]
 
 
 def qtable_to_tsv(q: QTable) -> str:

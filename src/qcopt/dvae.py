@@ -710,7 +710,8 @@ def save_checkpoint(m: DvaeModel, path: str, run: dict | None = None):
     """One JSON object: the format tag, ``d_h``, ``d_z``, the tensors by
     ``params()`` name as nested lists, and the keys of ``run`` (what produced
     the model).  Python writes each float as its shortest round-trip repr, so
-    the arrays read back bit-exactly."""
+    the arrays read back bit-exactly.  A value that is not finite has no JSON
+    form: it raises ValueError before the file is opened."""
     doc = {
         **(run or {}),
         "format": _FORMAT,
@@ -718,9 +719,9 @@ def save_checkpoint(m: DvaeModel, path: str, run: dict | None = None):
         "d_z": m.d_z,
         "tensors": {name: p.value.tolist() for name, p in m.params().items()},
     }
+    text = json.dumps(doc, sort_keys=True, allow_nan=False)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, sort_keys=True)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def _tensor(value, shape: tuple, name: str) -> np.ndarray:
@@ -728,17 +729,20 @@ def _tensor(value, shape: tuple, name: str) -> np.ndarray:
     if arr.shape != shape or not all(type(x) in (int, float) for x in arr.flat):
         raise ValueError(f"tensor {name!r} is not a {shape} array of numbers")
     try:
-        return arr.astype(np.float64)
+        out = arr.astype(np.float64)
     except OverflowError:
         raise ValueError(f"tensor {name!r} holds a number beyond float64") from None
+    if not np.isfinite(out).all():  # json.load reads NaN and Infinity
+        raise ValueError(f"tensor {name!r} holds a value that is not finite")
+    return out
 
 
 def load_checkpoint(path: str) -> DvaeModel:
     """Read a checkpoint written by save_checkpoint.  It comes from outside, so
     a file that is not JSON (a truncated one too), not a JSON object or of
     another format, a ``d_h`` or ``d_z`` that is not an integer of at least 1,
-    a missing or unknown tensor, a wrong shape or a non-numeric value raises
-    ValueError."""
+    a missing or unknown tensor, a wrong shape or a non-numeric or non-finite
+    value raises ValueError."""
     with open(path, encoding="utf-8") as fh:
         try:
             doc = json.load(fh)

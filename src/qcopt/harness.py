@@ -126,12 +126,12 @@ class BenchmarkReport:
 def harvest_corpus(result: TrainResult) -> list[CircuitDag]:
     """One DAG per Q-table state, in sorted state-key order.
 
-    Exact-mode state keys are the gate strings of the visited circuits, so
-    the corpus covers the table exactly.
+    Exact-mode state keys are gate strings, so each names its circuit in
+    ``result.circuits`` and the corpus covers the table exactly.
     """
     corpus = []
     for key in sorted(result.qtable):
-        corpus.append(to_dag(result.visited[key]))
+        corpus.append(to_dag(result.circuits[key]))
     return corpus
 
 

@@ -240,18 +240,40 @@ def test_run_episode_follows_oracle_policy():
     assert len(trace) <= 6
 
 
+def test_dead_end_stops_the_episode_and_the_rollout():
+    # a CNOT ring of depth 4 with no action inside the gate budget
+    ring = circ(4, Gate.cx(0, 1), Gate.cx(1, 2), Gate.cx(2, 3), Gate.cx(3, 0))
+    cfg = AgentConfig(epochs=1, max_gates=4)
+    assert depth(ring) == 4 and available_actions(ring, cfg) == ([], [])
+    q = {}
+    trace = run_episode(ring, q, ExactAbstraction(), cfg, np.random.default_rng(0), 1.0, {})
+    assert (len(trace), trace.final_depth, q) == (0, 4, {})
+    assert greedy_trajectory(ring, q, ExactAbstraction(), cfg) == []
+
+    # one H pair more: its cancellation is the only step, into the dead end
+    start = circ(4, *ring.gates, Gate.h(0), Gate.h(0))
+    cfg = AgentConfig(epochs=1, max_gates=6)
+    trace = run_episode(start, q, ExactAbstraction(), cfg, np.random.default_rng(0), 1.0, {})
+    step = agent.EpisodeStep(state_string(start), "HH.fwd@4-5", pytest.approx(1.9), 4)
+    assert trace.steps == [step]
+    assert (trace.best_depth, trace.final_depth) == (4, 4)
+    assert set(q) == {state_string(start), state_string(ring)}
+    rollout = greedy_trajectory(start, q, ExactAbstraction(), cfg)
+    assert rollout == [step._replace(reward=0.0)]
+
+
 def test_episode_circuits_stay_unitary_equivalent():
     start = bv_circuit(BvSpec(2, 0b11))
     u = unitary(start)
     cfg = AgentConfig(epochs=1, max_steps=15, max_gates=24, seed=1)
-    visited = {}
+    states = {}
     q = {}
     rng = np.random.default_rng(1)
     for _ in range(4):
-        run_episode(start, q, ExactAbstraction(), cfg, rng, 1.0, visited)
-    assert len(visited) > 3
-    for c in visited.values():
-        assert np.allclose(unitary(c), u, atol=1e-9)
+        run_episode(start, q, ExactAbstraction(), cfg, rng, 1.0, states)
+    assert len(states) > 3
+    for info in states.values():
+        assert np.allclose(unitary(info.circuit), u, atol=1e-9)
 
 
 def test_available_actions_is_layered_space_on_bv2_start():
@@ -316,11 +338,11 @@ def test_train_agent_state_count_non_decreasing():
     start = bv_circuit(BvSpec(2, 0b11))
     cfg = AgentConfig(epochs=1, max_steps=10, max_gates=20, seed=5)
     q = {}
-    visited = {}
+    states = {}
     rng = np.random.default_rng(5)
     counts = []
     for _ in range(30):
-        run_episode(start, q, ExactAbstraction(), cfg, rng, 0.8, visited)
+        run_episode(start, q, ExactAbstraction(), cfg, rng, 0.8, states)
         counts.append(len(q))
     assert counts == sorted(counts)
 
@@ -373,9 +395,12 @@ def test_state_table_works_out_each_circuit_once(monkeypatch, encoded):
     open_circuits = [s for s, c in reached.items() if depth(c) > TARGET_DEPTH]
     assert sorted(calls["actions"]) == sorted(open_circuits)
     assert set(states) == set(reached)
+    assert set(result.circuits) == set(reached)
+    assert all(state_string(c) == s for s, c in result.circuits.items())
     fresh = make_abstraction()
     for s, info in states.items():
         c = reached[s]
+        assert state_string(info.circuit) == s
         d = depth(c)
         assert info.depth == d
         assert info.key == fresh(c)

@@ -147,6 +147,10 @@ MALFORMED_CHECKPOINTS = {
     "beyond-float64": (_doc_edit(lambda d: d["tensors"].update(b_mu=[0.0, 10**400])),
                        "tensor 'b_mu' holds a number beyond float64"),
     "no-tensors": (_doc_edit(lambda d: d.pop("tensors")), "checkpoint lacks its tensors object"),
+    "nan-tensor": (_doc_edit(lambda d: d["tensors"]["w_type"][0].__setitem__(0, float("nan"))),
+                   "tensor 'w_type' holds a value that is not finite"),
+    "inf-tensor": (_doc_edit(lambda d: d["tensors"].update(w_mu=[[float("inf")] * 4] * 2)),
+                   "tensor 'w_mu' holds a value that is not finite"),
 }
 
 

@@ -473,6 +473,16 @@ def test_checkpoint_roundtrip_bit_exact(tmp_path):
     assert (doc["d_h"], doc["d_z"]) == (9, 4) and list(doc["tensors"]) == sorted(m.params())
 
 
+def test_checkpoint_save_rejects_a_value_that_is_not_finite(tmp_path):
+    for bad in (np.nan, np.inf):
+        m = small_model(d_h=4, d_z=2)
+        m.b_mu.value[0] = bad
+        path = tmp_path / "model.ckpt"
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            save_checkpoint(m, str(path))
+        assert not path.exists()
+
+
 def test_checkpoint_rejects_foreign_file(tmp_path):
     path = tmp_path / "bogus.ckpt"
     path.write_text("something else\n")

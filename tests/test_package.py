@@ -1,3 +1,4 @@
+import ast
 import json
 import os
 import pkgutil
@@ -28,3 +29,43 @@ def test_src_depends_on_numpy_alone():
         env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, check=True,
     ).stdout
     assert json.loads(out) == ["numpy"]
+
+
+def unused_imports(source: str) -> list[str]:
+    """The names a module imports and never reads, except on a line marked
+    ``# noqa: F401``; a dotted ``import a.b`` binds ``a``."""
+    tree = ast.parse(source)
+    lines = source.splitlines()
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                if "# noqa: F401" not in lines[alias.lineno - 1]:
+                    imported[alias.asname or alias.name.split(".")[0]] = alias.lineno
+    read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    return sorted(f"{name} (line {line})" for name, line in imported.items()
+                  if name not in read)
+
+
+def test_unused_import_scan_flags_only_unread_unmarked_names():
+    source = (
+        "from __future__ import annotations\n"
+        "import os, os.path\n"
+        "import numpy as np\n"
+        "from json import (\n    dumps,\n    loads,  # noqa: F401\n)\n"
+        "def f(x: np.ndarray):\n    return os\n"
+    )
+    assert unused_imports(source) == ["dumps (line 5)"]
+
+
+def test_src_imports_no_unused_name():
+    src = os.path.dirname(qcopt.__file__)
+    found = {}
+    for m in pkgutil.iter_modules(qcopt.__path__):
+        with open(os.path.join(src, f"{m.name}.py"), encoding="utf-8") as fh:
+            unused = unused_imports(fh.read())
+        if unused:
+            found[m.name] = unused
+    assert found == {}
