@@ -23,9 +23,32 @@ class CircuitError(ValueError):
     """Invalid circuit structure (wrong wire count, wire out of range, control == target)."""
 
 
+class Interned(dict):
+    """Key -> one shared immutable value, made by ``make(key)`` at the first
+    lookup and kept.  Phase 1 builds the same gates, actions, keys and DAG
+    edges over and over; sharing them leaves the cyclic garbage collector
+    little to count.  Keys come from circuit wires and gate positions, so a
+    table is bounded by circuit size, not by run length."""
+
+    __slots__ = ("make",)
+
+    def __init__(self, make):
+        super().__init__()
+        self.make = make
+
+    def __missing__(self, key):
+        value = self[key] = self.make(key)
+        return value
+
+
 @dataclass(frozen=True, slots=True)
 class Gate:
-    """One gate, named by its wires: ``(q,)`` for H, ``(control, target)`` for CNOT."""
+    """One gate, named by its wires: ``(q,)`` for H, ``(control, target)`` for CNOT.
+
+    ``Gate.h`` and ``Gate.cx`` return one shared gate per wire or wire pair,
+    so a rewrite that inserts gates allocates no gate object.  A gate is
+    frozen, so only ``is`` tells a shared gate from an equal fresh one.
+    """
 
     qubits: tuple[int, ...]
     # stored, not derived from len(qubits): the rewrite matchers read it on every gate
@@ -33,11 +56,11 @@ class Gate:
 
     @staticmethod
     def h(q: int) -> "Gate":
-        return Gate((q,), False)
+        return _H_GATES[q]
 
     @staticmethod
     def cx(control: int, target: int) -> "Gate":
-        return Gate((control, target), True)
+        return _CX_GATES[control, target]
 
     @property
     def control(self) -> int:
@@ -46,6 +69,10 @@ class Gate:
     @property
     def target(self) -> int:
         return self.qubits[1]
+
+
+_H_GATES = Interned(lambda q: Gate((q,), False))
+_CX_GATES = Interned(lambda wires: Gate(wires, True))
 
 
 @dataclass(frozen=True, slots=True)

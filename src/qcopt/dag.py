@@ -13,6 +13,10 @@ between the same node pair (consecutive CNOTs whose target and control share
 a wire), a helper node is inserted on that fake edge so the DAG stays free of
 parallel edges.
 
+``to_dag`` takes every edge pair from one shared table, so building a DAG
+allocates no edge object: the corpus harvest builds one DAG per Q-table
+state, and a fresh pair per edge was most of phase 1's garbage.
+
 Node ids are a topological order: every edge ``(u, v)`` has ``u < v``.
 ``to_dag`` numbers nodes in program order, so its DAGs keep this rule, and
 the encoder visits nodes in id order.  ``dvae.encode_np`` also encodes a
@@ -34,7 +38,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import IntEnum
 
-from .circuit import Circuit
+from .circuit import Circuit, Interned
 
 
 class NodeType(IntEnum):
@@ -79,16 +83,29 @@ class CircuitDag:
         return out
 
 
+# _EDGES[v][u] is the shared edge (u, v).  A row is filled only with the
+# edges built, not with all v pairs: one long circuit would otherwise hold a
+# pair for every two of its nodes.
+_EDGES: list[Interned] = []
+
+
 def to_dag(c: Circuit) -> CircuitDag:
     """Convert a circuit to its typed-node DAG (always passes validate).
 
     Nodes are numbered in program order: the n + 1 inputs (wire w is node w,
-    the fake wire node n), then each gate's nodes, then the n + 1 outputs."""
+    the fake wire node n), then each gate's nodes, then the n + 1 outputs.
+    Each edge is the one shared ``(u, v)`` pair of the module's edge table,
+    which grows to the largest DAG built (at most ``2(n + 1) + 3 * gates``
+    nodes), so the DAG allocates no edge object; its edges compare equal to
+    fresh pairs."""
     # members bound once (an Enum class attribute read is slow); k counts node ids
     hadamard, ctrl_op, trgt_op, helper_op = (
         NodeType.HADAMARD, NodeType.CTRL_OP, NodeType.TRGT_OP, NodeType.HELPER)
     n = c.n_wires
     fake = n
+    rows = _EDGES
+    for v in range(len(rows), 2 * (n + 1) + 3 * len(c.gates)):
+        rows.append(Interned(lambda u, v=v: (u, v)))
     types: list[NodeType] = [NodeType.INPUT] * (n + 1)
     edges: list[tuple[int, int]] = []
     last = list(range(n + 1))
@@ -100,25 +117,27 @@ def to_dag(c: Circuit) -> CircuitDag:
             if fake_last == last[cq]:
                 # fake edge would parallel the real edge into the ctrl node
                 types.append(helper_op)
-                edges.append((fake_last, k))
+                edges.append(rows[k][fake_last])
                 fake_last = k
                 k += 1
             trgt = k + 1
             types += (ctrl_op, trgt_op)
-            edges += ((last[cq], k), (fake_last, k), (last[tq], trgt), (k, trgt))
+            into_ctrl, into_trgt = rows[k], rows[trgt]
+            edges += (
+                into_ctrl[last[cq]], into_ctrl[fake_last], into_trgt[last[tq]], into_trgt[k])
             last[cq] = k
             last[tq] = fake_last = trgt
             k += 2
         else:
             q = g.qubits[0]
             types.append(hadamard)
-            edges.append((last[q], k))
+            edges.append(rows[k][last[q]])
             last[q] = k
             k += 1
 
     last[fake] = fake_last
     types += [NodeType.OUTPUT] * (n + 1)
-    edges += [(last[w], k + w) for w in range(n + 1)]
+    edges += [rows[k + w][last[w]] for w in range(n + 1)]
 
     return CircuitDag(tuple(types), tuple(edges))
 

@@ -17,13 +17,20 @@ stable text key ``<KIND>.<fwd|rev>@<site>`` used by the Q-table (sites render
 as ``i-j``, ``q:p``, ``all:p``, ``c-t:p`` or ``i``).  A template kind is the
 string its keys start with (``HH``, ``CXCX``, ``CX_PAR``, ``CX_REV``), as a
 direction is the string ``fwd`` or ``rev``.
+
+Phase 1 meets the same actions in state after state, so the module shares
+one ``Action`` per (kind, direction, site) and formats each key once, and
+``apply`` inserts only ``Gate.h`` and ``Gate.cx``'s shared gates: a rewrite
+allocates no gate object.  All these values are immutable, so sharing them
+shows only through ``is``.
 """
 
 from __future__ import annotations
 
+from functools import partial
 from typing import NamedTuple
 
-from .circuit import Circuit, Gate
+from .circuit import Circuit, Gate, Interned
 
 FORWARD = "fwd"
 REVERSE = "rev"
@@ -54,6 +61,12 @@ class StaleSiteError(ValueError):
 
 
 def action_key(a: Action) -> str:
+    """The action's Q-table key, formatted once per distinct action and
+    shared from then on."""
+    return _KEYS[a]
+
+
+def _format_key(a: Action) -> str:
     kind, direction, site = a
     tag = site[0]
     if tag == "pair":
@@ -67,6 +80,9 @@ def action_key(a: Action) -> str:
     if tag == "cxins":
         return f"{kind}.{direction}@{site[1]}-{site[2]}:{site[3]}"
     raise ValueError(f"unknown site {site!r}")
+
+
+_KEYS = Interned(_format_key)
 
 
 def commutes(a: Gate, b: Gate) -> bool:
@@ -193,6 +209,8 @@ _LAYERED = {
     (HH, REVERSE): lambda c: [("all", 0), ("all", len(c.gates))] if c.gates else [("all", 0)],
     (CXCX, REVERSE): lambda c: [] if c.gates else _matches_cxcx_rev(c),
 }
+# the one shared Action per site, per template
+_ACTIONS = {template: Interned(partial(Action, *template)) for template in _MATCHERS}
 
 
 # --- application -------------------------------------------------------------
@@ -234,11 +252,12 @@ def apply(c: Circuit, a: Action) -> Circuit:
         if site[0] == "all":
             p = site[1]
             _check(0 <= p <= len(gates), "position out of range")
-            layer = tuple(Gate.h(w) for w in range(c.n_wires))
+            layer = tuple(map(Gate.h, range(c.n_wires)))
             return c.with_gates(gates[:p] + layer + layer + gates[p:])
         _, q, p = site
         _check(0 <= q < c.n_wires and 0 <= p <= len(gates), "site out of range")
-        return c.with_gates(gates[:p] + (Gate.h(q), Gate.h(q)) + gates[p:])
+        h = Gate.h(q)
+        return c.with_gates(gates[:p] + (h, h) + gates[p:])
 
     if kind == CXCX and direction == REVERSE:
         _, ctrl, tgt, p = site
@@ -247,8 +266,8 @@ def apply(c: Circuit, a: Action) -> Circuit:
             "bad wire pair",
         )
         _check(0 <= p <= len(gates), "position out of range")
-        pair = (Gate.cx(ctrl, tgt), Gate.cx(ctrl, tgt))
-        return c.with_gates(gates[:p] + pair + gates[p:])
+        cx = Gate.cx(ctrl, tgt)
+        return c.with_gates(gates[:p] + (cx, cx) + gates[p:])
 
     if kind == CX_PAR and direction == FORWARD:
         _, i, j = site
@@ -270,7 +289,8 @@ def apply(c: Circuit, a: Action) -> Circuit:
         _, i = site
         _check(0 <= i < len(gates) and gates[i].is_cx, "site is not a CNOT")
         cq, tq = gates[i].qubits
-        block = (Gate.h(cq), Gate.h(tq), Gate.cx(tq, cq), Gate.h(cq), Gate.h(tq))
+        hc, ht = Gate.h(cq), Gate.h(tq)
+        block = (hc, ht, Gate.cx(tq, cq), hc, ht)
         return c.with_gates(gates[:i] + block + gates[i + 1 :])
 
     raise StaleSiteError(f"unsupported action {a!r}")
@@ -304,17 +324,21 @@ def enumerate_actions(
     sites, CXCX reverse only ``cxins`` sites, and the forward templates' deltas
     do not depend on the site), so the delta is computed once per template
     from its first site and a template over budget is skipped whole.
-    ``tuple.__new__`` (namedtuple's C-level ``_make`` path) skips ``Action.__new__``.
+
+    Every item is the module's one shared ``Action`` for its kind, direction
+    and site, so two calls on one circuit return identical objects and only
+    the first meeting of an action allocates it.
     """
     if budget is not None and not layered:
         raise ValueError("a gate budget needs the layered space")
     n = c.n_wires
     actions: list[Action] = []
-    for (kind, direction), matcher in (_LAYERED if layered else _MATCHERS).items():
+    for template, matcher in (_LAYERED if layered else _MATCHERS).items():
         sites = matcher(c)
         if not sites:
             continue
-        if budget is not None and gate_count_delta((kind, direction, sites[0]), n) > budget:
+        shared = _ACTIONS[template]
+        if budget is not None and gate_count_delta(shared[sites[0]], n) > budget:
             continue
-        actions += [tuple.__new__(Action, (kind, direction, s)) for s in sites]
+        actions += map(shared.__getitem__, sites)
     return actions

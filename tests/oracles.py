@@ -1,9 +1,10 @@
 """Shared test oracles: DAG isomorphism, node relabelling, random topological
 orders, the agent's layered action space as a filter over the full one, the
 gate budget as a per-action filter, action keys through a per-tag format
-table, the set-based commutation rule, forward-action BFS to a target depth,
-and frozen copies of the ``max``-based ASAP scheduler and of the ``len``-numbered
-``to_dag`` that the faster versions in ``src/`` must match bit for bit.
+table and through the uncached formatter, the set-based commutation rule,
+forward-action BFS to a target depth, and frozen copies of the ``max``-based
+ASAP scheduler and of the ``len``-numbered ``to_dag`` that the faster
+versions in ``src/`` must match bit for bit.
 
 The search is restricted to the forward direction of all four templates
 (gate-count-nonincreasing, or structurally necessary for CX_REV).  The
@@ -103,6 +104,24 @@ def reference_key(a: Action) -> str:
         "rev": "{}",
     }[tag].format(*rest)
     return f"{a.kind}.{a.direction}@{site}"
+
+
+def uncached_action_key(a: Action) -> str:
+    """Reference for ``action_key``'s cache: the formatter it runs once per
+    distinct action, copied unchanged from when every call formatted the key."""
+    kind, direction, site = a
+    tag = site[0]
+    if tag == "pair":
+        return f"{kind}.{direction}@{site[1]}-{site[2]}"
+    if tag == "rev":
+        return f"{kind}.{direction}@{site[1]}"
+    if tag == "ins":
+        return f"{kind}.{direction}@{site[1]}:{site[2]}"
+    if tag == "all":
+        return f"{kind}.{direction}@all:{site[1]}"
+    if tag == "cxins":
+        return f"{kind}.{direction}@{site[1]}-{site[2]}:{site[3]}"
+    raise ValueError(f"unknown site {site!r}")
 
 
 def commutes_by_sets(a: Gate, b: Gate) -> bool:

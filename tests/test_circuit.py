@@ -84,6 +84,19 @@ def test_gate_is_its_wires_and_cx_flag():
         Gate.h(0).is_cx = True
 
 
+def test_gate_constructors_share_one_gate_per_wires():
+    # sharing shows only through `is`: the shared gate equals a fresh one
+    for q in range(5):
+        assert Gate.h(q) == Gate((q,), False)
+        assert Gate.h(q) is Gate.h(q)
+    for c in range(4):
+        for t in range(4):
+            if c != t:
+                assert Gate.cx(c, t) == Gate((c, t), True)
+                assert Gate.cx(c, t) is Gate.cx(c, t)
+    assert Gate.cx(0, 1) is not Gate.cx(1, 0)
+
+
 # --- qasm ---------------------------------------------------------------------
 
 

@@ -1,3 +1,5 @@
+import gc
+
 import numpy as np
 import pytest
 
@@ -114,6 +116,30 @@ def test_to_dag_matches_the_len_numbered_builder():
         assert dag_to_debug_text(d) == dag_to_debug_text(ref)
         helpers += count_types(d, NodeType.HELPER)
     assert helpers > 100
+
+
+def test_to_dag_allocates_no_edge_objects():
+    # With the collector off, gc.get_count()[0] moves by one per container
+    # allocated and back by one per container freed, so its change counts the
+    # containers the built DAGs keep.  On CPython 3.11 that is about 32 per
+    # DAG when each edge is a fresh pair and about 3 (the DAG and its two
+    # tuples) with shared edges, whose table the first pass fills.  The count
+    # follows the interpreter's bookkeeping, not this code alone, so the test
+    # bounds it instead of pinning it.
+    circuits = [random_icmh_circuit(2 + i % 4, i % 20, 4000 + i) for i in range(200)]
+    for c in circuits:
+        to_dag(c)
+    dags = []
+    gc.disable()
+    try:
+        before = gc.get_count()[0]
+        for c in circuits:
+            dags.append(to_dag(c))
+        kept = gc.get_count()[0] - before
+    finally:
+        gc.enable()
+    n_edges = sum(len(d.edges) for d in dags)
+    assert kept < n_edges / 4, (kept, n_edges)
 
 
 def test_bv_dag_valid():

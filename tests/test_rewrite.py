@@ -7,7 +7,9 @@ from oracles import (
     commutes_by_sets,
     layered_filter,
     reference_key,
+    uncached_action_key,
 )
+from qcopt import circuit, dag, rewrite
 from qcopt.circuit import (
     BvSpec,
     Circuit,
@@ -33,6 +35,7 @@ from qcopt.rewrite import (
     enumerate_actions,
     gate_count_delta,
 )
+from qcopt.harness import benchmark_agent_config, run_baseline
 
 
 def circ(n, *gates):
@@ -168,6 +171,24 @@ def test_apply_stale_site_raises():
         apply(circ(1, Gate.h(0), Gate.h(0)), Action(CXCX, FORWARD, ("pair", 0, 1)))
 
 
+def test_apply_inserts_only_shared_gates():
+    # the input holds fresh gates, so a result gate that is none of them was
+    # inserted by the rewrite, and must be Gate.h's or Gate.cx's shared gate
+    inserting = set()
+    for seed in range(60):
+        shared = random_icmh_circuit(2 + seed % 3, 1 + seed % 8, seed)
+        c = shared.with_gates(Gate(g.qubits, g.is_cx) for g in shared.gates)
+        own = {id(g) for g in c.gates}
+        for a in enumerate_actions(c):
+            for g in apply(c, a).gates:
+                if id(g) not in own:
+                    assert g is (Gate.cx(*g.qubits) if g.is_cx else Gate.h(*g.qubits)), (a, g)
+                    inserting.add((a.kind, a.direction, a.site[0]))
+    assert inserting == {
+        (HH, REVERSE, "ins"), (HH, REVERSE, "all"), (CXCX, REVERSE, "cxins"), (CX_REV, FORWARD, "rev")
+    }
+
+
 # --- enumeration ----------------------------------------------------------------
 
 
@@ -221,8 +242,8 @@ def test_layered_enumeration_equals_filtered_full_space():
 
 
 def test_fast_path_actions_are_real_actions():
-    # enumerate_actions builds each Action with tuple.__new__: every item must
-    # still be an Action in type, fields, equality, key and application
+    # enumerate_actions returns shared Actions: every item must still be an
+    # Action in type, fields, equality, key and application
     circuits = [random_icmh_circuit(2 + i % 5, i % 23, 900 + i) for i in range(300)]
     circuits.append(circ(3))
     circuits += [bv_circuit(BvSpec(n, s)) for n in (2, 3, 4) for s in range(1 << n)]
@@ -250,8 +271,48 @@ def test_budget_needs_the_layered_space():
 
 
 def test_enumeration_deterministic():
-    c = random_icmh_circuit(4, 10, 11)
-    assert enumerate_actions(c) == enumerate_actions(c)
+    # every action is the module's shared one: a second call returns the same objects
+    for c in (random_icmh_circuit(4, 10, 11), circ(3)):
+        for kwargs in ({}, {"layered": True}, {"layered": True, "budget": 2}):
+            first, second = enumerate_actions(c, **kwargs), enumerate_actions(c, **kwargs)
+            assert first == second and first
+            assert all(a is b for a, b in zip(first, second))
+
+
+def test_action_key_cache_matches_uncached_formatter():
+    # a key served from the cache equals the key formatted afresh, for every
+    # site kind of both spaces
+    tags = set()
+    for i in range(200):
+        c = random_icmh_circuit(2 + i % 4, i % 17, 1200 + i)
+        for actions in (enumerate_actions(c), enumerate_actions(c, layered=True)):
+            for a in actions:
+                assert action_key(a) == uncached_action_key(a), a
+                tags.add(a.site[0])
+    assert tags == {"pair", "rev", "ins", "all", "cxins"}
+
+
+def test_a_repeated_run_adds_nothing_to_the_shared_tables():
+    # the shared gates, edges, actions and keys are bounded by circuit size:
+    # a second identical phase 1 meets only values the first one made
+    spec = BvSpec(2, 0b11)
+    cfg = benchmark_agent_config(spec, 100, 0)
+
+    def sizes():
+        return {
+            "h gates": len(circuit._H_GATES),
+            "cx gates": len(circuit._CX_GATES),
+            "edge rows": len(dag._EDGES),
+            "edges": sum(map(len, dag._EDGES)),
+            "actions": sum(map(len, rewrite._ACTIONS.values())),
+            "keys": len(rewrite._KEYS),
+        }
+
+    run_baseline(spec, cfg)
+    first = sizes()
+    assert all(first.values()), first
+    run_baseline(spec, cfg)
+    assert sizes() == first
 
 
 # --- soundness and structure ------------------------------------------------------
