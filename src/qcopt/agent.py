@@ -70,8 +70,8 @@ class EncoderAbstraction:
     """Lossy state function: quantised latent mean of the circuit's DAG.
 
     Uses the deterministic latent mean (never a sample) so a circuit always
-    maps to the same key.  ``encode_np`` encodes the circuit itself, walking
-    its wires as ``to_dag`` would, so no DAG is built.  A new circuit is one
+    maps to the same key.  ``encode_np`` keys the circuit's nodes with
+    ``dag.hash_cons``, so no DAG is built.  A new circuit is one
     local rewrite away from one seen before, so most of its DAG nodes have
     the same type and predecessor states in edge order, and hence the same
     state; one ``encode_np`` table per instance (one run, one model) shares

@@ -383,8 +383,8 @@ def dispatch(argv: list[str]) -> int:
 
     try:
         return args.run(args)
-    except (ValueError, OSError, FloatingPointError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValueError, OSError, FloatingPointError, MemoryError) as exc:
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
 
 

@@ -4,27 +4,27 @@ A DAG is node types and forward edges, nothing more: the encoder reads a
 circuit by node type and structure alone, as D-VAE does, so edges carry no
 wire labels.
 
-Every wire (plus one extra *fake* wire) is threaded input -> gate nodes ->
-output.  A CNOT becomes a ctrl_op node on its control wire and a trgt_op node
-on its target wire; the fake wire connects ctrl -> trgt within each CNOT and
-chains consecutive CNOTs, which keeps predecessor and successor counts equal
-on every gate node.  When a fake-wire edge would duplicate an existing edge
+The wire rules, which this module alone writes down: every wire (plus one
+extra *fake* wire) is threaded input -> gate nodes -> output.  A CNOT
+becomes a ctrl_op node on its control wire and a trgt_op node on its target
+wire; the fake wire connects ctrl -> trgt within each CNOT and chains
+consecutive CNOTs, which keeps predecessor and successor counts equal on
+every gate node.  When a fake-wire edge would duplicate an existing edge
 between the same node pair (consecutive CNOTs whose target and control share
 a wire), a helper node is inserted on that fake edge so the DAG stays free of
-parallel edges.
+parallel edges.  Nodes are numbered in program order: the n + 1 inputs (wire
+w is node w, the fake wire node n), then each gate's nodes, then the n + 1
+outputs.  So node ids are a topological order: every edge ``(u, v)`` has
+``u < v``, and the encoder visits nodes in id order.
 
-``to_dag`` takes every edge pair from one shared table, so building a DAG
-allocates no edge object: the corpus harvest builds one DAG per Q-table
-state, and a fresh pair per edge was most of phase 1's garbage.
-
-Node ids are a topological order: every edge ``(u, v)`` has ``u < v``.
-``to_dag`` numbers nodes in program order, so its DAGs keep this rule, and
-the encoder visits nodes in id order.  ``dvae.encode_np`` also encodes a
-circuit directly, its walk mirroring the rules of ``to_dag`` below without
-building the DAG; a change to those rules must change that walk too, and
-``tests/test_dvae.py`` (``test_encode_np_circuit_walk_equals_training_encoder``)
-holds the walk's latent equal bit for bit to the training encoder's on
-``to_dag``'s DAG.
+Two walks apply these rules.  ``to_dag`` builds the DAG (corpus harvest,
+``verify``, tests), taking every edge pair from one shared table so that it
+allocates no edge object.  ``hash_cons`` builds none: it keys each node by
+its type and its predecessors' ids and returns the output nodes' ids, all
+that ``dvae.encode_np`` needs.  One walk calling back once per node made
+``to_dag`` about twice as slow on the 3256 Q-table circuits of
+``exact_bv3`` seed 0 (23 ms -> 43-45 ms, best of 9 on a 2-core host), so
+the two share no code; ``tests/test_dag.py`` holds them to one graph.
 
 The debug text is one ``node <id> <type>`` line per node in id order, then
 one ``edge <src> <dst>`` line per edge in stored order, so
@@ -140,6 +140,55 @@ def to_dag(c: Circuit) -> CircuitDag:
     edges += [rows[k + w][last[w]] for w in range(n + 1)]
 
     return CircuitDag(tuple(types), tuple(edges))
+
+
+def hash_cons(c: Circuit, nodes: dict[tuple, int], new) -> tuple[int, ...]:
+    """Ids of ``to_dag(c)``'s output nodes in id order, keying each node by
+    its type and then its predecessors' ids in edge order: the id is from
+    ``nodes``, or ``new(key)`` for a key it lacks, which records and returns
+    a new id.  Keys are looked up inline, as a call per node would cost more;
+    ``last`` holds each wire's last node number, ``ids`` each node's id."""
+    hadamard, ctrl_op, trgt_op, helper_op = (
+        NodeType.HADAMARD, NodeType.CTRL_OP, NodeType.TRGT_OP, NodeType.HELPER)
+    get = nodes.get
+    n = c.n_wires
+    key = (NodeType.INPUT,)
+    i = get(key)
+    ids = [new(key) if i is None else i] * (n + 1)
+    last = list(range(n + 1))
+    fake_last, k = n, n + 1
+    for g in c.gates:
+        if g.is_cx:
+            cq, tq = g.qubits
+            if fake_last == last[cq]:  # node numbers: the inputs share one id
+                key = (helper_op, ids[fake_last])
+                i = get(key)
+                ids.append(new(key) if i is None else i)
+                fake_last = k
+                k += 1
+            key = (ctrl_op, ids[last[cq]], ids[fake_last])
+            i = get(key)
+            ctrl = new(key) if i is None else i
+            key = (trgt_op, ids[last[tq]], ctrl)
+            i = get(key)
+            ids += (ctrl, new(key) if i is None else i)
+            last[cq] = k
+            last[tq] = fake_last = k + 1
+            k += 2
+        else:
+            q = g.qubits[0]
+            key = (hadamard, ids[last[q]])
+            i = get(key)
+            ids.append(new(key) if i is None else i)
+            last[q] = k
+            k += 1
+    last[n] = fake_last
+    sinks = []
+    for u in last:
+        key = (NodeType.OUTPUT, ids[u])
+        i = get(key)
+        sinks.append(new(key) if i is None else i)
+    return tuple(sinks)
 
 
 def validate(d: CircuitDag) -> list[str]:

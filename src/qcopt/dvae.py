@@ -30,10 +30,9 @@ returns the summed value, its parts and a cache; ``backward`` walks that
 cache level by level in reverse and returns the parameter gradients.  A
 batch of one DAG is the single-graph case.  ``encode_np`` encodes a DAG
 with that forward on a batch of one.  For a circuit, the RL loop's input, it
-shares the encoder's node update and readout but runs node by node, walking
-the circuit's wires as ``to_dag`` would without building the DAG, and
-hash-conses node states, and whole graphs by their output nodes' states, in
-a table that a caller carries across circuits.
+runs the encoder's node update and readout node by node on the nodes that
+``dag.hash_cons`` keys, hash-consing node states and whole graphs in a table
+that a caller carries across circuits.
 """
 
 from __future__ import annotations
@@ -46,7 +45,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .circuit import Circuit
-from .dag import CircuitDag, N_NODE_TYPES, NodeType
+from .dag import CircuitDag, N_NODE_TYPES, NodeType, hash_cons
 from .nn import (
     AdamState,
     GruCell,
@@ -298,7 +297,7 @@ def _encoder_forward(m: DvaeModel, batch: Batch) -> tuple[Latent, EncoderActs]:
 class EncodeTable:
     """``encode_np``'s hash-consed circuit states, kept for a run of one model."""
 
-    # (node type, then the predecessors' table ids in edge order) -> table id
+    # ``dag.hash_cons`` node key (type, then predecessor table ids) -> table id
     nodes: dict[tuple, int] = field(default_factory=dict)
     # table id -> (1, d_h) node state
     states: list[np.ndarray] = field(default_factory=list)
@@ -312,13 +311,11 @@ def encode_np(m: DvaeModel, x: Circuit | CircuitDag, table: EncodeTable | None =
 
     A DAG gets the training forward on a batch of one, so its latent is the
     one ``loss`` computes; an edge that does not go forward raises
-    ValueError.  A circuit is walked along its wires, making ``to_dag``'s
-    nodes in the same order but building no DAG (the latent is the DAG's,
-    bit for bit), and its node states are hash-consed in ``table``: a node's
-    state depends only on its type and on its predecessors' states taken in
-    edge order, so the walk keeps one table id per node, keys each node by
-    its type followed by its predecessors' ids, and runs the node update
-    only for a key the table lacks.  Whole graphs are hash-consed too: the
+    ValueError.  A circuit's node states are hash-consed in ``table``: a
+    node's state depends only on its type and on its predecessors' states
+    taken in edge order, which is the key ``dag.hash_cons`` gives it, so the
+    node update runs only for a key the table lacks (the latent is
+    ``to_dag(x)``'s, bit for bit).  Whole graphs are hash-consed too: the
     latent depends only on the output nodes' states in id order, so
     ``table.graphs`` keys it by their table ids and the readout runs only
     for a tuple the table lacks (gate orders that differ only on disjoint
@@ -334,7 +331,7 @@ def encode_np(m: DvaeModel, x: Circuit | CircuitDag, table: EncodeTable | None =
         return Latent(mu[0], logvar[0])
     if table is None:
         table = EncodeTable()
-    graph = _circuit_sinks(m, x, table)
+    graph = hash_cons(x, table.nodes, lambda key: _new_node(m, table, key))
     latent = table.graphs.get(graph)
     if latent is None:
         h_sinks = np.concatenate([table.states[i] for i in graph])
@@ -354,54 +351,6 @@ def _new_node(m: DvaeModel, table: EncodeTable, key: tuple) -> int:
     i = table.nodes[key] = len(states)
     states.append(h)
     return i
-
-
-def _circuit_sinks(m: DvaeModel, c: Circuit, table: EncodeTable) -> tuple[int, ...]:
-    """Table ids of ``to_dag(c)``'s output nodes in id order.  The walk
-    follows ``to_dag``'s rules and node numbers (``last`` holds each wire's
-    last node, ``ids`` each node's table id), and a node key is looked up
-    inline, as a call per node would cost more than the lookup."""
-    hadamard, ctrl_op, trgt_op, helper_op = (
-        NodeType.HADAMARD, NodeType.CTRL_OP, NodeType.TRGT_OP, NodeType.HELPER)
-    get = table.nodes.get
-    n = c.n_wires
-    key = (NodeType.INPUT,)
-    i = get(key)
-    ids = [_new_node(m, table, key) if i is None else i] * (n + 1)
-    last = list(range(n + 1))
-    fake_last, k = n, n + 1
-    for g in c.gates:
-        if g.is_cx:
-            cq, tq = g.qubits
-            if fake_last == last[cq]:  # node numbers: the inputs share one table id
-                key = (helper_op, ids[fake_last])
-                i = get(key)
-                ids.append(_new_node(m, table, key) if i is None else i)
-                fake_last = k
-                k += 1
-            key = (ctrl_op, ids[last[cq]], ids[fake_last])
-            i = get(key)
-            ctrl = _new_node(m, table, key) if i is None else i
-            key = (trgt_op, ids[last[tq]], ctrl)
-            i = get(key)
-            ids += (ctrl, _new_node(m, table, key) if i is None else i)
-            last[cq] = k
-            last[tq] = fake_last = k + 1
-            k += 2
-        else:
-            q = g.qubits[0]
-            key = (hadamard, ids[last[q]])
-            i = get(key)
-            ids.append(_new_node(m, table, key) if i is None else i)
-            last[q] = k
-            k += 1
-    last[n] = fake_last
-    sinks = []
-    for u in last:
-        key = (NodeType.OUTPUT, ids[u])
-        i = get(key)
-        sinks.append(_new_node(m, table, key) if i is None else i)
-    return tuple(sinks)
 
 
 def _encoder_backward(
@@ -756,7 +705,8 @@ def load_checkpoint(path: str) -> DvaeModel:
     tensors = doc.get("tensors")
     if not isinstance(tensors, dict):
         raise ValueError(f"checkpoint lacks its tensors object: {path}")
-    model = DvaeModel._build(doc["d_h"], doc["d_z"], lambda *shape: np.empty(shape))
+    # zero-stride placeholders: a claimed d_h allocates nothing before the shape checks
+    model = DvaeModel._build(doc["d_h"], doc["d_z"], lambda *shape: np.broadcast_to(0.0, shape))
     params = model.params()
     if set(tensors) != set(params):
         missing, unknown = sorted(set(params) - set(tensors)), sorted(set(tensors) - set(params))

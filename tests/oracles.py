@@ -2,9 +2,11 @@
 orders, the agent's layered action space as a filter over the full one, the
 gate budget as a per-action filter, action keys through a per-tag format
 table and through the uncached formatter, the set-based commutation rule,
-forward-action BFS to a target depth, and frozen copies of the ``max``-based
+forward-action BFS to a target depth, frozen copies of the ``max``-based
 ASAP scheduler and of the ``len``-numbered ``to_dag`` that the faster
-versions in ``src/`` must match bit for bit.
+versions in ``src/`` must match bit for bit, hash-consing over ``to_dag``'s
+DAG as the reference for ``dag.hash_cons``, and CNOT chains dense in helper
+nodes.
 
 The search is restricted to the forward direction of all four templates
 (gate-count-nonincreasing, or structurally necessary for CX_REV).  The
@@ -19,7 +21,7 @@ import networkx as nx
 import numpy as np
 
 from qcopt.circuit import Circuit, Gate, depth, state_string
-from qcopt.dag import CircuitDag, NodeType
+from qcopt.dag import CircuitDag, NodeType, to_dag
 from qcopt.rewrite import REVERSE, Action, apply, enumerate_actions, gate_count_delta
 
 
@@ -252,3 +254,32 @@ def reference_to_dag(c: Circuit) -> CircuitDag:
     edges += [(last[w], first_out + w) for w in range(n + 1)]
 
     return CircuitDag(tuple(types), tuple(edges))
+
+
+def reference_hash_cons(c: Circuit, nodes: dict) -> tuple[int, ...]:
+    """Reference for ``dag.hash_cons`` with a ``new`` that numbers keys in
+    order: ``to_dag(c)``'s nodes in id order, each keyed by its type and its
+    predecessors' ids with ``setdefault``; the output nodes' ids in id order."""
+    d = to_dag(c)
+    ids = []
+    for t, preds in zip(d.types, d.predecessors()):
+        ids.append(nodes.setdefault((t, *(ids[u] for u in preds)), len(nodes)))
+    return tuple(i for i, t in zip(ids, d.types) if t is NodeType.OUTPUT)
+
+
+def opposite_cnot_chain(n_wires, length, seed):
+    """CNOTs that mostly reverse the previous one's orientation on the same
+    wire pair, with a few Hs between: ``to_dag`` inserts a helper wherever a
+    CNOT's control is the previous CNOT's target with nothing in between."""
+    rng = np.random.default_rng(seed)
+    gates, cq, tq = [], 0, 1
+    for _ in range(length):
+        r = rng.random()
+        if r < 0.15:
+            gates.append(Gate.h(int(rng.integers(n_wires))))
+            continue
+        if r < 0.3:
+            cq, tq = (int(w) for w in rng.choice(n_wires, 2, replace=False))
+        gates.append(Gate.cx(cq, tq))
+        cq, tq = tq, cq
+    return Circuit(n_wires, tuple(gates))

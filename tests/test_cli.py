@@ -97,12 +97,12 @@ def test_verify_fails_when_the_budget_drops_an_action_within_it(monkeypatch, cap
 def test_verify_fails_when_the_circuit_walk_encodes_another_circuit(monkeypatch, capsys):
     # a walk that drops the last gate agrees with the training forward on
     # the DAG only on the empty circuit 0, so circuit 1 alone fails
-    walk = dvae._circuit_sinks
+    walk = dvae.hash_cons
 
-    def short_walk(m, c, table):
-        return walk(m, Circuit(c.n_wires, c.gates[:-1]), table)
+    def short_walk(c, nodes, new):
+        return walk(Circuit(c.n_wires, c.gates[:-1]), nodes, new)
 
-    monkeypatch.setattr(dvae, "_circuit_sinks", short_walk)
+    monkeypatch.setattr(dvae, "hash_cons", short_walk)
     assert dispatch(["verify", "--circuits", "2"]) == 1
     out = capsys.readouterr().out
     second = state_string(random_icmh_circuit(3, 3, 1))
@@ -151,6 +151,10 @@ MALFORMED_CHECKPOINTS = {
                    "tensor 'w_type' holds a value that is not finite"),
     "inf-tensor": (_doc_edit(lambda d: d["tensors"].update(w_mu=[[float("inf")] * 4] * 2)),
                    "tensor 'w_mu' holds a value that is not finite"),
+    # a model of the claimed dims would take 7.28 TiB: the shapes must be
+    # checked without allocating it
+    "huge-d_h": (_doc_edit(lambda d: d.update(d_h=1000000)),
+                 "tensor 'enc.w_z' is not a (1000000, 6) array of numbers"),
 }
 
 
@@ -168,7 +172,7 @@ def test_train_encoded_rejects_a_malformed_checkpoint(tmp_path, capsys, edit, me
             "--out", str(tmp_path / "run")]
     assert dispatch(argv) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and message in err
+    assert err.startswith("error: ") and message in err and err.count("\n") == 1
     assert not (tmp_path / "run").exists()
 
 
@@ -205,6 +209,29 @@ def test_train_vae_divergence_is_an_error_and_leaves_no_run_directory(tmp_path, 
     assert dispatch(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: loss diverged at epoch ") and err.count("\n") == 1
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize(
+    "exc, err",
+    [(MemoryError(), "error: MemoryError\n"),
+     (MemoryError("Unable to allocate 7.28 TiB"), "error: Unable to allocate 7.28 TiB\n")],
+    ids=["bare", "numpy-message"],
+)
+def test_train_vae_out_of_memory_is_an_error_and_leaves_no_run_directory(
+    tmp_path, capsys, monkeypatch, exc, err
+):
+    # raised, not provoked: a real huge allocation could exhaust a host
+    # that overcommits memory
+    def out_of_memory(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(harness, "train_encoder_from_corpus", out_of_memory)
+    corpus = tmp_path / "corpus.txt"
+    save_corpus([to_dag(random_icmh_circuit(2, 4, 0))], str(corpus))
+    argv = ["train-vae", "--corpus", str(corpus), "--out", str(tmp_path / "run")]
+    assert dispatch(argv) == 1
+    assert capsys.readouterr().err == err
     assert not (tmp_path / "run").exists()
 
 

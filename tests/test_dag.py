@@ -1,15 +1,23 @@
 import gc
+from itertools import islice
 
 import numpy as np
 import pytest
 
-from oracles import is_isomorphic, reference_to_dag, relabelled
+from oracles import (
+    is_isomorphic,
+    opposite_cnot_chain,
+    reference_hash_cons,
+    reference_to_dag,
+    relabelled,
+)
 from qcopt.circuit import BvSpec, Circuit, Gate, bv_circuit, random_icmh_circuit
 from qcopt.dag import (
     CircuitDag,
     NodeType,
     dag_from_debug_text,
     dag_to_debug_text,
+    hash_cons,
     load_corpus,
     save_corpus,
     to_dag,
@@ -140,6 +148,32 @@ def test_to_dag_allocates_no_edge_objects():
         gc.enable()
     n_edges = sum(len(d.edges) for d in dags)
     assert kept < n_edges / 4, (kept, n_edges)
+
+
+def test_hash_cons_keys_the_nodes_of_to_dag():
+    # the walk must make to_dag's nodes, in its order and with its
+    # predecessor order, so under shared dicts it keys them as the reference
+    # does; no model is needed
+    circuits = [random_icmh_circuit(2 + i % 5, i % 31, i) for i in range(2000)]
+    circuits += [bv_circuit(BvSpec(n, s)) for n in range(2, 6) for s in range(1 << n)]
+    circuits += [circ(2), circ(1), circ(1, Gate.h(0), Gate.h(0))]
+    chains = [opposite_cnot_chain(2 + i % 4, 4 + i % 20, i) for i in range(60)]
+    assert sum(count_types(to_dag(c), NodeType.HELPER) for c in chains) >= 100
+    walked, ref = {}, {}
+
+    def new(key):
+        return walked.setdefault(key, len(walked))
+
+    for c in circuits + chains:
+        before = len(ref)
+        assert hash_cons(c, walked, new) == reference_hash_cons(c, ref), c
+        # both dicts only grow, so equal lengths and equal newest entries in
+        # insertion order keep them equal without a full compare per circuit
+        added = len(ref) - before
+        assert len(walked) == len(ref), c
+        tail = [list(islice(reversed(d.items()), added)) for d in (walked, ref)]
+        assert tail[0] == tail[1], c
+    assert walked == ref
 
 
 def test_bv_dag_valid():

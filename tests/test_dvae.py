@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from oracles import random_topological_order, relabelled
+from oracles import opposite_cnot_chain, random_topological_order, relabelled
 from qcopt import agent, dvae, harness
 from qcopt.circuit import BvSpec, Circuit, Gate, bv_circuit, random_icmh_circuit
 from qcopt.dag import (
@@ -206,24 +206,6 @@ def test_encode_np_commuting_gate_orders_share_one_graph_entry():
     assert len(table.graphs) == 1 and hit is first
     fresh = encode_np(m, swapped)
     assert np.array_equal(hit.mu, fresh.mu) and np.array_equal(hit.logvar, fresh.logvar)
-
-
-def opposite_cnot_chain(n_wires, length, seed):
-    """CNOTs that mostly reverse the previous one's orientation on the same
-    wire pair, with a few Hs between: ``to_dag`` inserts a helper wherever a
-    CNOT's control is the previous CNOT's target with nothing in between."""
-    rng = np.random.default_rng(seed)
-    gates, cq, tq = [], 0, 1
-    for _ in range(length):
-        r = rng.random()
-        if r < 0.15:
-            gates.append(Gate.h(int(rng.integers(n_wires))))
-            continue
-        if r < 0.3:
-            cq, tq = (int(w) for w in rng.choice(n_wires, 2, replace=False))
-        gates.append(Gate.cx(cq, tq))
-        cq, tq = tq, cq
-    return Circuit(n_wires, tuple(gates))
 
 
 def latent_bytes(latent):
