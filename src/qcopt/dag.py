@@ -17,6 +17,11 @@ w is node w, the fake wire node n), then each gate's nodes, then the n + 1
 outputs.  So node ids are a topological order: every edge ``(u, v)`` has
 ``u < v``, and the encoder visits nodes in id order.
 
+``DEGREES`` is the DAG contract, the (in, out) degree these rules give each
+node type.  ``validate`` checks it, with forward, unrepeated edges, and the
+autoencoder relies on it: a valid DAG has two nodes or more, node 0 an input
+and as many outputs as inputs.
+
 Two walks apply these rules.  ``to_dag`` builds the DAG (corpus harvest,
 ``verify``, tests), taking every edge pair from one shared table so that it
 allocates no edge object.  ``hash_cons`` builds none: it keys each node by
@@ -57,6 +62,12 @@ class NodeType(IntEnum):
 
 _TYPE_BY_LABEL = {t.label: t for t in NodeType}
 N_NODE_TYPES = len(NodeType)
+
+# the DAG contract: each node type's (in, out) degree
+DEGREES = {
+    NodeType.INPUT: (0, 1), NodeType.OUTPUT: (1, 0), NodeType.HADAMARD: (1, 1),
+    NodeType.CTRL_OP: (2, 2), NodeType.TRGT_OP: (2, 2), NodeType.HELPER: (1, 1),
+}
 
 
 @dataclass(frozen=True, slots=True)
@@ -194,13 +205,14 @@ def hash_cons(c: Circuit, nodes: dict[tuple, int], new) -> tuple[int, ...]:
 def validate(d: CircuitDag) -> list[str]:
     """Check all structural invariants; an empty list means the DAG is valid.
 
-    Every edge must go forward; a cycle needs an edge that does not, so this
-    also rules out cycles."""
-    violations: list[str] = []
+    ``DEGREES`` is the DAG contract: every node must have its type's (in,
+    out) degree, every edge must go forward and no edge may repeat.  A cycle
+    needs an edge that does not go forward, so this also rules out cycles,
+    and a DAG with no node is invalid.  A valid DAG thus has node 0 an input
+    and as many outputs as inputs."""
     n = d.n_nodes
-    indeg = [0] * n
-    outdeg = [0] * n
-    seen = set()
+    violations = [] if n else ["DAG has no node"]
+    indeg, outdeg, seen = [0] * n, [0] * n, set()
     for e in d.edges:
         u, v = e
         if not (0 <= u < n and 0 <= v < n):
@@ -213,21 +225,9 @@ def validate(d: CircuitDag) -> list[str]:
             violations.append(f"edge {e} does not go forward")
         outdeg[u] += 1
         indeg[v] += 1
-
     for i, t in enumerate(d.types):
-        if t is NodeType.INPUT:
-            if indeg[i] != 0 or outdeg[i] != 1:
-                violations.append(
-                    f"input node {i} has degree ({indeg[i]}, {outdeg[i]})"
-                )
-        elif t is NodeType.OUTPUT:
-            if indeg[i] != 1 or outdeg[i] != 0:
-                violations.append(
-                    f"output node {i} has degree ({indeg[i]}, {outdeg[i]})"
-                )
-        elif indeg[i] != outdeg[i]:
-            violations.append(f"degree imbalance at node {i} ({indeg[i]} != {outdeg[i]})")
-
+        if (indeg[i], outdeg[i]) != DEGREES[t]:
+            violations.append(f"{t.label} node {i} has degree ({indeg[i]}, {outdeg[i]})")
     return violations
 
 

@@ -249,8 +249,8 @@ def _layout(dags: list[CircuitDag]) -> Batch:
 
 
 class EncoderActs(NamedTuple):
-    steps: list[tuple]      # per level: (gated-sum acts or None, GRU acts)
-    readout: tuple | None
+    steps: list[tuple]      # per level: (gated-sum acts, GRU acts)
+    readout: tuple          # the readout's gated-sum acts
     hg: np.ndarray          # (B, d_h) graph states
 
 
@@ -258,7 +258,7 @@ def _node_states(m: DvaeModel, x: np.ndarray, h_preds: np.ndarray, seg: np.ndarr
     """n encoder nodes: a GRU update on their one-hot types ``x``, each fed by
     the gated sum of its predecessors' states (row i of ``h_preds`` belongs
     to node ``seg[i]``).  Returns the new states and the activations
-    (gated-sum acts or None, GRU acts)."""
+    (gated-sum acts, GRU acts)."""
     incoming, gated = gated_sum_forward(m.enc_gate_a, m.enc_gate_b, h_preds, seg, n)
     h, gru = gru_forward(m.enc, x, incoming)
     return h, (gated, gru)
@@ -362,19 +362,17 @@ def _encoder_backward(
     g.w_logvar.value += dlogvar.T @ acts.hg
     g.b_logvar.value += dlogvar.sum(axis=0)
     dhidden = np.zeros((len(batch.targets), m.d_h))
-    if acts.readout is not None:
-        dhg = dmu @ m.w_mu.value + dlogvar @ m.w_logvar.value
-        np.add.at(dhidden, batch.sink_rows, gated_sum_backward(
-            m.readout_a, m.readout_b, acts.readout, dhg, g.readout_a, g.readout_b
-        ))
+    dhg = dmu @ m.w_mu.value + dlogvar @ m.w_logvar.value
+    np.add.at(dhidden, batch.sink_rows, gated_sum_backward(
+        m.readout_a, m.readout_b, acts.readout, dhg, g.readout_a, g.readout_b
+    ))
     dpre = []
     for lv, (gated, gru) in zip(reversed(batch.levels), reversed(acts.steps)):
         dincoming, d = gru_backward(m.enc, gru, dhidden[lv.rows])
         dpre.append(d)
-        if gated is not None:
-            np.add.at(dhidden, lv.pred_rows, gated_sum_backward(
-                m.enc_gate_a, m.enc_gate_b, gated, dincoming, g.enc_gate_a, g.enc_gate_b
-            ))
+        np.add.at(dhidden, lv.pred_rows, gated_sum_backward(
+            m.enc_gate_a, m.enc_gate_b, gated, dincoming, g.enc_gate_a, g.enc_gate_b
+        ))
     gru_weight_grads(g.enc, [gru for _, gru in reversed(acts.steps)], dpre)
 
 
@@ -385,8 +383,8 @@ class DecoderActs(NamedTuple):
     z: np.ndarray             # (B, d_z)
     states: np.ndarray        # by row: each graph's initial context, then one hidden per node
     type_logits: np.ndarray   # by row: logits of the type that row predicts
-    steps: list[tuple]        # per level: (gated-sum acts or None, GRU acts,
-                              #             edge-head acts or None)
+    steps: list[tuple]        # per level: (gated-sum acts, GRU acts, edge-head
+                              #   acts, or None at node 0, which has no earlier node)
     edge_logits: np.ndarray   # level by level, graph by graph: one per earlier node
     edge_targets: np.ndarray  # matching 0/1 values
 
@@ -395,9 +393,7 @@ def _decoder_forward(m: DvaeModel, batch: Batch, z: np.ndarray) -> DecoderActs:
     """Teacher-forced decoder pass over the targets' nodes in id order."""
     states = np.zeros((len(batch.targets), m.d_h))
     states[batch.start] = z @ m.w_init.value.T + m.b_init.value
-    steps = []
-    edge_logits = [np.empty(0)]
-    edge_targets = [np.empty(0)]
+    steps, edge_logits, edge_targets = [], [], []
 
     for k, lv in enumerate(batch.levels):
         ctx = states[lv.rows - 1]
@@ -453,10 +449,9 @@ def _decoder_backward(
         dpre.append(d)
         ctx_rows = lv.rows - 1
         dstates[ctx_rows[lv.sourceless]] += dincoming[lv.sourceless]
-        if gated is not None:
-            np.add.at(dstates, lv.pred_rows, gated_sum_backward(
-                m.dec_gate_a, m.dec_gate_b, gated, dincoming, g.dec_gate_a, g.dec_gate_b
-            ))
+        np.add.at(dstates, lv.pred_rows, gated_sum_backward(
+            m.dec_gate_a, m.dec_gate_b, gated, dincoming, g.dec_gate_a, g.dec_gate_b
+        ))
         if edge is not None:
             provisional_gru, provisional, earlier, th = edge
             dlogits = d_edge_logits[end - len(earlier) : end]
@@ -689,9 +684,9 @@ def _tensor(value, shape: tuple, name: str) -> np.ndarray:
 def load_checkpoint(path: str) -> DvaeModel:
     """Read a checkpoint written by save_checkpoint.  It comes from outside, so
     a file that is not JSON (a truncated one too), not a JSON object or of
-    another format, a ``d_h`` or ``d_z`` that is not an integer of at least 1,
-    a missing or unknown tensor, a wrong shape or a non-numeric or non-finite
-    value raises ValueError."""
+    another format, a ``d_h`` or ``d_z`` that is not an integer of at least 1
+    or gives shapes beyond numpy's limits, a missing or unknown tensor, a
+    wrong shape or a non-numeric or non-finite value raises ValueError."""
     with open(path, encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
@@ -706,7 +701,11 @@ def load_checkpoint(path: str) -> DvaeModel:
     if not isinstance(tensors, dict):
         raise ValueError(f"checkpoint lacks its tensors object: {path}")
     # zero-stride placeholders: a claimed d_h allocates nothing before the shape checks
-    model = DvaeModel._build(doc["d_h"], doc["d_z"], lambda *shape: np.broadcast_to(0.0, shape))
+    try:
+        model = DvaeModel._build(doc["d_h"], doc["d_z"], lambda *s: np.broadcast_to(0.0, s))
+    except ValueError:  # numpy caps each dimension and each array's element count
+        raise ValueError(f"checkpoint d_h {doc['d_h']}, d_z {doc['d_z']} give shapes beyond "
+                         f"numpy's limits: {path}") from None
     params = model.params()
     if set(tensors) != set(params):
         missing, unknown = sorted(set(params) - set(tensors)), sorted(set(tensors) - set(params))

@@ -288,10 +288,11 @@ def report_text(reports: list[BenchmarkReport]) -> str:
             f"{100.0 * med_imp:>14.2f}% {ref_txt}"
         )
     out.append("")
+    refs = REFERENCE_TABLE.values()
     out.append("reference: single-run values reported in the original study")
     out.append("(reference improvements are shown as printed there; recomputing")
-    out.append("45.6/31.02/18.49/19.02 from the reference state counts gives")
-    out.append("45.60/31.03/18.49/19.21)")
+    out.append("/".join(r[3].rstrip("%") for r in refs) + " from the reference state counts gives")
+    out.append("/".join(f"{100 * (l_s - l_a) / l_s:.2f}" for _, l_s, l_a, _ in refs) + ")")
     return "\n".join(out) + "\n"
 
 

@@ -3,12 +3,13 @@
 Parameters are float64 arrays boxed in ``Param`` so that a model, its
 optimiser and a checkpoint loader share them.  Each layer comes as a pair of
 kernels: a forward that returns its output together with the activations it
-computed, and a backward that takes those activations and the gradient of
-the output and returns the gradient of the layer's input.  The kernels work
-on rows, one row per graph node, so one call updates a node of every graph
-in a batch.  They are written as ``X @ W.T``: for one row, OpenBLAS gives
-that product the same bits as ``W @ x``, so a one-row call rounds as a
-matrix-vector product would.  Parameter gradients are added into a zero-initialised copy
+computed, always as arrays (empty ones for a call with no input rows), and a
+backward that takes those activations and the gradient of the output and
+returns the gradient of the layer's input.  The kernels work on rows, one
+row per graph node, so one call updates a node of every graph in a batch.
+They are written as ``X @ W.T``: for one row, OpenBLAS gives that product
+the same bits as ``W @ x``, so a one-row call rounds as a matrix-vector
+product would.  Parameter gradients are added into a zero-initialised copy
 of the layer; the GRU's are gathered over many updates and added by one
 ``gru_weight_grads`` call.  The loss heads return their value and the
 gradient with respect to their logits.  Adam and a central-difference
@@ -114,8 +115,6 @@ def gru_backward(cell: GruCell, acts: tuple, g: np.ndarray):
 def gru_weight_grads(grad: GruCell, acts: list[tuple], dpre: list[tuple]):
     """Add the weight gradients of the GRU updates ``acts``, with the
     pre-activation gradients ``dpre`` from gru_backward, into ``grad``."""
-    if not acts:
-        return
     x = np.concatenate([a[0] for a in acts])
     h = np.concatenate([a[1] for a in acts])
     rh = np.concatenate([a[4] for a in acts])
@@ -138,11 +137,10 @@ def gated_sum_forward(a: Param, b: Param, h: np.ndarray, seg: np.ndarray, n: int
 
     ``np.add.at`` adds each segment's rows in order, so a single segment
     equals ``(gates * values).sum(axis=0)`` bit for bit.  An output row with
-    no input rows is zero; with no rows at all the activations are None.
+    no input rows is zero.  The activations are always arrays: with no input
+    rows they are empty, and the backward adds exact zeros.
     """
     out = np.zeros((n, a.value.shape[0]))
-    if not len(h):
-        return out, None
     gates = _sigmoid_np(h @ a.value.T)  # (m, d)
     vals = np.tanh(h @ b.value.T)
     np.add.at(out, seg, gates * vals)

@@ -155,6 +155,9 @@ MALFORMED_CHECKPOINTS = {
     # checked without allocating it
     "huge-d_h": (_doc_edit(lambda d: d.update(d_h=1000000)),
                  "tensor 'enc.w_z' is not a (1000000, 6) array of numbers"),
+    # no numpy array, even a zero-stride one, takes a dimension this large
+    "beyond-numpy-d_h": (_doc_edit(lambda d: d.update(d_h=10**30)),
+                         f"checkpoint d_h {10**30}, d_z 2 give shapes beyond numpy's limits"),
 }
 
 
@@ -254,6 +257,24 @@ def test_train_vae_rejects_an_invalid_dag(tmp_path, capsys, edit, violation):
     assert code == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: {corpus}: DAG block 2: ") and violation in err
+    assert not (tmp_path / "run").exists()
+
+
+def test_train_vae_rejects_dags_no_circuit_makes(tmp_path, capsys):
+    # a ctrl_op node on one wire, then a lone hadamard node: each node's
+    # in- and out-degree balance, but not at its type's degrees
+    corpus = tmp_path / "corpus.txt"
+    corpus.write_text(
+        "node 0 input\nnode 1 ctrl_op\nnode 2 output\nedge 0 1\nedge 1 2\n\n"
+        "node 0 hadamard\n"
+    )
+    argv = ["train-vae", "--corpus", str(corpus), "--out", str(tmp_path / "run"),
+            "--vae-epochs", "1", "--d-h", "4", "--d-z", "2"]
+    assert dispatch(argv) == 1
+    out, err = capsys.readouterr()
+    assert err == (f"error: {corpus}: DAG block 1: invalid DAG: "
+                   "ctrl_op node 1 has degree (1, 1)\n")
+    assert "trained on" not in out
     assert not (tmp_path / "run").exists()
 
 

@@ -1,4 +1,5 @@
 import gc
+import re
 from itertools import islice
 
 import numpy as np
@@ -198,7 +199,7 @@ def test_validate_detects_degree_imbalance():
         (NodeType.INPUT, NodeType.INPUT, NodeType.CTRL_OP, NodeType.OUTPUT),
         ((0, 2), (1, 2), (2, 3)),
     )
-    assert any("imbalance" in v for v in validate(d))
+    assert validate(d) == ["ctrl_op node 2 has degree (2, 1)"]
 
 
 def test_validate_detects_parallel_edge():
@@ -213,6 +214,25 @@ def test_validate_detects_bad_io_degrees():
     d = CircuitDag((NodeType.INPUT, NodeType.OUTPUT, NodeType.OUTPUT), ((0, 1),))
     out = validate(d)
     assert any("output node 2" in v for v in out)
+
+
+# graphs that no circuit makes, each refused by the per-type degree table
+NO_CIRCUIT_DAGS = {
+    "one-wire-ctrl_op": (
+        "node 0 input\nnode 1 ctrl_op\nnode 2 output\nedge 0 1\nedge 1 2\n",
+        "ctrl_op node 1 has degree (1, 1)",
+    ),
+    "lone-hadamard": ("node 0 hadamard\n", "hadamard node 0 has degree (0, 0)"),
+    "empty": ("", "DAG has no node"),
+}
+
+
+@pytest.mark.parametrize(
+    "text, message", NO_CIRCUIT_DAGS.values(), ids=NO_CIRCUIT_DAGS.keys()
+)
+def test_debug_text_rejects_a_dag_no_circuit_makes(text, message):
+    with pytest.raises(ValueError, match=re.escape(f"invalid DAG: {message}")):
+        dag_from_debug_text(text)
 
 
 # --- node numbering -------------------------------------------------------------

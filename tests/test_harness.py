@@ -113,3 +113,21 @@ def test_encoded_run_builds_no_dag(encoder, monkeypatch):
     result = run_encoded(SPEC, model, benchmark_agent_config(SPEC, 100, 0), 1e-4)
     assert result.l_a == 226
     assert sha256(qtable_to_tsv(result.qtable).encode()) == FINE_BIN_QTABLE_SHA
+
+
+# --- report ---------------------------------------------------------------------
+
+
+def test_report_reference_note_is_computed_from_the_table():
+    printed, recomputed = harness.report_text([]).splitlines()[-2:]
+    printed = printed.removesuffix(" from the reference state counts gives").split("/")
+    recomputed = recomputed.removesuffix(")").split("/")
+    rows = list(harness.REFERENCE_TABLE.values())
+    assert len(printed) == len(recomputed) == len(rows)
+    for shown, figure, (_, l_s, l_a, improvement) in zip(printed, recomputed, rows):
+        assert shown + "%" == improvement
+        assert figure == f"{float(figure):.2f}"
+        assert abs(float(figure) - 100 * (l_s - l_a) / l_s) <= 0.005
+    # the note as the report has always printed it
+    assert "/".join(printed) == "45.6/31.02/18.49/19.02"
+    assert "/".join(recomputed) == "45.60/31.03/18.49/19.21"

@@ -99,9 +99,17 @@ def _one_segment(hs):
 
 
 def test_gated_sum_empty_is_zero():
+    # no input rows: zero sums, empty activations, and a backward that
+    # returns no row and adds exact zeros
     a = Param(np.ones((3, 3)))
     out, acts = gated_sum_forward(a, a, np.empty((0, 3)), np.empty(0, dtype=np.intp), 2)
-    assert np.array_equal(out, np.zeros((2, 3))) and acts is None
+    assert np.array_equal(out, np.zeros((2, 3)))
+    assert all(isinstance(x, np.ndarray) and len(x) == 0 for x in acts)
+    grad_a, grad_b = Param(np.zeros((3, 3))), Param(np.zeros((3, 3)))
+    dh = gated_sum_backward(a, a, acts, np.ones((2, 3)), grad_a, grad_b)
+    assert dh.shape == (0, 3)
+    assert np.array_equal(grad_a.value, np.zeros((3, 3)))
+    assert np.array_equal(grad_b.value, np.zeros((3, 3)))
 
 
 def test_gated_sum_permutation_invariant():
