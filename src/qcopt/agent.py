@@ -71,19 +71,19 @@ class EncoderAbstraction:
 
     Uses the deterministic latent mean (never a sample) so a circuit always
     maps to the same key.  ``encode_np`` keys the circuit's nodes with
-    ``dag.hash_cons``, so no DAG is built.  A new circuit is one
-    local rewrite away from one seen before, so most of its DAG nodes have
-    the same type and predecessor states in edge order, and hence the same
-    state; one ``encode_np`` table per instance (one run, one model) shares
-    them, and whole graphs by their output-node states.  The key depends on
-    the latent mean alone, so it is computed once per distinct mean.  The
-    gate string ``exact`` is unused.
+    ``dag.hash_cons``, so no DAG is built.  A new circuit is one local
+    rewrite away from one seen before, so most of its DAG nodes have the
+    same type and predecessor states in edge order, and hence the same
+    state; one ``EncodeTable`` per instance, built for its model and kept
+    for the run, shares them, and whole graphs by their output-node states.
+    The key depends on the latent mean alone, so it is computed once per
+    distinct mean.  The gate string ``exact`` is unused.
     """
 
     def __init__(self, model: DvaeModel, bin_width: float):
         self.model = model
         self.bin_width = bin_width
-        self.table = EncodeTable()
+        self.table = EncodeTable(model)
         self._keys: dict[bytes, StateKey] = {}
 
     def __call__(self, c: Circuit, exact: str | None = None) -> StateKey:

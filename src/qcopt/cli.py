@@ -251,7 +251,7 @@ def cmd_verify(args) -> int:
     # the encoder's hash-consed circuit walk, one table shared across the
     # circuits, must give the latent of the training forward on the DAG
     model = DvaeModel.create(DvaeConfig(d_h=8, d_z=3, seed=rng_base))
-    table = EncodeTable()
+    table = EncodeTable(model)
     for i in range(n_circuits):
         # circuit 0 is empty: only there does the layered space seed CNOT pairs
         c = random_icmh_circuit(2 + i % 3, 2 + i % 11 if i else 0, rng_base + i)

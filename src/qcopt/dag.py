@@ -25,11 +25,13 @@ and as many outputs as inputs.
 Two walks apply these rules.  ``to_dag`` builds the DAG (corpus harvest,
 ``verify``, tests), taking every edge pair from one shared table so that it
 allocates no edge object.  ``hash_cons`` builds none: it keys each node by
-its type and its predecessors' ids and returns the output nodes' ids, all
-that ``dvae.encode_np`` needs.  One walk calling back once per node made
-``to_dag`` about twice as slow on the 3256 Q-table circuits of
-``exact_bv3`` seed 0 (23 ms -> 43-45 ms, best of 9 on a 2-core host), so
-the two share no code; ``tests/test_dag.py`` holds them to one graph.
+its type and its predecessors' ids, reads the node's id from an
+``Interned`` table by one subscript (the table makes the id of a new key)
+and returns the output nodes' ids, all that ``dvae.encode_np`` needs.  One
+walk calling back once per node made ``to_dag`` about twice as slow on the
+3256 Q-table circuits of ``exact_bv3`` seed 0 (23 ms -> 43-45 ms, best of
+9 on a 2-core host), so the two share no code; ``tests/test_dag.py`` holds
+them to one graph.
 
 The debug text is one ``node <id> <type>`` line per node in id order, then
 one ``edge <src> <dst>`` line per edge in stored order, so
@@ -153,52 +155,39 @@ def to_dag(c: Circuit) -> CircuitDag:
     return CircuitDag(tuple(types), tuple(edges))
 
 
-def hash_cons(c: Circuit, nodes: dict[tuple, int], new) -> tuple[int, ...]:
+def hash_cons(c: Circuit, nodes: Interned) -> tuple[int, ...]:
     """Ids of ``to_dag(c)``'s output nodes in id order, keying each node by
-    its type and then its predecessors' ids in edge order: the id is from
-    ``nodes``, or ``new(key)`` for a key it lacks, which records and returns
-    a new id.  Keys are looked up inline, as a call per node would cost more;
-    ``last`` holds each wire's last node number, ``ids`` each node's id."""
+    its type and then its predecessors' ids in edge order: the id is
+    ``nodes[key]``, which ``nodes`` makes for a key it lacks.  ``last``
+    holds each wire's last node number, ``ids`` each node's id."""
     hadamard, ctrl_op, trgt_op, helper_op = (
         NodeType.HADAMARD, NodeType.CTRL_OP, NodeType.TRGT_OP, NodeType.HELPER)
-    get = nodes.get
     n = c.n_wires
-    key = (NodeType.INPUT,)
-    i = get(key)
-    ids = [new(key) if i is None else i] * (n + 1)
+    ids = [nodes[(NodeType.INPUT,)]] * (n + 1)
     last = list(range(n + 1))
     fake_last, k = n, n + 1
     for g in c.gates:
         if g.is_cx:
             cq, tq = g.qubits
             if fake_last == last[cq]:  # node numbers: the inputs share one id
-                key = (helper_op, ids[fake_last])
-                i = get(key)
-                ids.append(new(key) if i is None else i)
+                ids.append(nodes[helper_op, ids[fake_last]])
                 fake_last = k
                 k += 1
-            key = (ctrl_op, ids[last[cq]], ids[fake_last])
-            i = get(key)
-            ctrl = new(key) if i is None else i
-            key = (trgt_op, ids[last[tq]], ctrl)
-            i = get(key)
-            ids += (ctrl, new(key) if i is None else i)
+            ctrl = nodes[ctrl_op, ids[last[cq]], ids[fake_last]]
+            ids += (ctrl, nodes[trgt_op, ids[last[tq]], ctrl])
             last[cq] = k
             last[tq] = fake_last = k + 1
             k += 2
         else:
             q = g.qubits[0]
-            key = (hadamard, ids[last[q]])
-            i = get(key)
-            ids.append(new(key) if i is None else i)
+            ids.append(nodes[hadamard, ids[last[q]]])
             last[q] = k
             k += 1
     last[n] = fake_last
+    # a plain loop: a comprehension is a function call on Python 3.11
     sinks = []
     for u in last:
-        key = (NodeType.OUTPUT, ids[u])
-        i = get(key)
-        sinks.append(new(key) if i is None else i)
+        sinks.append(nodes[NodeType.OUTPUT, ids[u]])
     return tuple(sinks)
 
 

@@ -31,20 +31,22 @@ cache level by level in reverse and returns the parameter gradients.  A
 batch of one DAG is the single-graph case.  ``encode_np`` encodes a DAG
 with that forward on a batch of one.  For a circuit, the RL loop's input, it
 runs the encoder's node update and readout node by node on the nodes that
-``dag.hash_cons`` keys, hash-consing node states and whole graphs in a table
-that a caller carries across circuits.
+``dag.hash_cons`` keys, hash-consing node states and whole graphs in an
+``EncodeTable``: a table is built for one model, makes a node state or a
+graph latent the first time its key is read, and is carried by a caller
+across circuits.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from typing import NamedTuple
 
 import numpy as np
 
-from .circuit import Circuit
+from .circuit import Circuit, Interned
 from .dag import CircuitDag, N_NODE_TYPES, NodeType, hash_cons
 from .nn import (
     AdamState,
@@ -293,16 +295,34 @@ def _encoder_forward(m: DvaeModel, batch: Batch) -> tuple[Latent, EncoderActs]:
     return latent, EncoderActs(steps, readout, hg)
 
 
-@dataclass
 class EncodeTable:
-    """``encode_np``'s hash-consed circuit states, kept for a run of one model."""
+    """``encode_np``'s hash-consed circuit states under one model, kept for a run.
 
-    # ``dag.hash_cons`` node key (type, then predecessor table ids) -> table id
-    nodes: dict[tuple, int] = field(default_factory=dict)
-    # table id -> (1, d_h) node state
-    states: list[np.ndarray] = field(default_factory=list)
-    # table ids of the output nodes in id order -> the graph's latent
-    graphs: dict[tuple, Latent] = field(default_factory=dict)
+    ``nodes`` maps a ``dag.hash_cons`` node key (type, then predecessor
+    table ids) to a table id, running the node update for a key it lacks;
+    ``states`` holds each table id's (1, d_h) node state; ``graphs`` maps the
+    table ids of a graph's output nodes in id order to its latent, running
+    the readout for a tuple it lacks."""
+
+    def __init__(self, model: DvaeModel):
+        self.model = model
+        self.states: list[np.ndarray] = []
+        self.nodes = Interned(self._new_node)
+        self.graphs = Interned(self._new_graph)
+
+    def _new_node(self, key: tuple) -> int:
+        m, states = self.model, self.states
+        hs = [states[i] for i in key[1:]]
+        h_preds = np.concatenate(hs) if hs else np.empty((0, m.d_h))
+        t = key[0]
+        h, _ = _node_states(m, _EYE[t : t + 1], h_preds, np.zeros(len(hs), dtype=np.intp), 1)
+        states.append(h)
+        return len(states) - 1
+
+    def _new_graph(self, graph: tuple[int, ...]) -> Latent:
+        h_sinks = np.concatenate([self.states[i] for i in graph])
+        mu, logvar = _readout(self.model, h_sinks, np.zeros(len(graph), dtype=np.intp), 1)[0]
+        return Latent(mu[0], logvar[0])
 
 
 def encode_np(m: DvaeModel, x: Circuit | CircuitDag, table: EncodeTable | None = None) -> Latent:
@@ -321,8 +341,9 @@ def encode_np(m: DvaeModel, x: Circuit | CircuitDag, table: EncodeTable | None =
     for a tuple the table lacks (gate orders that differ only on disjoint
     wires give one tuple).  Passing one table to many calls shares states
     across circuits that differ by a local rewrite.  A table belongs to the
-    model that filled it; ``None`` starts a fresh one.  A DAG shares
-    nothing, so passing a table with one raises ValueError.
+    model it was built for, and a table built for another model raises
+    ValueError; ``None`` starts a fresh one.  A DAG shares nothing, so
+    passing a table with one raises ValueError.
     """
     if isinstance(x, CircuitDag):
         if table is not None:
@@ -330,27 +351,10 @@ def encode_np(m: DvaeModel, x: Circuit | CircuitDag, table: EncodeTable | None =
         mu, logvar = _encoder_forward(m, _layout([x]))[0]
         return Latent(mu[0], logvar[0])
     if table is None:
-        table = EncodeTable()
-    graph = hash_cons(x, table.nodes, lambda key: _new_node(m, table, key))
-    latent = table.graphs.get(graph)
-    if latent is None:
-        h_sinks = np.concatenate([table.states[i] for i in graph])
-        mu, logvar = _readout(m, h_sinks, np.zeros(len(graph), dtype=np.intp), 1)[0]
-        latent = table.graphs[graph] = Latent(mu[0], logvar[0])
-    return latent
-
-
-def _new_node(m: DvaeModel, table: EncodeTable, key: tuple) -> int:
-    """Run the node update for a key ``(type, *predecessor table ids)`` that
-    the table lacks, and return the new table id."""
-    states = table.states
-    hs = [states[i] for i in key[1:]]
-    h_preds = np.concatenate(hs) if hs else np.empty((0, m.d_h))
-    t = key[0]
-    h, _ = _node_states(m, _EYE[t : t + 1], h_preds, np.zeros(len(hs), dtype=np.intp), 1)
-    i = table.nodes[key] = len(states)
-    states.append(h)
-    return i
+        table = EncodeTable(m)
+    elif table.model is not m:
+        raise ValueError("the encode table was built for another model")
+    return table.graphs[hash_cons(x, table.nodes)]
 
 
 def _encoder_backward(
@@ -384,7 +388,7 @@ class DecoderActs(NamedTuple):
     states: np.ndarray        # by row: each graph's initial context, then one hidden per node
     type_logits: np.ndarray   # by row: logits of the type that row predicts
     steps: list[tuple]        # per level: (gated-sum acts, GRU acts, edge-head
-                              #   acts, or None at node 0, which has no earlier node)
+                              #   acts, empty at node 0, which has no earlier node)
     edge_logits: np.ndarray   # level by level, graph by graph: one per earlier node
     edge_targets: np.ndarray  # matching 0/1 values
 
@@ -397,20 +401,18 @@ def _decoder_forward(m: DvaeModel, batch: Batch, z: np.ndarray) -> DecoderActs:
 
     for k, lv in enumerate(batch.levels):
         ctx = states[lv.rows - 1]
-        edge = None
-        if k > 0:
-            provisional, provisional_gru = gru_forward(m.dec, lv.x, ctx)
-            first = lv.rows - k  # the row of node 0 in each graph at this level
-            earlier = (first[:, None] + np.arange(k)).ravel()
-            th = np.tanh(
-                states[earlier] @ m.w_edge_prev.value.T
-                + np.repeat(provisional @ m.w_edge_new.value.T + m.b_edge.value, k, axis=0)
-            )
-            edge_logits.append(th @ m.w_edge_out.value + m.b_edge_out.value)
-            tgt = np.zeros(len(earlier))
-            tgt[lv.pred_seg * k + lv.pred_rows - first[lv.pred_seg]] = 1.0
-            edge_targets.append(tgt)
-            edge = (provisional_gru, provisional, earlier, th)
+        # the edge head scores the k earlier nodes, none at node 0
+        provisional, provisional_gru = gru_forward(m.dec, lv.x, ctx)
+        first = lv.rows - k  # the row of node 0 in each graph at this level
+        earlier = (first[:, None] + np.arange(k)).ravel()
+        th = np.tanh(
+            states[earlier] @ m.w_edge_prev.value.T
+            + np.repeat(provisional @ m.w_edge_new.value.T + m.b_edge.value, k, axis=0)
+        )
+        edge_logits.append(th @ m.w_edge_out.value + m.b_edge_out.value)
+        tgt = np.zeros(len(earlier))
+        tgt[lv.pred_seg * k + lv.pred_rows - first[lv.pred_seg]] = 1.0
+        edge_targets.append(tgt)
         incoming, gated = gated_sum_forward(
             m.dec_gate_a, m.dec_gate_b, states[lv.pred_rows], lv.pred_seg, len(lv.rows)
         )
@@ -418,7 +420,7 @@ def _decoder_forward(m: DvaeModel, batch: Batch, z: np.ndarray) -> DecoderActs:
         # every chain and keeps repeated source nodes distinguishable
         incoming[lv.sourceless] = ctx[lv.sourceless]
         states[lv.rows], gru = gru_forward(m.dec, lv.x, incoming)
-        steps.append((gated, gru, edge))
+        steps.append((gated, gru, (provisional_gru, provisional, earlier, th)))
 
     type_logits = states @ m.w_type.value.T + m.b_type.value
     return DecoderActs(
@@ -452,22 +454,21 @@ def _decoder_backward(
         np.add.at(dstates, lv.pred_rows, gated_sum_backward(
             m.dec_gate_a, m.dec_gate_b, gated, dincoming, g.dec_gate_a, g.dec_gate_b
         ))
-        if edge is not None:
-            provisional_gru, provisional, earlier, th = edge
-            dlogits = d_edge_logits[end - len(earlier) : end]
-            end -= len(earlier)
-            g.w_edge_out.value += dlogits @ th
-            g.b_edge_out.value += dlogits.sum()
-            dth = dlogits[:, None] * m.w_edge_out.value * (1.0 - th * th)
-            g.w_edge_prev.value += dth.T @ states[earlier]
-            dstates[earlier] += dth @ m.w_edge_prev.value
-            dnew = dth.reshape(len(lv.rows), -1, m.d_h).sum(axis=1)
-            g.w_edge_new.value += dnew.T @ provisional
-            g.b_edge.value += dnew.sum(axis=0)
-            dctx, d = gru_backward(m.dec, provisional_gru, dnew @ m.w_edge_new.value)
-            dstates[ctx_rows] += dctx
-            gru_calls.append(provisional_gru)
-            dpre.append(d)
+        provisional_gru, provisional, earlier, th = edge
+        dlogits = d_edge_logits[end - len(earlier) : end]
+        end -= len(earlier)
+        g.w_edge_out.value += dlogits @ th
+        g.b_edge_out.value += dlogits.sum()
+        dth = dlogits[:, None] * m.w_edge_out.value * (1.0 - th * th)
+        g.w_edge_prev.value += dth.T @ states[earlier]
+        dstates[earlier] += dth @ m.w_edge_prev.value
+        dnew = dth.reshape(len(lv.rows), -1, m.d_h).sum(axis=1)
+        g.w_edge_new.value += dnew.T @ provisional
+        g.b_edge.value += dnew.sum(axis=0)
+        dctx, d = gru_backward(m.dec, provisional_gru, dnew @ m.w_edge_new.value)
+        dstates[ctx_rows] += dctx
+        gru_calls.append(provisional_gru)
+        dpre.append(d)
     gru_weight_grads(g.dec, gru_calls, dpre)
     d0 = dstates[batch.start]
     g.w_init.value += d0.T @ acts.z

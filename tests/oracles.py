@@ -257,7 +257,7 @@ def reference_to_dag(c: Circuit) -> CircuitDag:
 
 
 def reference_hash_cons(c: Circuit, nodes: dict) -> tuple[int, ...]:
-    """Reference for ``dag.hash_cons`` with a ``new`` that numbers keys in
+    """Reference for ``dag.hash_cons`` with a table that numbers keys in
     order: ``to_dag(c)``'s nodes in id order, each keyed by its type and its
     predecessors' ids with ``setdefault``; the output nodes' ids in id order."""
     d = to_dag(c)

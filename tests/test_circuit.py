@@ -10,6 +10,7 @@ from qcopt.circuit import (
     Circuit,
     CircuitError,
     Gate,
+    Interned,
     asap_moments,
     bv_circuit,
     depth,
@@ -95,6 +96,24 @@ def test_gate_constructors_share_one_gate_per_wires():
                 assert Gate.cx(c, t) == Gate((c, t), True)
                 assert Gate.cx(c, t) is Gate.cx(c, t)
     assert Gate.cx(0, 1) is not Gate.cx(1, 0)
+
+
+def test_interned_makes_each_key_once_and_lookups_make_none():
+    made = []
+
+    def make(key):
+        made.append(key)
+        return [key]  # a fresh object per call, so `is` tells calls apart
+
+    table = Interned(make)
+    assert table.get("a") is None and "a" not in table and made == []
+    first = table["a"]
+    assert first == ["a"] and made == ["a"]
+    assert table["a"] is first and table.get("a") is first and "a" in table
+    assert made == ["a"]
+    assert table["b"] is table["b"] and made == ["a", "b"]
+    assert table.get("c") is None and "c" not in table and made == ["a", "b"]
+    assert dict(table) == {"a": ["a"], "b": ["b"]}
 
 
 # --- qasm ---------------------------------------------------------------------

@@ -99,8 +99,8 @@ def test_verify_fails_when_the_circuit_walk_encodes_another_circuit(monkeypatch,
     # the DAG only on the empty circuit 0, so circuit 1 alone fails
     walk = dvae.hash_cons
 
-    def short_walk(c, nodes, new):
-        return walk(Circuit(c.n_wires, c.gates[:-1]), nodes, new)
+    def short_walk(c, nodes):
+        return walk(Circuit(c.n_wires, c.gates[:-1]), nodes)
 
     monkeypatch.setattr(dvae, "hash_cons", short_walk)
     assert dispatch(["verify", "--circuits", "2"]) == 1

@@ -12,7 +12,7 @@ from oracles import (
     reference_to_dag,
     relabelled,
 )
-from qcopt.circuit import BvSpec, Circuit, Gate, bv_circuit, random_icmh_circuit
+from qcopt.circuit import BvSpec, Circuit, Gate, Interned, bv_circuit, random_icmh_circuit
 from qcopt.dag import (
     CircuitDag,
     NodeType,
@@ -153,21 +153,18 @@ def test_to_dag_allocates_no_edge_objects():
 
 def test_hash_cons_keys_the_nodes_of_to_dag():
     # the walk must make to_dag's nodes, in its order and with its
-    # predecessor order, so under shared dicts it keys them as the reference
+    # predecessor order, so under shared tables it keys them as the reference
     # does; no model is needed
     circuits = [random_icmh_circuit(2 + i % 5, i % 31, i) for i in range(2000)]
     circuits += [bv_circuit(BvSpec(n, s)) for n in range(2, 6) for s in range(1 << n)]
     circuits += [circ(2), circ(1), circ(1, Gate.h(0), Gate.h(0))]
     chains = [opposite_cnot_chain(2 + i % 4, 4 + i % 20, i) for i in range(60)]
     assert sum(count_types(to_dag(c), NodeType.HELPER) for c in chains) >= 100
-    walked, ref = {}, {}
-
-    def new(key):
-        return walked.setdefault(key, len(walked))
-
+    # the walk's table numbers keys in order, as the reference's setdefault does
+    walked, ref = Interned(lambda key: len(walked)), {}
     for c in circuits + chains:
         before = len(ref)
-        assert hash_cons(c, walked, new) == reference_hash_cons(c, ref), c
+        assert hash_cons(c, walked) == reference_hash_cons(c, ref), c
         # both dicts only grow, so equal lengths and equal newest entries in
         # insertion order keep them equal without a full compare per circuit
         added = len(ref) - before

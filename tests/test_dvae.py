@@ -156,7 +156,7 @@ def test_encode_np_shared_table_equals_encoder_forward():
     # predecessors(), the one place that checks the rule
     m = small_model(d_h=12, d_z=4, seed=3)
     rng = np.random.default_rng(3)
-    table = EncodeTable()
+    table = EncodeTable(m)
     reordered = 0
     for seed in range(240):
         c = random_icmh_circuit(2 + seed % 4, seed % 16, seed)
@@ -185,7 +185,7 @@ def test_encode_np_table_reuses_node_states():
     m = small_model()
     start = bv_circuit(BvSpec(2, 0b11))
     assert to_dag(start).n_nodes == 18
-    table = EncodeTable()
+    table = EncodeTable(m)
     encode_np(m, start, table)
     assert len(table.nodes) == 13  # the inputs share one state, as do the first Hs
     encode_np(m, start, table)
@@ -198,7 +198,7 @@ def test_encode_np_table_reuses_node_states():
 
 def test_encode_np_commuting_gate_orders_share_one_graph_entry():
     m = small_model()
-    table = EncodeTable()
+    table = EncodeTable(m)
     first = encode_np(m, circ(2, Gate.h(0), Gate.h(1)), table)
     assert len(table.graphs) == 1
     swapped = circ(2, Gate.h(1), Gate.h(0))
@@ -206,6 +206,19 @@ def test_encode_np_commuting_gate_orders_share_one_graph_entry():
     assert len(table.graphs) == 1 and hit is first
     fresh = encode_np(m, swapped)
     assert np.array_equal(hit.mu, fresh.mu) and np.array_equal(hit.logvar, fresh.logvar)
+
+
+def test_encode_np_refuses_a_table_built_for_another_model():
+    m1, m2 = small_model(seed=1), small_model(seed=2)
+    c = bv_circuit(BvSpec(2, 0b11))
+    table = EncodeTable(m1)
+    encode_np(m1, c, table)
+    with pytest.raises(ValueError, match="another model"):
+        encode_np(m2, c, table)
+    # an equal model is still another model: the table holds m1's states
+    with pytest.raises(ValueError, match="another model"):
+        encode_np(small_model(seed=1), c, table)
+    assert np.array_equal(encode_np(m2, c).mu, encode_np(m2, c, EncodeTable(m2)).mu)
 
 
 def latent_bytes(latent):
@@ -223,7 +236,7 @@ def test_encode_np_circuit_walk_equals_training_encoder():
     chains = [opposite_cnot_chain(2 + i % 4, 4 + i % 20, i) for i in range(60)]
     helpers = sum(to_dag(c).types.count(NodeType.HELPER) for c in chains)
     assert helpers >= 100
-    table = EncodeTable()
+    table = EncodeTable(m)
     for c in circuits + chains:
         # the encoder half of batch_cache: the latent loss reads, without
         # the decoder's cost
