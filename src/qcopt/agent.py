@@ -98,13 +98,16 @@ class EncoderAbstraction:
 def available_actions(c: Circuit, cfg: AgentConfig):
     """The agent's layered action space, paired with the canonical keys.
 
-    ``enumerate_actions(c, layered=True)`` enumerates it directly.  Per-wire
-    H-pair insertions would spawn a huge lattice of depth-neutral states that
+    ``enumerate_actions(c, layered=True)`` enumerates it directly, finding
+    every forward site in one pass over the gates; the list's order is
+    fixed, because the agent draws an index into it.  Per-wire H-pair
+    insertions would spawn a huge lattice of depth-neutral states that
     one-step tabular Q-learning cannot wade through at paper-scale episode
     budgets, and CNOT pairs never help the depth objective.  Actions that
     would grow the circuit past ``cfg.max_gates`` are not enumerated: the
     budget goes into the enumeration, which can test it once per template
-    because every site of a layered template has the same gate delta.
+    because every site of a layered template has the same gate delta, and
+    skips the CX_PAR scans when that template is over budget.
     """
     actions = enumerate_actions(c, layered=True, budget=cfg.max_gates - len(c.gates))
     return actions, [action_key(a) for a in actions]

@@ -28,8 +28,8 @@ class Interned(dict):
     subscript and kept; ``get`` and ``in`` make nothing.  Phase 1 builds the
     same gates, actions, keys and DAG edges over and over; sharing them
     leaves the cyclic garbage collector little to count.  Their keys come
-    from circuit wires and gate positions, so those module tables are
-    bounded by circuit size, not by run length.  Phase 3's encode tables
+    from circuit wires, gate positions and gate budgets, so those module
+    tables are bounded by circuit size, not by run length.  Phase 3's encode tables
     (``dvae.EncodeTable``) are kept per run instead."""
 
     __slots__ = ("make",)

@@ -11,12 +11,20 @@ poison Q-learning with a reverse/unreverse oscillation that shadows the
 productive cancellations.
 
 Match enumeration over a circuit defines the RL action space; the agent's
-layered part of it is enumerated directly.  Every action is unitary-preserving;
-sites carry enough indices to re-apply the action, and each action has a
-stable text key ``<KIND>.<fwd|rev>@<site>`` used by the Q-table (sites render
-as ``i-j``, ``q:p``, ``all:p``, ``c-t:p`` or ``i``).  A template kind is the
-string its keys start with (``HH``, ``CXCX``, ``CX_PAR``, ``CX_REV``), as a
-direction is the string ``fwd`` or ``rev``.
+layered part of it is enumerated directly.  One forward pass over the gates
+finds every forward site: per wire it keeps the last H since a CNOT (HH) and
+the last gate of any kind, so a CNOT whose wires were both last touched by
+the same CNOT closes a CXCX pair in O(1), and CX_PAR scans back from each
+CNOT the pass collects.  Sites are sorted into a fixed order, because the
+agent draws an index into the list; the gate budget is tested once per
+template.
+
+Every action is unitary-preserving; sites carry enough indices to re-apply
+the action, and each action has a stable text key ``<KIND>.<fwd|rev>@<site>``
+used by the Q-table (sites render as ``i-j``, ``q:p``, ``all:p``, ``c-t:p``
+or ``i``).  A template kind is the string its keys start with (``HH``,
+``CXCX``, ``CX_PAR``, ``CX_REV``), as a direction is the string ``fwd`` or
+``rev``.
 
 Phase 1 meets the same actions in state after state, so the module shares
 one ``Action`` per (kind, direction, site) and formats each key once, and
@@ -95,68 +103,6 @@ def commutes(a: Gate, b: Gate) -> bool:
     return qb[0] not in qa
 
 
-# --- forward matches ---------------------------------------------------------
-
-
-def _matches_hh_fwd(c: Circuit) -> list[Site]:
-    # consecutive H pairs per wire <=> no intervening gate touches the wire
-    sites = []
-    last_h = [-1] * c.n_wires
-    for i, g in enumerate(c.gates):
-        if g.is_cx:
-            cq, tq = g.qubits
-            last_h[cq] = -1
-            last_h[tq] = -1
-        else:
-            q = g.qubits[0]
-            if last_h[q] >= 0:
-                sites.append(("pair", last_h[q], i))
-            last_h[q] = i
-    sites.sort()
-    return sites
-
-
-def _matches_cxcx_fwd(c: Circuit) -> list[Site]:
-    sites = []
-    gates = c.gates
-    for i, g in enumerate(gates):
-        if not g.is_cx:
-            continue
-        q = g.qubits
-        cq, tq = q
-        for j in range(i + 1, len(gates)):
-            other = gates[j].qubits
-            if cq not in other and tq not in other:
-                continue
-            if other == q:  # two wires: a CNOT
-                sites.append(("pair", i, j))
-            break
-    return sites
-
-
-def _matches_cx_par(c: Circuit) -> list[Site]:
-    # pairs (i, j), i < j, same control, distinct targets, where every gate
-    # crossed when j moves to position i+1 commutes with gate j
-    sites = []
-    gates = c.gates
-    for j, gj in enumerate(gates):
-        if not gj.is_cx:
-            continue
-        cq, tq = gj.qubits
-        for k in range(j - 1, -1, -1):
-            gk = gates[k]
-            if gk.is_cx and gk.qubits[0] == cq and gk.qubits[1] != tq:
-                sites.append(("pair", k, j))
-            if not commutes(gk, gj):
-                break
-    sites.sort()
-    return sites
-
-
-def _matches_cx_rev_fwd(c: Circuit) -> list[Site]:
-    return [("rev", i) for i, g in enumerate(c.gates) if g.is_cx]
-
-
 # --- reverse matches ---------------------------------------------------------
 
 
@@ -195,22 +141,33 @@ def _matches_cxcx_rev(c: Circuit) -> list[Site]:
     return sorted(sites)
 
 
-_MATCHERS = {
-    (HH, FORWARD): _matches_hh_fwd,
-    (HH, REVERSE): _matches_hh_rev,
-    (CXCX, FORWARD): _matches_cxcx_fwd,
-    (CXCX, REVERSE): _matches_cxcx_rev,
-    (CX_PAR, FORWARD): _matches_cx_par,
-    (CX_REV, FORWARD): _matches_cx_rev_fwd,
-}
-# same keys in the same order: updating a key keeps its place
-_LAYERED = {
-    **_MATCHERS,
-    (HH, REVERSE): lambda c: [("all", 0), ("all", len(c.gates))] if c.gates else [("all", 0)],
-    (CXCX, REVERSE): lambda c: [] if c.gates else _matches_cxcx_rev(c),
-}
+def _layered_hh_rev(c: Circuit) -> list[Site]:
+    # H layers on every wire at either end of the circuit only
+    return [("all", 0), ("all", len(c.gates))] if c.gates else [("all", 0)]
+
+
+def _layered_cxcx_rev(c: Circuit) -> list[Site]:
+    # CNOT pairs seeded on the empty circuit only
+    return [] if c.gates else _matches_cxcx_rev(c)
+
+
+# One site per template, in enumeration order.  In the layered space every
+# site of one template has the same gate delta (HH reverse yields only
+# ``all`` sites, CXCX reverse only ``cxins`` sites, and the forward
+# templates' deltas do not depend on the site), so a template's probe stands
+# for all its sites when the gate budget is tested.
+_PROBES = (
+    Action(HH, FORWARD, ("pair", 0, 1)),
+    Action(HH, REVERSE, ("all", 0)),
+    Action(CXCX, FORWARD, ("pair", 0, 1)),
+    Action(CXCX, REVERSE, ("cxins", 0, 1, 0)),
+    Action(CX_PAR, FORWARD, ("pair", 0, 1)),
+    Action(CX_REV, FORWARD, ("rev", 0)),
+)
 # the one shared Action per site, per template
-_ACTIONS = {template: Interned(partial(Action, *template)) for template in _MATCHERS}
+_ACTIONS = {
+    (kind, direction): Interned(partial(Action, kind, direction)) for kind, direction, _ in _PROBES
+}
 
 
 # --- application -------------------------------------------------------------
@@ -310,20 +267,41 @@ def gate_count_delta(a: Action, n_wires: int) -> int:
     return 2
 
 
+# (n_wires, budget) -> per template, whether its gate delta is within the budget
+_FITS = Interned(
+    lambda key: tuple(key[1] is None or gate_count_delta(a, key[0]) <= key[1] for a in _PROBES)
+)
+
+
 def enumerate_actions(
     c: Circuit, layered: bool = False, budget: int | None = None
 ) -> list[Action]:
-    """Union of all template matches in ``_MATCHERS`` order, unique keys.
+    """Union of all template matches in ``_PROBES`` order, unique keys.
+
+    The forward templates' sites come from one forward pass over the gates
+    with two per-wire arrays: ``last_h[w]``, the last H on wire w since a
+    CNOT touched it, and ``touch[w]``, the last gate of any kind on wire w.
+    An H on q with ``last_h[q] >= 0`` closes an HH pair.  A CNOT j on (c, t)
+    closes a CXCX pair with ``p = touch[c]`` exactly when ``p == touch[t]``
+    and gate p is the same CNOT: nothing between them touches either wire.
+    Every CNOT is a CX_REV site, and CX_PAR scans backward from each one,
+    stopping at the first crossed gate that does not commute with it.  HH,
+    CXCX and CX_PAR sites are then sorted as (first, second) index pairs: the
+    agent draws an index into this list, so its order is part of every
+    Q-table.
 
     ``layered`` gives the agent's space, an order-preserving subsequence: H
-    layers on all wires at either end only, CNOT pairs on the empty circuit only.
+    layers on all wires at either end only, CNOT pairs on the empty circuit
+    only.  The full space adds per-wire H-pair insertions everywhere and
+    CNOT-pair insertions next to every CNOT.
 
     ``budget`` (layered space only) keeps exactly the actions whose
-    ``gate_count_delta`` is at most ``budget``.  In the layered space every
-    site of one template has the same delta (HH reverse yields only ``all``
-    sites, CXCX reverse only ``cxins`` sites, and the forward templates' deltas
-    do not depend on the site), so the delta is computed once per template
-    from its first site and a template over budget is skipped whole.
+    ``gate_count_delta`` is at most ``budget``.  Every site of a layered
+    template has the same delta, so the budget is tested once per template,
+    through ``gate_count_delta`` on the template's ``_PROBES`` site, before
+    any site is sorted, scanned for or looked up: a template over budget is
+    skipped whole, the CX_PAR scans included.  ``_FITS`` keeps the outcome
+    per wire count and budget.
 
     Every item is the module's one shared ``Action`` for its kind, direction
     and site, so two calls on one circuit return identical objects and only
@@ -331,14 +309,66 @@ def enumerate_actions(
     """
     if budget is not None and not layered:
         raise ValueError("a gate budget needs the layered space")
+    gates = c.gates
     n = c.n_wires
+    last_h = [-1] * n
+    touch = [-1] * n
+    hh: list[Site] = []
+    cxcx: list[Site] = []
+    rev: list[Site] = []
+    for i, g in enumerate(gates):
+        qs = g.qubits
+        if g.is_cx:
+            cq, tq = qs
+            p = touch[cq]
+            # gate p touches both wires, so it is a CNOT on them: compare
+            # the orientation only
+            if p >= 0 and p == touch[tq] and gates[p].qubits == qs:
+                cxcx.append(("pair", p, i))
+            rev.append(("rev", i))
+            last_h[cq] = last_h[tq] = -1
+            touch[cq] = touch[tq] = i
+        else:
+            q = qs[0]
+            h = last_h[q]
+            if h >= 0:
+                hh.append(("pair", h, i))
+            last_h[q] = touch[q] = i
+
+    hh_fits, hh_rev_fits, cxcx_fits, cxcx_rev_fits, par_fits, rev_fits = _FITS[n, budget]
+    hh_actions, hh_rev_actions, cxcx_actions, cxcx_rev_actions, par_actions, rev_actions = (
+        _ACTIONS.values()
+    )
     actions: list[Action] = []
-    for template, matcher in (_LAYERED if layered else _MATCHERS).items():
-        sites = matcher(c)
-        if not sites:
-            continue
-        shared = _ACTIONS[template]
-        if budget is not None and gate_count_delta(shared[sites[0]], n) > budget:
-            continue
-        actions += map(shared.__getitem__, sites)
+    if hh_fits and hh:
+        hh.sort()
+        actions += map(hh_actions.__getitem__, hh)
+    if hh_rev_fits:
+        sites = _layered_hh_rev(c) if layered else _matches_hh_rev(c)
+        actions += map(hh_rev_actions.__getitem__, sites)
+    if cxcx_fits and cxcx:
+        cxcx.sort()
+        actions += map(cxcx_actions.__getitem__, cxcx)
+    if cxcx_rev_fits:
+        sites = _layered_cxcx_rev(c) if layered else _matches_cxcx_rev(c)
+        actions += map(cxcx_rev_actions.__getitem__, sites)
+    if par_fits and len(rev) > 1:
+        par: list[Site] = []
+        for _, j in rev:
+            cq, tq = gates[j].qubits
+            # crossed gate k commutes with CNOT j iff it is a CNOT sharing
+            # only j's control (a site) or touches neither of j's wires
+            for k in range(j - 1, -1, -1):
+                gk = gates[k]
+                kq = gk.qubits
+                if tq in kq:
+                    break
+                if cq in kq:
+                    if kq[0] != cq or not gk.is_cx:
+                        break
+                    par.append(("pair", k, j))
+        par.sort()
+        actions += map(par_actions.__getitem__, par)
+    if rev_fits:
+        actions += map(rev_actions.__getitem__, rev)
     return actions

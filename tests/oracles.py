@@ -1,12 +1,13 @@
 """Shared test oracles: DAG isomorphism, node relabelling, random topological
-orders, the agent's layered action space as a filter over the full one, the
-gate budget as a per-action filter, action keys through a per-tag format
-table and through the uncached formatter, the set-based commutation rule,
-forward-action BFS to a target depth, frozen copies of the ``max``-based
-ASAP scheduler and of the ``len``-numbered ``to_dag`` that the faster
-versions in ``src/`` must match bit for bit, hash-consing over ``to_dag``'s
-DAG as the reference for ``dag.hash_cons``, and CNOT chains dense in helper
-nodes.
+orders, the per-template forward matchers that ``enumerate_actions``' one
+pass replaced, the agent's layered action space as a filter over the full
+one, the gate budget as a per-action filter, action keys through a per-tag
+format table and through the uncached formatter, the set-based commutation
+rule, forward-action BFS to a target depth, frozen copies of the
+``max``-based ASAP scheduler and of the ``len``-numbered ``to_dag`` that the
+faster versions in ``src/`` must match bit for bit, hash-consing over
+``to_dag``'s DAG as the reference for ``dag.hash_cons``, and CNOT chains
+dense in helper nodes.
 
 The search is restricted to the forward direction of all four templates
 (gate-count-nonincreasing, or structurally necessary for CX_REV).  The
@@ -22,7 +23,21 @@ import numpy as np
 
 from qcopt.circuit import Circuit, Gate, depth, state_string
 from qcopt.dag import CircuitDag, NodeType, to_dag
-from qcopt.rewrite import REVERSE, Action, apply, enumerate_actions, gate_count_delta
+from qcopt import rewrite
+from qcopt.rewrite import (
+    CX_PAR,
+    CX_REV,
+    CXCX,
+    FORWARD,
+    HH,
+    REVERSE,
+    Action,
+    Site,
+    apply,
+    commutes,
+    enumerate_actions,
+    gate_count_delta,
+)
 
 
 def _digraph(d: CircuitDag) -> nx.MultiDiGraph:
@@ -67,6 +82,93 @@ def random_topological_order(d: CircuitDag, rng: np.random.Generator) -> list[in
                 ready.append(v)
     assert len(order) == d.n_nodes, "cycle"
     return order
+
+
+# --- the forward matchers, one gate-list walk per template -------------------
+# Copied unchanged from before ``enumerate_actions`` found every forward site
+# in one pass, so its sites and their order can be compared against them.
+
+
+def matches_hh_fwd(c: Circuit) -> list[Site]:
+    # consecutive H pairs per wire <=> no intervening gate touches the wire
+    sites = []
+    last_h = [-1] * c.n_wires
+    for i, g in enumerate(c.gates):
+        if g.is_cx:
+            cq, tq = g.qubits
+            last_h[cq] = -1
+            last_h[tq] = -1
+        else:
+            q = g.qubits[0]
+            if last_h[q] >= 0:
+                sites.append(("pair", last_h[q], i))
+            last_h[q] = i
+    sites.sort()
+    return sites
+
+
+def matches_cxcx_fwd(c: Circuit) -> list[Site]:
+    sites = []
+    gates = c.gates
+    for i, g in enumerate(gates):
+        if not g.is_cx:
+            continue
+        q = g.qubits
+        cq, tq = q
+        for j in range(i + 1, len(gates)):
+            other = gates[j].qubits
+            if cq not in other and tq not in other:
+                continue
+            if other == q:  # two wires: a CNOT
+                sites.append(("pair", i, j))
+            break
+    return sites
+
+
+def matches_cx_par(c: Circuit) -> list[Site]:
+    # pairs (i, j), i < j, same control, distinct targets, where every gate
+    # crossed when j moves to position i+1 commutes with gate j
+    sites = []
+    gates = c.gates
+    for j, gj in enumerate(gates):
+        if not gj.is_cx:
+            continue
+        cq, tq = gj.qubits
+        for k in range(j - 1, -1, -1):
+            gk = gates[k]
+            if gk.is_cx and gk.qubits[0] == cq and gk.qubits[1] != tq:
+                sites.append(("pair", k, j))
+            if not commutes(gk, gj):
+                break
+    sites.sort()
+    return sites
+
+
+def matches_cx_rev_fwd(c: Circuit) -> list[Site]:
+    return [("rev", i) for i, g in enumerate(c.gates) if g.is_cx]
+
+
+def reference_enumeration(
+    c: Circuit, layered: bool = False, budget: int | None = None
+) -> list[Action]:
+    """Reference for ``enumerate_actions``: each template's matcher in turn,
+    the forward ones above, and the budget tested on every action."""
+    if layered:
+        hh_rev, cxcx_rev = rewrite._layered_hh_rev, rewrite._layered_cxcx_rev
+    else:
+        hh_rev, cxcx_rev = rewrite._matches_hh_rev, rewrite._matches_cxcx_rev
+    matchers = {
+        (HH, FORWARD): matches_hh_fwd,
+        (HH, REVERSE): hh_rev,
+        (CXCX, FORWARD): matches_cxcx_fwd,
+        (CXCX, REVERSE): cxcx_rev,
+        (CX_PAR, FORWARD): matches_cx_par,
+        (CX_REV, FORWARD): matches_cx_rev_fwd,
+    }
+    actions = [Action(*template, site) for template, match in matchers.items() for site in match(c)]
+    if budget is None:
+        return actions
+    return [a for a in actions if gate_count_delta(a, c.n_wires) <= budget]
 
 
 def layered_filter(c: Circuit, actions: list[Action]) -> list[Action]:

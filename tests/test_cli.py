@@ -20,7 +20,7 @@ from qcopt.dag import dag_to_debug_text, save_corpus, to_dag
 from qcopt.dvae import DvaeConfig, DvaeModel, load_checkpoint, save_checkpoint
 from qcopt.harness import HarnessConfig
 from qcopt import rewrite
-from qcopt.rewrite import CXCX, REVERSE, enumerate_actions
+from qcopt.rewrite import enumerate_actions
 
 
 def test_grad_check_one_dag_passes(capsys):
@@ -39,12 +39,23 @@ def test_verify_small_suite_passes(capsys):
     assert "0 failures" in capsys.readouterr().out
 
 
+def test_verify_draws_every_wire_count_from_two_to_six(monkeypatch, capsys):
+    drawn = []
+
+    def recorded(n_wires, n_gates, seed):
+        drawn.append(n_wires)
+        return random_icmh_circuit(n_wires, n_gates, seed)
+
+    monkeypatch.setattr(cli, "random_icmh_circuit", recorded)
+    assert dispatch(["verify", "--circuits", "5"]) == 0
+    assert drawn == [2, 3, 4, 5, 6] and "0 failures" in capsys.readouterr().out
+
+
 def test_verify_draws_the_empty_circuit(monkeypatch, capsys):
     # reorder the CNOT-pair sites that the layered space seeds on the empty
     # circuit only; the layered space is then not a subsequence there
-    key = (CXCX, REVERSE)
-    seed_pairs = rewrite._LAYERED[key]
-    monkeypatch.setitem(rewrite._LAYERED, key, lambda c: seed_pairs(c)[::-1])
+    seed_pairs = rewrite._layered_cxcx_rev
+    monkeypatch.setattr(rewrite, "_layered_cxcx_rev", lambda c: seed_pairs(c)[::-1])
     assert dispatch(["verify", "--circuits", "3"]) == 1
     out = capsys.readouterr().out
     assert out.count("FAIL layered-subset: ") == 1 and "1 failures" in out

@@ -6,6 +6,8 @@ from oracles import (
     budget_filter,
     commutes_by_sets,
     layered_filter,
+    opposite_cnot_chain,
+    reference_enumeration,
     reference_key,
     uncached_action_key,
 )
@@ -241,6 +243,24 @@ def test_layered_enumeration_equals_filtered_full_space():
     assert sites == [("pair", 0, 1), ("all", 0), ("all", 2)]
 
 
+def test_one_pass_enumeration_equals_the_per_template_matchers():
+    # list equality, order included, in both spaces and at every budget from
+    # below any template's delta to above an H layer's
+    circuits = [random_icmh_circuit(2 + i % 5, i // 5 % 25, 3000 + i) for i in range(3000)]
+    circuits += [bv_circuit(BvSpec(n, s)) for n in range(2, 6) for s in range(1 << n)]
+    circuits += [opposite_cnot_chain(2 + i % 4, 4 + i % 20, i) for i in range(60)]
+    templates = set()
+    for c in circuits:
+        n = c.n_wires
+        full = enumerate_actions(c)
+        assert full == reference_enumeration(c), state_string(c)
+        templates.update((a.kind, a.direction) for a in full)
+        for budget in (None, *range(-3, 2 * n + 6)):
+            layered = enumerate_actions(c, layered=True, budget=budget)
+            assert layered == reference_enumeration(c, True, budget), (state_string(c), budget)
+    assert templates == set(rewrite._ACTIONS)
+
+
 def test_fast_path_actions_are_real_actions():
     # enumerate_actions returns shared Actions: every item must still be an
     # Action in type, fields, equality, key and application
@@ -293,8 +313,9 @@ def test_action_key_cache_matches_uncached_formatter():
 
 
 def test_a_repeated_run_adds_nothing_to_the_shared_tables():
-    # the shared gates, edges, actions and keys are bounded by circuit size:
-    # a second identical phase 1 meets only values the first one made
+    # the shared gates, edges, actions, keys and budget tests are bounded by
+    # circuit size: a second identical phase 1 meets only values the first
+    # one made
     spec = BvSpec(2, 0b11)
     cfg = benchmark_agent_config(spec, 100, 0)
 
@@ -306,6 +327,7 @@ def test_a_repeated_run_adds_nothing_to_the_shared_tables():
             "edges": sum(map(len, dag._EDGES)),
             "actions": sum(map(len, rewrite._ACTIONS.values())),
             "keys": len(rewrite._KEYS),
+            "budget tests": len(rewrite._FITS),
         }
 
     run_baseline(spec, cfg)
