@@ -253,7 +253,7 @@ def cmd_verify(args) -> int:
     model = DvaeModel.create(DvaeConfig(d_h=8, d_z=3, seed=rng_base))
     table = EncodeTable(model)
     for i in range(n_circuits):
-        # circuit 0 is empty: only there does the layered space seed CNOT pairs;
+        # circuit 0 is empty: only there do the action spaces seed CNOT pairs;
         # 2 to 6 wires reach BV5's wire count
         c = random_icmh_circuit(2 + i % 5, 2 + i % 11 if i else 0, rng_base + i)
         u = unitary(c)

@@ -684,15 +684,18 @@ def _tensor(value, shape: tuple, name: str) -> np.ndarray:
 
 def load_checkpoint(path: str) -> DvaeModel:
     """Read a checkpoint written by save_checkpoint.  It comes from outside, so
-    a file that is not JSON (a truncated one too), not a JSON object or of
-    another format, a ``d_h`` or ``d_z`` that is not an integer of at least 1
-    or gives shapes beyond numpy's limits, a missing or unknown tensor, a
-    wrong shape or a non-numeric or non-finite value raises ValueError."""
+    a file that is not JSON (a truncated one too), nested too deeply to
+    decode, not a JSON object or of another format, a ``d_h`` or ``d_z``
+    that is not an integer of at least 1 or gives shapes beyond numpy's
+    limits, a missing or unknown tensor, a wrong shape or a non-numeric or
+    non-finite value raises ValueError."""
     with open(path, encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ValueError(f"{path} is not a {_FORMAT} checkpoint: {exc}") from None
+        except RecursionError:  # the decoder recurses once per nesting level
+            raise ValueError(f"{path} is not a {_FORMAT} checkpoint: nested too deeply") from None
     if not isinstance(doc, dict) or doc.get("format") != _FORMAT:
         raise ValueError(f"{path} is not a {_FORMAT} checkpoint")
     for key in ("d_h", "d_z"):

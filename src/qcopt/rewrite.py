@@ -10,19 +10,22 @@ flanked CNOT again and cancelling the Hadamard pairs; a one-step undo would
 poison Q-learning with a reverse/unreverse oscillation that shadows the
 productive cancellations.
 
-Match enumeration over a circuit defines the RL action space; the agent's
-layered part of it is enumerated directly.  One forward pass over the gates
-finds every forward site: per wire it keeps the last H since a CNOT (HH) and
-the last gate of any kind, so a CNOT whose wires were both last touched by
-the same CNOT closes a CXCX pair in O(1), and CX_PAR scans back from each
-CNOT the pass collects.  Sites are sorted into a fixed order, because the
-agent draws an index into the list; the gate budget is tested once per
-template.
+Match enumeration over a circuit defines the RL action space.  HH and
+CXCX apply in reverse in one form each: an H layer on every wire, and a
+CNOT pair seeded on the empty circuit.  The full space puts an H layer at
+every gate-list position; the agent's layered space only at either end, and
+is otherwise the same.  One forward pass over the gates finds every forward
+site: per wire it keeps the last H since a CNOT (HH) and the last gate of
+any kind, so a CNOT whose wires were both last touched by the same CNOT
+closes a CXCX pair in O(1), and CX_PAR scans back from each CNOT the pass
+collects.  Sites are sorted into a fixed order, because the agent draws an
+index into the list.  Every site of one template has the same gate delta,
+so a gate budget is tested once per template, in either space.
 
 Every action is unitary-preserving; sites carry enough indices to re-apply
 the action, and each action has a stable text key ``<KIND>.<fwd|rev>@<site>``
-used by the Q-table (sites render as ``i-j``, ``q:p``, ``all:p``, ``c-t:p``
-or ``i``).  A template kind is the string its keys start with (``HH``,
+used by the Q-table (sites render as ``i-j``, ``all:p``, ``c-t:p`` or
+``i``).  A template kind is the string its keys start with (``HH``,
 ``CXCX``, ``CX_PAR``, ``CX_REV``), as a direction is the string ``fwd`` or
 ``rev``.
 
@@ -51,9 +54,10 @@ CX_REV = "CX_REV"
 
 # Site variants, as tagged tuples:
 #   ("pair", i, j)       gate-index pair (HH/CXCX forward, CX_PAR)
-#   ("ins", q, p)        insert on wire q at gate-list position p (HH reverse)
-#   ("all", p)           insert an H pair on every wire at position p
-#   ("cxins", c, t, p)   insert a CNOT(c,t) pair at position p (CXCX reverse)
+#   ("all", p)           insert an H pair on every wire at gate-list position p
+#                        (HH reverse)
+#   ("cxins", c, t, p)   insert a CNOT(c,t) pair at position p (CXCX reverse;
+#                        p is 0, as only the empty circuit seeds one)
 #   ("rev", i)           CNOT at gate index i (CX_REV)
 Site = tuple
 
@@ -81,8 +85,6 @@ def _format_key(a: Action) -> str:
         return f"{kind}.{direction}@{site[1]}-{site[2]}"
     if tag == "rev":
         return f"{kind}.{direction}@{site[1]}"
-    if tag == "ins":
-        return f"{kind}.{direction}@{site[1]}:{site[2]}"
     if tag == "all":
         return f"{kind}.{direction}@all:{site[1]}"
     if tag == "cxins":
@@ -103,59 +105,9 @@ def commutes(a: Gate, b: Gate) -> bool:
     return qb[0] not in qa
 
 
-# --- reverse matches ---------------------------------------------------------
-
-
-def _insert_positions(c: Circuit, q: int) -> list[int]:
-    # positions adjacent to gates touching wire q, plus position 0
-    pos = {0}
-    for k, g in enumerate(c.gates):
-        if q in g.qubits:
-            pos.add(k)
-            pos.add(k + 1)
-    return sorted(pos)
-
-
-def _matches_hh_rev(c: Circuit) -> list[Site]:
-    sites: list[Site] = []
-    for q in range(c.n_wires):
-        sites.extend(("ins", q, p) for p in _insert_positions(c, q))
-    sites.extend(("all", p) for p in range(len(c.gates) + 1))
-    return sites
-
-
-def _matches_cxcx_rev(c: Circuit) -> list[Site]:
-    # duplicate an existing CNOT next to itself; on a CNOT-free circuit any
-    # ordered wire pair may seed a pair at position 0 (keeps the inverse of
-    # CXCX-forward available everywhere without exploding the action space)
-    sites = set()
-    for k, g in enumerate(c.gates):
-        if g.is_cx:
-            sites.add(("cxins", g.control, g.target, k))
-            sites.add(("cxins", g.control, g.target, k + 1))
-    if not sites:
-        for ctrl in range(c.n_wires):
-            for tgt in range(c.n_wires):
-                if ctrl != tgt:
-                    sites.add(("cxins", ctrl, tgt, 0))
-    return sorted(sites)
-
-
-def _layered_hh_rev(c: Circuit) -> list[Site]:
-    # H layers on every wire at either end of the circuit only
-    return [("all", 0), ("all", len(c.gates))] if c.gates else [("all", 0)]
-
-
-def _layered_cxcx_rev(c: Circuit) -> list[Site]:
-    # CNOT pairs seeded on the empty circuit only
-    return [] if c.gates else _matches_cxcx_rev(c)
-
-
-# One site per template, in enumeration order.  In the layered space every
-# site of one template has the same gate delta (HH reverse yields only
-# ``all`` sites, CXCX reverse only ``cxins`` sites, and the forward
-# templates' deltas do not depend on the site), so a template's probe stands
-# for all its sites when the gate budget is tested.
+# One site per template, in enumeration order.  A template's gate delta does
+# not depend on the site, so its probe stands for all its sites when the
+# gate budget is tested.
 _PROBES = (
     Action(HH, FORWARD, ("pair", 0, 1)),
     Action(HH, REVERSE, ("all", 0)),
@@ -206,15 +158,10 @@ def apply(c: Circuit, a: Action) -> Circuit:
         return c.with_gates(gates[:i] + gates[i + 1 : j] + gates[j + 1 :])
 
     if kind == HH and direction == REVERSE:
-        if site[0] == "all":
-            p = site[1]
-            _check(0 <= p <= len(gates), "position out of range")
-            layer = tuple(map(Gate.h, range(c.n_wires)))
-            return c.with_gates(gates[:p] + layer + layer + gates[p:])
-        _, q, p = site
-        _check(0 <= q < c.n_wires and 0 <= p <= len(gates), "site out of range")
-        h = Gate.h(q)
-        return c.with_gates(gates[:p] + (h, h) + gates[p:])
+        _, p = site
+        _check(0 <= p <= len(gates), "position out of range")
+        layer = tuple(map(Gate.h, range(c.n_wires)))
+        return c.with_gates(gates[:p] + layer + layer + gates[p:])
 
     if kind == CXCX and direction == REVERSE:
         _, ctrl, tgt, p = site
@@ -255,14 +202,14 @@ def apply(c: Circuit, a: Action) -> Circuit:
 
 def gate_count_delta(a: Action, n_wires: int) -> int:
     """How many gates the action adds (negative for cancellations)."""
-    kind, direction, site = a
+    kind, direction, _ = a
     if direction == FORWARD:
         if kind in (HH, CXCX):
             return -2
         if kind == CX_REV:
             return 4
         return 0
-    if site[0] == "all":
+    if kind == HH:
         return 2 * n_wires
     return 2
 
@@ -290,25 +237,23 @@ def enumerate_actions(
     agent draws an index into this list, so its order is part of every
     Q-table.
 
-    ``layered`` gives the agent's space, an order-preserving subsequence: H
-    layers on all wires at either end only, CNOT pairs on the empty circuit
-    only.  The full space adds per-wire H-pair insertions everywhere and
-    CNOT-pair insertions next to every CNOT.
+    HH reverse yields an H layer on all wires at every gate-list position,
+    and CXCX reverse one CNOT-pair seed per ordered wire pair on the empty
+    circuit only.  ``layered`` gives the agent's space, an order-preserving
+    subsequence that keeps H layers at either end only.
 
-    ``budget`` (layered space only) keeps exactly the actions whose
-    ``gate_count_delta`` is at most ``budget``.  Every site of a layered
-    template has the same delta, so the budget is tested once per template,
-    through ``gate_count_delta`` on the template's ``_PROBES`` site, before
-    any site is sorted, scanned for or looked up: a template over budget is
-    skipped whole, the CX_PAR scans included.  ``_FITS`` keeps the outcome
-    per wire count and budget.
+    ``budget`` keeps exactly the actions whose ``gate_count_delta`` is at
+    most ``budget``, in either space.  Every site of a template has the same
+    delta, so the budget is tested once per template, through
+    ``gate_count_delta`` on the template's ``_PROBES`` site, before any site
+    is sorted, scanned for or looked up: a template over budget is skipped
+    whole, the CX_PAR scans included.  ``_FITS`` keeps the outcome per wire
+    count and budget.
 
     Every item is the module's one shared ``Action`` for its kind, direction
     and site, so two calls on one circuit return identical objects and only
     the first meeting of an action allocates it.
     """
-    if budget is not None and not layered:
-        raise ValueError("a gate budget needs the layered space")
     gates = c.gates
     n = c.n_wires
     last_h = [-1] * n
@@ -344,14 +289,18 @@ def enumerate_actions(
         hh.sort()
         actions += map(hh_actions.__getitem__, hh)
     if hh_rev_fits:
-        sites = _layered_hh_rev(c) if layered else _matches_hh_rev(c)
-        actions += map(hh_rev_actions.__getitem__, sites)
+        # the layered space keeps the layers at either end only
+        m = len(gates)
+        ends = (0, m) if m else (0,)
+        actions += [hh_rev_actions["all", p] for p in (ends if layered else range(m + 1))]
     if cxcx_fits and cxcx:
         cxcx.sort()
         actions += map(cxcx_actions.__getitem__, cxcx)
-    if cxcx_rev_fits:
-        sites = _layered_cxcx_rev(c) if layered else _matches_cxcx_rev(c)
-        actions += map(cxcx_rev_actions.__getitem__, sites)
+    if cxcx_rev_fits and not gates:
+        actions += [
+            cxcx_rev_actions["cxins", ctrl, tgt, 0]
+            for ctrl in range(n) for tgt in range(n) if ctrl != tgt
+        ]
     if par_fits and len(rev) > 1:
         par: list[Site] = []
         for _, j in rev:

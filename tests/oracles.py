@@ -1,7 +1,8 @@
 """Shared test oracles: DAG isomorphism, node relabelling, random topological
 orders, the per-template forward matchers that ``enumerate_actions``' one
-pass replaced, the agent's layered action space as a filter over the full
-one, the gate budget as a per-action filter, action keys through a per-tag
+pass replaced, the reverse sites (H layers and CNOT-pair seeds) written
+apart from ``rewrite``'s rule, the agent's layered action space as a filter
+over the full one, the gate budget as a per-action filter, action keys through a per-tag
 format table and through the uncached formatter, the set-based commutation
 rule, forward-action BFS to a target depth, frozen copies of the
 ``max``-based ASAP scheduler and of the ``len``-numbered ``to_dag`` that the
@@ -23,7 +24,6 @@ import numpy as np
 
 from qcopt.circuit import Circuit, Gate, depth, state_string
 from qcopt.dag import CircuitDag, NodeType, to_dag
-from qcopt import rewrite
 from qcopt.rewrite import (
     CX_PAR,
     CX_REV,
@@ -148,20 +148,34 @@ def matches_cx_rev_fwd(c: Circuit) -> list[Site]:
     return [("rev", i) for i, g in enumerate(c.gates) if g.is_cx]
 
 
+# --- the reverse matchers, written apart from ``enumerate_actions``' rules ----
+
+
+def matches_hh_rev(c: Circuit, layered: bool) -> list[Site]:
+    # an H layer on every wire after each gate-list prefix; the layered
+    # space keeps the prefixes that are empty or the whole circuit
+    ends = {0, len(c.gates)}
+    return [("all", p) for p in range(len(c.gates) + 1) if not layered or p in ends]
+
+
+def matches_cxcx_rev(c: Circuit) -> list[Site]:
+    # the empty circuit seeds a CNOT pair on each ordered wire pair
+    if c.gates:
+        return []
+    wires = range(c.n_wires)
+    return [("cxins", ctrl, tgt, 0) for ctrl in wires for tgt in wires if ctrl != tgt]
+
+
 def reference_enumeration(
     c: Circuit, layered: bool = False, budget: int | None = None
 ) -> list[Action]:
     """Reference for ``enumerate_actions``: each template's matcher in turn,
-    the forward ones above, and the budget tested on every action."""
-    if layered:
-        hh_rev, cxcx_rev = rewrite._layered_hh_rev, rewrite._layered_cxcx_rev
-    else:
-        hh_rev, cxcx_rev = rewrite._matches_hh_rev, rewrite._matches_cxcx_rev
+    the ones above, and the budget tested on every action."""
     matchers = {
         (HH, FORWARD): matches_hh_fwd,
-        (HH, REVERSE): hh_rev,
+        (HH, REVERSE): lambda c: matches_hh_rev(c, layered),
         (CXCX, FORWARD): matches_cxcx_fwd,
-        (CXCX, REVERSE): cxcx_rev,
+        (CXCX, REVERSE): matches_cxcx_rev,
         (CX_PAR, FORWARD): matches_cx_par,
         (CX_REV, FORWARD): matches_cx_rev_fwd,
     }
@@ -173,26 +187,14 @@ def reference_enumeration(
 
 def layered_filter(c: Circuit, actions: list[Action]) -> list[Action]:
     """Reference for ``enumerate_actions(c, layered=True)``: the full space
-    with per-wire H-pair insertions dropped, all-wire H layers kept only at
-    either end, and CNOT-pair insertions kept only on the empty circuit."""
+    with all-wire H layers kept only at either end."""
     boundary = (0, len(c.gates))
-
-    def keep(a):
-        tag = a.site[0]
-        if tag == "ins":
-            return False
-        if tag == "all":
-            return a.site[1] in boundary
-        if tag == "cxins":
-            return not c.gates
-        return True
-
-    return [a for a in actions if keep(a)]
+    return [a for a in actions if a.site[0] != "all" or a.site[1] in boundary]
 
 
 def budget_filter(actions: list[Action], n_wires: int, budget: int) -> list[Action]:
-    """Reference for ``enumerate_actions(c, layered=True, budget=budget)``:
-    the layered space filtered per action by its gate delta."""
+    """Reference for ``enumerate_actions(c, layered, budget)``: the space
+    ``actions`` of either kind, filtered per action by its gate delta."""
     return [a for a in actions if gate_count_delta(a, n_wires) <= budget]
 
 
@@ -202,7 +204,6 @@ def reference_key(a: Action) -> str:
     tag, *rest = a.site
     site = {
         "pair": "{}-{}",
-        "ins": "{}:{}",
         "all": "all:{}",
         "cxins": "{}-{}:{}",
         "rev": "{}",
@@ -212,15 +213,13 @@ def reference_key(a: Action) -> str:
 
 def uncached_action_key(a: Action) -> str:
     """Reference for ``action_key``'s cache: the formatter it runs once per
-    distinct action, copied unchanged from when every call formatted the key."""
+    distinct action, copied from when every call formatted the key."""
     kind, direction, site = a
     tag = site[0]
     if tag == "pair":
         return f"{kind}.{direction}@{site[1]}-{site[2]}"
     if tag == "rev":
         return f"{kind}.{direction}@{site[1]}"
-    if tag == "ins":
-        return f"{kind}.{direction}@{site[1]}:{site[2]}"
     if tag == "all":
         return f"{kind}.{direction}@all:{site[1]}"
     if tag == "cxins":

@@ -284,7 +284,6 @@ def test_available_actions_is_layered_space_on_bv2_start():
     assert keys == [action_key(a) for a in actions]
     for a in actions:
         tag = a.site[0]
-        assert tag != "ins", "per-wire H-pair insertion offered"
         if tag == "all":
             assert a.site[1] in (0, len(c.gates))
         assert tag != "cxins", "CNOT-pair insertion offered on a non-empty circuit"

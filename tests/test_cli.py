@@ -20,7 +20,7 @@ from qcopt.dag import dag_to_debug_text, save_corpus, to_dag
 from qcopt.dvae import DvaeConfig, DvaeModel, load_checkpoint, save_checkpoint
 from qcopt.harness import HarnessConfig
 from qcopt import rewrite
-from qcopt.rewrite import enumerate_actions
+from qcopt.rewrite import apply, enumerate_actions
 
 
 def test_grad_check_one_dag_passes(capsys):
@@ -52,13 +52,20 @@ def test_verify_draws_every_wire_count_from_two_to_six(monkeypatch, capsys):
 
 
 def test_verify_draws_the_empty_circuit(monkeypatch, capsys):
-    # reorder the CNOT-pair sites that the layered space seeds on the empty
-    # circuit only; the layered space is then not a subsequence there
-    seed_pairs = rewrite._layered_cxcx_rev
-    monkeypatch.setattr(rewrite, "_layered_cxcx_rev", lambda c: seed_pairs(c)[::-1])
-    assert dispatch(["verify", "--circuits", "3"]) == 1
-    out = capsys.readouterr().out
-    assert out.count("FAIL layered-subset: ") == 1 and "1 failures" in out
+    # the action spaces seed CNOT pairs on the empty circuit only, so verify
+    # checks those seeds on circuit 0 alone
+    seeded = []
+
+    def recorded(c, a):
+        if (a.kind, a.direction) == (rewrite.CXCX, rewrite.REVERSE):
+            seeded.append((c, a.site))
+        return apply(c, a)
+
+    monkeypatch.setattr(cli, "apply", recorded)
+    assert dispatch(["verify", "--circuits", "3"]) == 0
+    assert "0 failures" in capsys.readouterr().out
+    empty = Circuit(2, ())
+    assert seeded == [(empty, ("cxins", 0, 1, 0)), (empty, ("cxins", 1, 0, 0))]
 
 
 def test_unknown_flag_is_usage_error(capsys):
@@ -146,6 +153,10 @@ MALFORMED_CHECKPOINTS = {
     "not-json": (lambda t: "model weights\n", "not a qcopt-dvae v2"),
     "truncated": (lambda t: t[: len(t) // 2], "not a qcopt-dvae v2"),
     "not-an-object": (lambda t: f"[{t}]", "not a qcopt-dvae v2"),
+    # deeper than the interpreter's recursion limit, which the decoder meets
+    "deep-nesting": (lambda t: t.replace('"tensors": {', '"tensors": {"w_x": '
+                                         + "[" * 5000 + "]" * 5000 + ", ", 1),
+                     "nested too deeply"),
     "missing-d_h": (_doc_edit(lambda d: d.pop("d_h")), "d_h must be an integer of at least 1"),
     "zero-d_z": (_doc_edit(lambda d: d.update(d_z=0)), "d_z must be an integer of at least 1"),
     "float-d_h": (_doc_edit(lambda d: d.update(d_h=4.0)), "d_h must be an integer of at least 1"),
@@ -203,6 +214,16 @@ def test_train_encoded_checkpoint_dims_must_match_config(tmp_path, capsys):
     assert dispatch(argv) == 0
     text = (tmp_path / "run" / "config.txt").read_text()
     assert "dvae_d_h = 8\n" in text and "dvae_d_z = 3\n" in text
+
+
+@pytest.mark.parametrize("text", ["", "\n  \n\n"], ids=["empty", "blank-lines"])
+def test_train_vae_rejects_an_empty_corpus_file(tmp_path, capsys, text):
+    corpus = tmp_path / "corpus.txt"
+    corpus.write_text(text)
+    argv = ["train-vae", "--corpus", str(corpus), "--out", str(tmp_path / "run")]
+    assert dispatch(argv) == 1
+    assert capsys.readouterr().err == "error: corpus is empty\n"
+    assert not (tmp_path / "run").exists()
 
 
 def test_train_vae_trains_on_a_corpus_file(tmp_path, capsys):

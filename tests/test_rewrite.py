@@ -116,13 +116,9 @@ def test_cx_par_has_no_reverse():
 
 
 def test_hh_reverse_positions_near_wire_gates():
+    # an H layer on every wire at every gate-list position, and nothing else
     c = circ(2, Gate.h(0), Gate.cx(0, 1))
-    sites = template_sites(c, HH, REVERSE)
-    assert ("ins", 0, 0) in sites and ("ins", 0, 1) in sites and ("ins", 0, 2) in sites
-    # wire 1 is only touched by the CNOT at index 1
-    assert ("ins", 1, 0) in sites and ("ins", 1, 1) in sites and ("ins", 1, 2) in sites
-    assert all(s[0] != "ins" or s[2] <= 2 for s in sites)
-    assert [s for s in sites if s[0] == "all"] == [("all", 0), ("all", 1), ("all", 2)]
+    assert template_sites(c, HH, REVERSE) == [("all", 0), ("all", 1), ("all", 2)]
 
 
 # --- application ----------------------------------------------------------------
@@ -142,11 +138,13 @@ def test_apply_hh_forward_deletes_pair():
 
 def test_hh_insert_then_cancel_roundtrip():
     c0 = circ(2, Gate.cx(0, 1))
-    ins = Action(HH, REVERSE, ("ins", 1, 1))
-    c1 = apply(c0, ins)
-    assert c1.gates == (Gate.cx(0, 1), Gate.h(1), Gate.h(1))
-    c2 = apply(c1, Action(HH, FORWARD, ("pair", 1, 2)))
-    assert c2 == c0
+    c1 = apply(c0, Action(HH, REVERSE, ("all", 1)))
+    assert c1.gates == (Gate.cx(0, 1), Gate.h(0), Gate.h(1), Gate.h(0), Gate.h(1))
+    assert template_sites(c1, HH, FORWARD) == [("pair", 1, 3), ("pair", 2, 4)]
+    c2 = apply(c1, Action(HH, FORWARD, ("pair", 1, 3)))
+    assert c2.gates == (Gate.cx(0, 1), Gate.h(1), Gate.h(1))
+    c3 = apply(c2, Action(HH, FORWARD, ("pair", 1, 2)))
+    assert c3 == c0
 
 
 def test_apply_all_wires_insertion():
@@ -175,10 +173,11 @@ def test_apply_stale_site_raises():
 
 def test_apply_inserts_only_shared_gates():
     # the input holds fresh gates, so a result gate that is none of them was
-    # inserted by the rewrite, and must be Gate.h's or Gate.cx's shared gate
+    # inserted by the rewrite, and must be Gate.h's or Gate.cx's shared gate;
+    # the empty circuits are the ones that seed CNOT pairs
     inserting = set()
     for seed in range(60):
-        shared = random_icmh_circuit(2 + seed % 3, 1 + seed % 8, seed)
+        shared = random_icmh_circuit(2 + seed % 3, seed % 9, seed)
         c = shared.with_gates(Gate(g.qubits, g.is_cx) for g in shared.gates)
         own = {id(g) for g in c.gates}
         for a in enumerate_actions(c):
@@ -186,9 +185,7 @@ def test_apply_inserts_only_shared_gates():
                 if id(g) not in own:
                     assert g is (Gate.cx(*g.qubits) if g.is_cx else Gate.h(*g.qubits)), (a, g)
                     inserting.add((a.kind, a.direction, a.site[0]))
-    assert inserting == {
-        (HH, REVERSE, "ins"), (HH, REVERSE, "all"), (CXCX, REVERSE, "cxins"), (CX_REV, FORWARD, "rev")
-    }
+    assert inserting == {(HH, REVERSE, "all"), (CXCX, REVERSE, "cxins"), (CX_REV, FORWARD, "rev")}
 
 
 # --- enumeration ----------------------------------------------------------------
@@ -221,7 +218,6 @@ def test_action_keys_unique_and_stable():
         assert keys == [reference_key(a) for a in actions]
     c = circ(3, Gate.cx(0, 1))
     assert action_key(Action(CX_REV, FORWARD, ("rev", 0))) == "CX_REV.fwd@0"
-    assert action_key(Action(HH, REVERSE, ("ins", 2, 1))) == "HH.rev@2:1"
     assert action_key(Action(HH, REVERSE, ("all", 3))) == "HH.rev@all:3"
     assert action_key(Action(CXCX, REVERSE, ("cxins", 0, 2, 1))) == "CXCX.rev@0-2:1"
     assert action_key(Action(HH, FORWARD, ("pair", 1, 4))) == "HH.fwd@1-4"
@@ -236,9 +232,11 @@ def test_layered_enumeration_equals_filtered_full_space():
         assert layered == layered_filter(c, enumerate_actions(c)), state_string(c)
     sites = [a.site for a in enumerate_actions(circ(2), layered=True)]
     assert sites == [("all", 0), ("cxins", 0, 1, 0), ("cxins", 1, 0, 0)]
-    # a CNOT-free circuit seeds CNOT pairs in the full space only
+    # a CNOT-free circuit that is not empty seeds no CNOT pair in either space
     cnot_free = circ(2, Gate.h(0), Gate.h(0))
-    assert ("cxins", 0, 1, 0) in [a.site for a in enumerate_actions(cnot_free)]
+    assert [a.site for a in enumerate_actions(cnot_free)] == [
+        ("pair", 0, 1), ("all", 0), ("all", 1), ("all", 2)
+    ]
     sites = [a.site for a in enumerate_actions(cnot_free, layered=True)]
     assert sites == [("pair", 0, 1), ("all", 0), ("all", 2)]
 
@@ -251,13 +249,12 @@ def test_one_pass_enumeration_equals_the_per_template_matchers():
     circuits += [opposite_cnot_chain(2 + i % 4, 4 + i % 20, i) for i in range(60)]
     templates = set()
     for c in circuits:
-        n = c.n_wires
-        full = enumerate_actions(c)
-        assert full == reference_enumeration(c), state_string(c)
-        templates.update((a.kind, a.direction) for a in full)
-        for budget in (None, *range(-3, 2 * n + 6)):
-            layered = enumerate_actions(c, layered=True, budget=budget)
-            assert layered == reference_enumeration(c, True, budget), (state_string(c), budget)
+        templates.update((a.kind, a.direction) for a in enumerate_actions(c))
+        for layered in (False, True):
+            for budget in (None, *range(-3, 2 * c.n_wires + 6)):
+                got = enumerate_actions(c, layered, budget)
+                want = reference_enumeration(c, layered, budget)
+                assert got == want, (state_string(c), layered, budget)
     assert templates == set(rewrite._ACTIONS)
 
 
@@ -269,12 +266,13 @@ def test_fast_path_actions_are_real_actions():
     circuits += [bv_circuit(BvSpec(n, s)) for n in (2, 3, 4) for s in range(1 << n)]
     for c in circuits:
         n = c.n_wires
-        layered = enumerate_actions(c, layered=True)
-        spaces = [enumerate_actions(c), layered]
-        for budget in range(-3, 2 * n + 6):
-            budgeted = enumerate_actions(c, layered=True, budget=budget)
-            assert budgeted == budget_filter(layered, n, budget), (state_string(c), budget)
-            spaces.append(budgeted)
+        full, layered = enumerate_actions(c), enumerate_actions(c, layered=True)
+        spaces = [full, layered]
+        for in_layers, space in ((False, full), (True, layered)):
+            for budget in range(-3, 2 * n + 6):
+                budgeted = enumerate_actions(c, in_layers, budget)
+                assert budgeted == budget_filter(space, n, budget), (state_string(c), budget)
+                spaces.append(budgeted)
         for actions in spaces:
             for a in actions:
                 assert type(a) is Action
@@ -285,15 +283,10 @@ def test_fast_path_actions_are_real_actions():
                 assert apply(c, a) == apply(c, slow)
 
 
-def test_budget_needs_the_layered_space():
-    with pytest.raises(ValueError, match="layered"):
-        enumerate_actions(circ(2), budget=4)
-
-
 def test_enumeration_deterministic():
     # every action is the module's shared one: a second call returns the same objects
     for c in (random_icmh_circuit(4, 10, 11), circ(3)):
-        for kwargs in ({}, {"layered": True}, {"layered": True, "budget": 2}):
+        for kwargs in ({}, {"budget": 2}, {"layered": True}, {"layered": True, "budget": 2}):
             first, second = enumerate_actions(c, **kwargs), enumerate_actions(c, **kwargs)
             assert first == second and first
             assert all(a is b for a, b in zip(first, second))
@@ -309,7 +302,7 @@ def test_action_key_cache_matches_uncached_formatter():
             for a in actions:
                 assert action_key(a) == uncached_action_key(a), a
                 tags.add(a.site[0])
-    assert tags == {"pair", "rev", "ins", "all", "cxins"}
+    assert tags == {"pair", "rev", "all", "cxins"}
 
 
 def test_a_repeated_run_adds_nothing_to_the_shared_tables():
