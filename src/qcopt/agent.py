@@ -104,8 +104,8 @@ def available_actions(c: Circuit, cfg: AgentConfig):
     either end of the circuit only: a layer at each interior position adds
     one depth-raising action per gate, and the lattice of states they spawn
     is more than one-step tabular Q-learning can wade through at paper-scale
-    episode budgets (offered them, 700 BV2 episodes at 28 gates reach depth
-    3 on one of seeds 0-4 instead of all five).  CNOT pairs are seeded on the
+    episode budgets (with them offered, 700 BV2 episodes at 28 gates reach
+    depth 3 on one of seeds 0-4 instead of all five).  CNOT pairs are seeded on the
     empty circuit only; they never help the depth objective.  Actions that
     would grow the circuit past ``cfg.max_gates`` are not enumerated: the
     budget goes into the enumeration, which can test it once per template
