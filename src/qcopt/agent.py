@@ -105,12 +105,12 @@ def available_actions(c: Circuit, cfg: AgentConfig):
     one depth-raising action per gate, and the lattice of states they spawn
     is more than one-step tabular Q-learning can wade through at paper-scale
     episode budgets (with them offered, 700 BV2 episodes at 28 gates reach
-    depth 3 on one of seeds 0-4 instead of all five).  CNOT pairs are seeded on the
-    empty circuit only; they never help the depth objective.  Actions that
-    would grow the circuit past ``cfg.max_gates`` are not enumerated: the
-    budget goes into the enumeration, which can test it once per template
-    because every site of a template has the same gate delta, and skips the
-    CX_PAR scans when that template is over budget.
+    depth 3 on one of seeds 0-4 instead of all five).  CNOT pairs are
+    seeded on the empty circuit only; they never help the depth objective.
+    Actions that would grow the circuit past ``cfg.max_gates`` are not
+    enumerated: the budget goes into the enumeration, which can test it once
+    per template because every site of a template has the same gate delta,
+    and skips the CX_PAR scans when that template is over budget.
     """
     actions = enumerate_actions(c, layered=True, budget=cfg.max_gates - len(c.gates))
     return actions, [action_key(a) for a in actions]
