@@ -249,8 +249,9 @@ def cmd_verify(args) -> int:
     failures = 0
     checked_actions = 0
     # the encoder's hash-consed circuit walk, one table shared across the
-    # circuits, must give the latent of the training forward on the DAG
-    model = DvaeModel.create(DvaeConfig(d_h=8, d_z=3, seed=rng_base))
+    # circuits, must give the latent of the training forward on the DAG, at
+    # the default dims that phase 3 runs
+    model = DvaeModel.create(DvaeConfig(seed=rng_base))
     table = EncodeTable(model)
     for i in range(n_circuits):
         # circuit 0 is empty: only there do the action spaces seed CNOT pairs;

@@ -34,7 +34,11 @@ runs the encoder's node update and readout node by node on the nodes that
 ``dag.hash_cons`` keys, hash-consing node states and whole graphs in an
 ``EncodeTable``: a table is built for one model, makes a node state or a
 graph latent the first time its key is read, and is carried by a caller
-across circuits.
+across circuits.  The table runs the node update and the readout as
+straight-line code on one row, without the batch bookkeeping (one-hot
+products, segment arrays, ``np.add.at``) that cost most of a one-row call
+to the training kernels; the tests hold its latents to the training
+forward's bit for bit.
 """
 
 from __future__ import annotations
@@ -256,41 +260,26 @@ class EncoderActs(NamedTuple):
     hg: np.ndarray          # (B, d_h) graph states
 
 
-def _node_states(m: DvaeModel, x: np.ndarray, h_preds: np.ndarray, seg: np.ndarray, n: int):
-    """n encoder nodes: a GRU update on their one-hot types ``x``, each fed by
-    the gated sum of its predecessors' states (row i of ``h_preds`` belongs
-    to node ``seg[i]``).  Returns the new states and the activations
-    (gated-sum acts, GRU acts)."""
-    incoming, gated = gated_sum_forward(m.enc_gate_a, m.enc_gate_b, h_preds, seg, n)
-    h, gru = gru_forward(m.enc, x, incoming)
-    return h, (gated, gru)
-
-
-def _readout(m: DvaeModel, h_sinks: np.ndarray, seg: np.ndarray, n: int):
-    """Latents of n graphs from their output-node states (row i of
-    ``h_sinks`` belongs to graph ``seg[i]``): a gated sum into each graph
-    state, then the mean and log-variance heads.  Returns (latent, gated-sum
-    acts, graph states)."""
-    hg, readout = gated_sum_forward(m.readout_a, m.readout_b, h_sinks, seg, n)
-    latent = Latent(
-        hg @ m.w_mu.value.T + m.b_mu.value,
-        hg @ m.w_logvar.value.T + m.b_logvar.value,
-    )
-    return latent, readout, hg
-
-
 def _encoder_forward(m: DvaeModel, batch: Batch) -> tuple[Latent, EncoderActs]:
     """Latent distributions of the batch, (B, d_z) means and log-variances,
-    and the activations ``backward`` needs; one node update per level."""
+    and the activations ``backward`` needs.  Per level, one GRU update on the
+    nodes' one-hot types, each fed by the gated sum of its predecessors'
+    states; then a gated sum of each graph's output-node states into its
+    graph state, and the mean and log-variance heads."""
     hidden = np.zeros((len(batch.targets), m.d_h))
     steps = []
     for lv in batch.levels:
-        hidden[lv.rows], step = _node_states(
-            m, lv.x, hidden[lv.pred_rows], lv.pred_seg, len(lv.rows)
+        incoming, gated = gated_sum_forward(
+            m.enc_gate_a, m.enc_gate_b, hidden[lv.pred_rows], lv.pred_seg, len(lv.rows)
         )
-        steps.append(step)
-    latent, readout, hg = _readout(
-        m, hidden[batch.sink_rows], batch.sink_seg, len(batch.start)
+        hidden[lv.rows], gru = gru_forward(m.enc, lv.x, incoming)
+        steps.append((gated, gru))
+    hg, readout = gated_sum_forward(
+        m.readout_a, m.readout_b, hidden[batch.sink_rows], batch.sink_seg, len(batch.start)
+    )
+    latent = Latent(
+        hg @ m.w_mu.value.T + m.b_mu.value,
+        hg @ m.w_logvar.value.T + m.b_logvar.value,
     )
     return latent, EncoderActs(steps, readout, hg)
 
@@ -302,27 +291,63 @@ class EncodeTable:
     table ids) to a table id, running the node update for a key it lacks;
     ``states`` holds each table id's (1, d_h) node state; ``graphs`` maps the
     table ids of a graph's output nodes in id order to its latent, running
-    the readout for a tuple it lacks."""
+    the readout for a tuple it lacks.
+
+    The node update and the readout are ``_encoder_forward``'s on one node
+    or graph, written out row by row.  Every product keeps the forward's
+    weight matrix and row count (OpenBLAS rounds a product by its shape),
+    the one-hot input products are made once per node type, and a gated sum
+    adds its rows to 0.0 in order, as ``np.add.at`` does; so the states and
+    latents are the forward's bit for bit.  A table snapshots its model's
+    weights when it is built: a model changed after that is not supported."""
 
     def __init__(self, model: DvaeModel):
         self.model = model
         self.states: list[np.ndarray] = []
         self.nodes = Interned(self._new_node)
         self.graphs = Interned(self._new_graph)
+        enc = model.enc
+        # x @ W.T for each node type's one-hot x, by the training forward's product
+        self._x_rows = [
+            tuple(_EYE[t : t + 1] @ w.value.T for w in (enc.w_z, enc.w_r, enc.w_h))
+            for t in range(N_NODE_TYPES)
+        ]
+        self._u = enc.u_z.value.T, enc.u_r.value.T, enc.u_h.value.T
+        self._b = enc.b_z.value, enc.b_r.value, enc.b_h.value
+        self._enc_gate = model.enc_gate_a.value.T, model.enc_gate_b.value.T
+        self._readout_gate = model.readout_a.value.T, model.readout_b.value.T
+        self._heads = (model.w_mu.value.T, model.b_mu.value,
+                       model.w_logvar.value.T, model.b_logvar.value)
+        self._zero = np.zeros((1, model.d_h))
+
+    def _gated_sum(self, ids, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """``gated_sum_forward`` of the states ``ids`` into one (1, d) row,
+        summed as ``0.0 + m0 + m1 ...``, the order of ``np.add.at``."""
+        states = self.states
+        h = states[ids[0]] if len(ids) == 1 else np.concatenate([states[i] for i in ids])
+        m = _sigmoid_np(h @ a) * np.tanh(h @ b)
+        out = 0.0 + m[0:1]
+        for i in range(1, len(ids)):
+            out += m[i : i + 1]
+        return out
 
     def _new_node(self, key: tuple) -> int:
-        m, states = self.model, self.states
-        hs = [states[i] for i in key[1:]]
-        h_preds = np.concatenate(hs) if hs else np.empty((0, m.d_h))
-        t = key[0]
-        h, _ = _node_states(m, _EYE[t : t + 1], h_preds, np.zeros(len(hs), dtype=np.intp), 1)
-        states.append(h)
+        h = self._gated_sum(key[1:], *self._enc_gate) if len(key) > 1 else self._zero
+        x_z, x_r, x_h = self._x_rows[key[0]]
+        u_z, u_r, u_h = self._u
+        b_z, b_r, b_h = self._b
+        # gru_forward on one row
+        z = _sigmoid_np(x_z + h @ u_z + b_z)
+        r = _sigmoid_np(x_r + h @ u_r + b_r)
+        t = np.tanh(x_h + (r * h) @ u_h + b_h)
+        states = self.states
+        states.append((1.0 - z) * h + z * t)
         return len(states) - 1
 
     def _new_graph(self, graph: tuple[int, ...]) -> Latent:
-        h_sinks = np.concatenate([self.states[i] for i in graph])
-        mu, logvar = _readout(self.model, h_sinks, np.zeros(len(graph), dtype=np.intp), 1)[0]
-        return Latent(mu[0], logvar[0])
+        hg = self._gated_sum(graph, *self._readout_gate)
+        w_mu, b_mu, w_logvar, b_logvar = self._heads
+        return Latent((hg @ w_mu + b_mu)[0], (hg @ w_logvar + b_logvar)[0])
 
 
 def encode_np(m: DvaeModel, x: Circuit | CircuitDag, table: EncodeTable | None = None) -> Latent:
@@ -579,15 +604,18 @@ def backward(m: DvaeModel, cache: LossCache) -> list[np.ndarray]:
 
 
 def latent_key(l: Latent, bin_width: float) -> str:
-    """Comma-joined per-dimension bin indices of the latent mean."""
+    """Comma-joined per-dimension bin indices of the latent mean.
+
+    Each index is the floor of one Python-float quotient, the IEEE quotient
+    numpy would give; a finite quotient beyond int64 keys exactly."""
     if not 0 < bin_width < math.inf:
         raise ValueError("bin_width must be positive and finite")
-    # a tiny width can overflow the quotient; that is refused below
-    with np.errstate(over="ignore"):
-        scaled = l.mu / bin_width
-    if not np.all(np.isfinite(scaled)):
-        raise ValueError("latent mean / bin_width is not finite")
-    return ",".join(str(int(b)) for b in np.floor(scaled).tolist())
+    width = float(bin_width)  # a numpy scalar would divide by numpy's rules
+    # a tiny width can overflow a quotient to inf, which has no floor
+    try:
+        return ",".join([str(math.floor(v / width)) for v in l.mu.tolist()])
+    except (OverflowError, ValueError):
+        raise ValueError("latent mean / bin_width is not finite") from None
 
 
 # --- training -----------------------------------------------------------------

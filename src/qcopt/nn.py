@@ -7,14 +7,16 @@ computed, always as arrays (empty ones for a call with no input rows), and a
 backward that takes those activations and the gradient of the output and
 returns the gradient of the layer's input.  The kernels work on rows, one
 row per graph node, so one call updates a node of every graph in a batch.
-They are written as ``X @ W.T``: for one row, OpenBLAS gives that product
-the same bits as ``W @ x``, so a one-row call rounds as a matrix-vector
-product would.  Parameter gradients are added into a zero-initialised copy
-of the layer; the GRU's are gathered over many updates and added by one
-``gru_weight_grads`` call.  The loss heads return their value and the
-gradient with respect to their logits.  Adam and a central-difference
-gradient checker complete the set; correctness is the contract and the
-finite-difference suite enforces it.
+They serve training; ``dvae.EncodeTable`` writes the encoder's forward out
+again for the single rows of inference, with the same products, and the
+tests hold the two to the same bits.  They are written as ``X @ W.T``: for
+one row, OpenBLAS gives that product the same bits as ``W @ x``, so a
+one-row call rounds as a matrix-vector product would.  Parameter gradients
+are added into a zero-initialised copy of the layer; the GRU's are gathered
+over many updates and added by one ``gru_weight_grads`` call.  The loss
+heads return their value and the gradient with respect to their logits.
+Adam and a central-difference gradient checker complete the set;
+correctness is the contract and the finite-difference suite enforces it.
 """
 
 from __future__ import annotations
@@ -84,8 +86,6 @@ def gru_forward(cell: GruCell, x: np.ndarray, h: np.ndarray):
     With inputs ``x`` (rows, d_x) and states ``h`` (rows, d_h):
     z = sigma(Wz x + Uz h + bz),  r = sigma(Wr x + Ur h + br),
     h~ = tanh(Wh x + Uh (r*h) + bh),  h' = (1-z)*h + z*h~.
-    The activations are a plain tuple: this also runs once per node on the
-    encoder's inference path.
     """
     z = _sigmoid_np(x @ cell.w_z.value.T + h @ cell.u_z.value.T + cell.b_z.value)
     r = _sigmoid_np(x @ cell.w_r.value.T + h @ cell.u_r.value.T + cell.b_r.value)

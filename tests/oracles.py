@@ -7,8 +7,9 @@ format table and through the uncached formatter, the set-based commutation
 rule, forward-action BFS to a target depth, frozen copies of the
 ``max``-based ASAP scheduler and of the ``len``-numbered ``to_dag`` that the
 faster versions in ``src/`` must match bit for bit, hash-consing over
-``to_dag``'s DAG as the reference for ``dag.hash_cons``, and CNOT chains
-dense in helper nodes.
+``to_dag``'s DAG as the reference for ``dag.hash_cons``, CNOT chains
+dense in helper nodes, and the numpy latent key that ``dvae.latent_key``
+must match string for string.
 
 The search is restricted to the forward direction of all four templates
 (gate-count-nonincreasing, or structurally necessary for CX_REV).  The
@@ -19,11 +20,14 @@ agent's gate bound, and a radius bound certifies reachability for the agent.
 
 from __future__ import annotations
 
+import math
+
 import networkx as nx
 import numpy as np
 
 from qcopt.circuit import Circuit, Gate, depth, state_string
 from qcopt.dag import CircuitDag, NodeType, to_dag
+from qcopt.dvae import Latent
 from qcopt.rewrite import (
     CX_PAR,
     CX_REV,
@@ -384,3 +388,16 @@ def opposite_cnot_chain(n_wires, length, seed):
         gates.append(Gate.cx(cq, tq))
         cq, tq = tq, cq
     return Circuit(n_wires, tuple(gates))
+
+
+def reference_latent_key(l: Latent, bin_width: float) -> str:
+    """Reference for ``dvae.latent_key``: the numpy version it replaced,
+    which divides the whole mean at once, refuses a quotient that is not
+    finite and floors the rest."""
+    if not 0 < bin_width < math.inf:
+        raise ValueError("bin_width must be positive and finite")
+    with np.errstate(over="ignore"):
+        scaled = l.mu / bin_width
+    if not np.all(np.isfinite(scaled)):
+        raise ValueError("latent mean / bin_width is not finite")
+    return ",".join(str(int(b)) for b in np.floor(scaled).tolist())

@@ -5,6 +5,8 @@ import pkgutil
 import subprocess
 import sys
 
+import pytest
+
 import qcopt
 
 # run in a fresh interpreter, so that what pytest and the other tests have
@@ -69,3 +71,21 @@ def test_src_imports_no_unused_name():
         if unused:
             found[m.name] = unused
     assert found == {}
+
+
+def test_tier1_workflow_parses_with_a_command_in_every_step():
+    # the workflow is checked here, where the tests run, before it first runs
+    # on a CI host: it must parse, every step must do something, and each job
+    # keeps its time limit and read-only token
+    yaml = pytest.importorskip("yaml")
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, ".github", "workflows", "tier1.yml"), encoding="utf-8") as fh:
+        doc = yaml.safe_load(fh)
+    assert doc["jobs"]
+    for name, job in doc["jobs"].items():
+        assert isinstance(job.get("timeout-minutes"), int) and job["timeout-minutes"] > 0, name
+        assert job.get("permissions", doc.get("permissions")) == {"contents": "read"}, name
+        assert job["steps"], name
+        for step in job["steps"]:
+            command = step.get("run") or step.get("uses")
+            assert isinstance(command, str) and command.strip(), (name, step)
