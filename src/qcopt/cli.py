@@ -38,7 +38,7 @@ from dataclasses import fields, replace
 import numpy as np
 
 from . import harness
-from .agent import qtable_to_tsv
+from .agent import EncoderAbstraction, ExactAbstraction, greedy_trajectory, qtable_to_tsv
 from .circuit import (
     bv_circuit,
     depth,
@@ -161,6 +161,13 @@ def _config(args) -> HarnessConfig:
     return load_config(args.config, {k: getattr(args, k, None) for k in _FIELD_TYPES})
 
 
+def _greedy(spec, qtable, abstraction, agent_cfg) -> str:
+    """The steps and final depth of the table's greedy rollout from the BV start."""
+    start = bv_circuit(spec)
+    steps = greedy_trajectory(start, qtable, abstraction, agent_cfg)
+    return f"greedy {len(steps)} steps to depth {steps[-1].depth if steps else depth(start)}"
+
+
 # --- subcommands -----------------------------------------------------------------
 
 
@@ -186,7 +193,8 @@ def cmd_train_baseline(args) -> int:
     _write(os.path.join(out, "qtable.tsv"), qtable_to_tsv(result.qtable))
     save_corpus(result.corpus, os.path.join(out, "corpus.txt"))
     best = min(t.best_depth for t in result.traces)
-    print(f"l_s = {result.l_s}, best depth = {best}, corpus -> {out}/corpus.txt")
+    greedy = _greedy(spec, result.qtable, ExactAbstraction(), agent_cfg)
+    print(f"l_s = {result.l_s}, best depth = {best}, {greedy}, corpus -> {out}/corpus.txt")
     return 0
 
 
@@ -228,7 +236,8 @@ def cmd_train_encoded(args) -> int:
     _echo_config(cfg, out)
     _write(os.path.join(out, "qtable.tsv"), qtable_to_tsv(result.qtable))
     best = min(t.best_depth for t in result.traces)
-    print(f"l_a = {result.l_a}, best depth = {best}, {result.graph_states} graph states")
+    greedy = _greedy(spec, result.qtable, EncoderAbstraction(model, cfg.bin_width), agent_cfg)
+    print(f"l_a = {result.l_a}, best depth = {best}, {greedy}, {result.graph_states} graph states")
     return 0
 
 
@@ -275,7 +284,7 @@ def cmd_verify(args) -> int:
             print(f"FAIL layered-subset: {state_string(c)!r}")
         n = c.n_wires
         for budget in (-3, 0, 2, 4, 2 * n):
-            kept = [a for a in layered if gate_count_delta(a, n) <= budget]
+            kept = [a for a in layered if gate_count_delta(a.kind, a.direction, n) <= budget]
             if enumerate_actions(c, layered=True, budget=budget) != kept:
                 failures += 1
                 print(f"FAIL budget: {state_string(c)!r} budget {budget}")

@@ -22,12 +22,12 @@ collects.  Sites are sorted into a fixed order, because the agent draws an
 index into the list.  Every site of one template has the same gate delta,
 so a gate budget is tested once per template, in either space.
 
-Every action is unitary-preserving; sites carry enough indices to re-apply
-the action, and each action has a stable text key ``<KIND>.<fwd|rev>@<site>``
-used by the Q-table (sites render as ``i-j``, ``all:p``, ``c-t:p`` or
-``i``).  A template kind is the string its keys start with (``HH``,
-``CXCX``, ``CX_PAR``, ``CX_REV``), as a direction is the string ``fwd`` or
-``rev``.
+Every action is unitary-preserving; a site is just the indices its template
+names, enough to re-apply the action, and each action has a stable text key
+``<KIND>.<fwd|rev>@<site>`` used by the Q-table (sites render as ``i-j``,
+``all:p``, ``c-t:0`` or ``i``).  A template kind is the string its keys
+start with (``HH``, ``CXCX``, ``CX_PAR``, ``CX_REV``), as a direction is the
+string ``fwd`` or ``rev``.
 
 Phase 1 meets the same actions in state after state, so the module shares
 one ``Action`` per (kind, direction, site) and formats each key once, and
@@ -52,14 +52,23 @@ CX_PAR = "CX_PAR"
 CX_REV = "CX_REV"
 
 
-# Site variants, as tagged tuples:
-#   ("pair", i, j)       gate-index pair (HH/CXCX forward, CX_PAR)
-#   ("all", p)           insert an H pair on every wire at gate-list position p
-#                        (HH reverse)
-#   ("cxins", c, t, p)   insert a CNOT(c,t) pair at position p (CXCX reverse;
-#                        p is 0, as only the empty circuit seeds one)
-#   ("rev", i)           CNOT at gate index i (CX_REV)
+# A site is the tuple of indices its template names:
+#   (i, j)   gate-index pair (HH/CXCX forward, CX_PAR)
+#   (p,)     insert an H pair on every wire at gate-list position p (HH reverse)
+#   (c, t)   insert a CNOT(c,t) pair at the front (CXCX reverse; only the
+#            empty circuit seeds one)
+#   (i,)     CNOT at gate index i (CX_REV)
 Site = tuple
+
+# (kind, direction) -> the length of its sites, in enumeration order
+_TEMPLATES = {
+    (HH, FORWARD): 2,
+    (HH, REVERSE): 1,
+    (CXCX, FORWARD): 2,
+    (CXCX, REVERSE): 2,
+    (CX_PAR, FORWARD): 2,
+    (CX_REV, FORWARD): 1,
+}
 
 
 class Action(NamedTuple):
@@ -80,16 +89,13 @@ def action_key(a: Action) -> str:
 
 def _format_key(a: Action) -> str:
     kind, direction, site = a
-    tag = site[0]
-    if tag == "pair":
-        return f"{kind}.{direction}@{site[1]}-{site[2]}"
-    if tag == "rev":
-        return f"{kind}.{direction}@{site[1]}"
-    if tag == "all":
-        return f"{kind}.{direction}@all:{site[1]}"
-    if tag == "cxins":
-        return f"{kind}.{direction}@{site[1]}-{site[2]}:{site[3]}"
-    raise ValueError(f"unknown site {site!r}")
+    if kind == CX_REV:
+        return f"{kind}.{direction}@{site[0]}"
+    if kind == HH and direction == REVERSE:
+        return f"{kind}.{direction}@all:{site[0]}"
+    if direction == REVERSE:
+        return f"{kind}.{direction}@{site[0]}-{site[1]}:0"
+    return f"{kind}.{direction}@{site[0]}-{site[1]}"
 
 
 _KEYS = Interned(_format_key)
@@ -105,21 +111,8 @@ def commutes(a: Gate, b: Gate) -> bool:
     return qb[0] not in qa
 
 
-# One site per template, in enumeration order.  A template's gate delta does
-# not depend on the site, so its probe stands for all its sites when the
-# gate budget is tested.
-_PROBES = (
-    Action(HH, FORWARD, ("pair", 0, 1)),
-    Action(HH, REVERSE, ("all", 0)),
-    Action(CXCX, FORWARD, ("pair", 0, 1)),
-    Action(CXCX, REVERSE, ("cxins", 0, 1, 0)),
-    Action(CX_PAR, FORWARD, ("pair", 0, 1)),
-    Action(CX_REV, FORWARD, ("rev", 0)),
-)
 # the one shared Action per site, per template
-_ACTIONS = {
-    (kind, direction): Interned(partial(Action, kind, direction)) for kind, direction, _ in _PROBES
-}
+_ACTIONS = {template: Interned(partial(Action, *template)) for template in _TEMPLATES}
 
 
 # --- application -------------------------------------------------------------
@@ -140,14 +133,17 @@ def apply(c: Circuit, a: Action) -> Circuit:
     """Apply one action; the result has exactly the same unitary.
 
     Raises StaleSiteError when the site does not fit the circuit (the action
-    was enumerated on a different circuit).
+    was enumerated on a different circuit), when it does not fit its
+    template, or when there is no such template.
     """
     gates = c.gates
     kind, direction, site = a
+    if len(site) != _TEMPLATES.get((kind, direction)):
+        raise StaleSiteError(f"site {site!r} does not fit template {kind}.{direction}")
 
     if direction == FORWARD and kind in (HH, CXCX):
         # two identical gates with nothing between them on their wires cancel
-        _, i, j = site
+        i, j = site
         _check(0 <= i < j < len(gates), "gate index out of range")
         gi = gates[i]
         _check(
@@ -157,24 +153,20 @@ def apply(c: Circuit, a: Action) -> Circuit:
         _check(_segment_clear(gates, i, j, gi.qubits), "a gate blocks the wires")
         return c.with_gates(gates[:i] + gates[i + 1 : j] + gates[j + 1 :])
 
-    if kind == HH and direction == REVERSE:
-        _, p = site
+    if kind == HH:  # reverse
+        (p,) = site
         _check(0 <= p <= len(gates), "position out of range")
         layer = tuple(map(Gate.h, range(c.n_wires)))
         return c.with_gates(gates[:p] + layer + layer + gates[p:])
 
-    if kind == CXCX and direction == REVERSE:
-        _, ctrl, tgt, p = site
-        _check(
-            0 <= ctrl < c.n_wires and 0 <= tgt < c.n_wires and ctrl != tgt,
-            "bad wire pair",
-        )
-        _check(0 <= p <= len(gates), "position out of range")
+    if kind == CXCX:  # reverse
+        ctrl, tgt = site
+        _check(0 <= ctrl < c.n_wires and 0 <= tgt < c.n_wires and ctrl != tgt, "bad wire pair")
         cx = Gate.cx(ctrl, tgt)
-        return c.with_gates(gates[:p] + (cx, cx) + gates[p:])
+        return c.with_gates((cx, cx) + gates)
 
-    if kind == CX_PAR and direction == FORWARD:
-        _, i, j = site
+    if kind == CX_PAR:
+        i, j = site
         _check(0 <= i < j < len(gates), "gate index out of range")
         gi, gj = gates[i], gates[j]
         _check(
@@ -185,24 +177,20 @@ def apply(c: Circuit, a: Action) -> Circuit:
             all(commutes(gates[k], gj) for k in range(i + 1, j)),
             "a crossed gate does not commute",
         )
-        return c.with_gates(
-            gates[: i + 1] + (gj,) + gates[i + 1 : j] + gates[j + 1 :]
-        )
+        return c.with_gates(gates[: i + 1] + (gj,) + gates[i + 1 : j] + gates[j + 1 :])
 
-    if kind == CX_REV and direction == FORWARD:
-        _, i = site
-        _check(0 <= i < len(gates) and gates[i].is_cx, "site is not a CNOT")
-        cq, tq = gates[i].qubits
-        hc, ht = Gate.h(cq), Gate.h(tq)
-        block = (hc, ht, Gate.cx(tq, cq), hc, ht)
-        return c.with_gates(gates[:i] + block + gates[i + 1 :])
-
-    raise StaleSiteError(f"unsupported action {a!r}")
+    # CX_REV, the one template left
+    (i,) = site
+    _check(0 <= i < len(gates) and gates[i].is_cx, "site is not a CNOT")
+    cq, tq = gates[i].qubits
+    hc, ht = Gate.h(cq), Gate.h(tq)
+    block = (hc, ht, Gate.cx(tq, cq), hc, ht)
+    return c.with_gates(gates[:i] + block + gates[i + 1 :])
 
 
-def gate_count_delta(a: Action, n_wires: int) -> int:
-    """How many gates the action adds (negative for cancellations)."""
-    kind, direction, _ = a
+def gate_count_delta(kind: str, direction: str, n_wires: int) -> int:
+    """How many gates an action of the template adds (negative for
+    cancellations); every site of a template has the same delta."""
     if direction == FORWARD:
         if kind in (HH, CXCX):
             return -2
@@ -216,14 +204,14 @@ def gate_count_delta(a: Action, n_wires: int) -> int:
 
 # (n_wires, budget) -> per template, whether its gate delta is within the budget
 _FITS = Interned(
-    lambda key: tuple(key[1] is None or gate_count_delta(a, key[0]) <= key[1] for a in _PROBES)
+    lambda key: tuple(key[1] is None or gate_count_delta(*t, key[0]) <= key[1] for t in _TEMPLATES)
 )
 
 
 def enumerate_actions(
     c: Circuit, layered: bool = False, budget: int | None = None
 ) -> list[Action]:
-    """Union of all template matches in ``_PROBES`` order, unique keys.
+    """Union of all template matches in ``_TEMPLATES`` order, unique keys.
 
     The forward templates' sites come from one forward pass over the gates
     with two per-wire arrays: ``last_h[w]``, the last H on wire w since a
@@ -245,10 +233,9 @@ def enumerate_actions(
     ``budget`` keeps exactly the actions whose ``gate_count_delta`` is at
     most ``budget``, in either space.  Every site of a template has the same
     delta, so the budget is tested once per template, through
-    ``gate_count_delta`` on the template's ``_PROBES`` site, before any site
-    is sorted, scanned for or looked up: a template over budget is skipped
-    whole, the CX_PAR scans included.  ``_FITS`` keeps the outcome per wire
-    count and budget.
+    ``gate_count_delta`` on the template, before any site is sorted, scanned
+    for or looked up: a template over budget is skipped whole, the CX_PAR
+    scans included.  ``_FITS`` keeps the outcome per wire count and budget.
 
     Every item is the module's one shared ``Action`` for its kind, direction
     and site, so two calls on one circuit return identical objects and only
@@ -269,15 +256,15 @@ def enumerate_actions(
             # gate p touches both wires, so it is a CNOT on them: compare
             # the orientation only
             if p >= 0 and p == touch[tq] and gates[p].qubits == qs:
-                cxcx.append(("pair", p, i))
-            rev.append(("rev", i))
+                cxcx.append((p, i))
+            rev.append((i,))
             last_h[cq] = last_h[tq] = -1
             touch[cq] = touch[tq] = i
         else:
             q = qs[0]
             h = last_h[q]
             if h >= 0:
-                hh.append(("pair", h, i))
+                hh.append((h, i))
             last_h[q] = touch[q] = i
 
     hh_fits, hh_rev_fits, cxcx_fits, cxcx_rev_fits, par_fits, rev_fits = _FITS[n, budget]
@@ -292,18 +279,16 @@ def enumerate_actions(
         # the layered space keeps the layers at either end only
         m = len(gates)
         ends = (0, m) if m else (0,)
-        actions += [hh_rev_actions["all", p] for p in (ends if layered else range(m + 1))]
+        actions += [hh_rev_actions[p,] for p in (ends if layered else range(m + 1))]
     if cxcx_fits and cxcx:
         cxcx.sort()
         actions += map(cxcx_actions.__getitem__, cxcx)
     if cxcx_rev_fits and not gates:
-        actions += [
-            cxcx_rev_actions["cxins", ctrl, tgt, 0]
-            for ctrl in range(n) for tgt in range(n) if ctrl != tgt
-        ]
+        seeds = [(ctrl, tgt) for ctrl in range(n) for tgt in range(n) if ctrl != tgt]
+        actions += map(cxcx_rev_actions.__getitem__, seeds)
     if par_fits and len(rev) > 1:
         par: list[Site] = []
-        for _, j in rev:
+        for (j,) in rev:
             cq, tq = gates[j].qubits
             # crossed gate k commutes with CNOT j iff it is a CNOT sharing
             # only j's control (a site) or touches neither of j's wires
@@ -315,7 +300,7 @@ def enumerate_actions(
                 if cq in kq:
                     if kq[0] != cq or not gk.is_cx:
                         break
-                    par.append(("pair", k, j))
+                    par.append((k, j))
         par.sort()
         actions += map(par_actions.__getitem__, par)
     if rev_fits:

@@ -2,11 +2,12 @@
 orders, the per-template forward matchers that ``enumerate_actions``' one
 pass replaced, the reverse sites (H layers and CNOT-pair seeds) written
 apart from ``rewrite``'s rule, the agent's layered action space as a filter
-over the full one, the gate budget as a per-action filter, action keys through a per-tag
-format table and through the uncached formatter, the set-based commutation
-rule, forward-action BFS to a target depth, frozen copies of the
-``max``-based ASAP scheduler and of the ``len``-numbered ``to_dag`` that the
-faster versions in ``src/`` must match bit for bit, hash-consing over
+over the full one, the gate budget as a per-action filter, action keys
+through a per-template format table and through the uncached formatter, the
+set-based commutation rule, forward-action BFS to a target depth, frozen
+copies of the ``max``-based ASAP scheduler and of the ``len``-numbered
+``to_dag`` that the faster versions in ``src/`` must match bit for bit,
+hash-consing over
 ``to_dag``'s DAG as the reference for ``dag.hash_cons``, CNOT chains
 dense in helper nodes, and the numpy latent key that ``dvae.latent_key``
 must match string for string.
@@ -105,7 +106,7 @@ def matches_hh_fwd(c: Circuit) -> list[Site]:
         else:
             q = g.qubits[0]
             if last_h[q] >= 0:
-                sites.append(("pair", last_h[q], i))
+                sites.append((last_h[q], i))
             last_h[q] = i
     sites.sort()
     return sites
@@ -124,7 +125,7 @@ def matches_cxcx_fwd(c: Circuit) -> list[Site]:
             if cq not in other and tq not in other:
                 continue
             if other == q:  # two wires: a CNOT
-                sites.append(("pair", i, j))
+                sites.append((i, j))
             break
     return sites
 
@@ -141,7 +142,7 @@ def matches_cx_par(c: Circuit) -> list[Site]:
         for k in range(j - 1, -1, -1):
             gk = gates[k]
             if gk.is_cx and gk.qubits[0] == cq and gk.qubits[1] != tq:
-                sites.append(("pair", k, j))
+                sites.append((k, j))
             if not commutes(gk, gj):
                 break
     sites.sort()
@@ -149,7 +150,7 @@ def matches_cx_par(c: Circuit) -> list[Site]:
 
 
 def matches_cx_rev_fwd(c: Circuit) -> list[Site]:
-    return [("rev", i) for i, g in enumerate(c.gates) if g.is_cx]
+    return [(i,) for i, g in enumerate(c.gates) if g.is_cx]
 
 
 # --- the reverse matchers, written apart from ``enumerate_actions``' rules ----
@@ -159,7 +160,7 @@ def matches_hh_rev(c: Circuit, layered: bool) -> list[Site]:
     # an H layer on every wire after each gate-list prefix; the layered
     # space keeps the prefixes that are empty or the whole circuit
     ends = {0, len(c.gates)}
-    return [("all", p) for p in range(len(c.gates) + 1) if not layered or p in ends]
+    return [(p,) for p in range(len(c.gates) + 1) if not layered or p in ends]
 
 
 def matches_cxcx_rev(c: Circuit) -> list[Site]:
@@ -167,7 +168,7 @@ def matches_cxcx_rev(c: Circuit) -> list[Site]:
     if c.gates:
         return []
     wires = range(c.n_wires)
-    return [("cxins", ctrl, tgt, 0) for ctrl in wires for tgt in wires if ctrl != tgt]
+    return [(ctrl, tgt) for ctrl in wires for tgt in wires if ctrl != tgt]
 
 
 def reference_enumeration(
@@ -186,49 +187,47 @@ def reference_enumeration(
     actions = [Action(*template, site) for template, match in matchers.items() for site in match(c)]
     if budget is None:
         return actions
-    return [a for a in actions if gate_count_delta(a, c.n_wires) <= budget]
+    return [a for a in actions if gate_count_delta(a.kind, a.direction, c.n_wires) <= budget]
 
 
 def layered_filter(c: Circuit, actions: list[Action]) -> list[Action]:
     """Reference for ``enumerate_actions(c, layered=True)``: the full space
     with all-wire H layers kept only at either end."""
     boundary = (0, len(c.gates))
-    return [a for a in actions if a.site[0] != "all" or a.site[1] in boundary]
+    return [a for a in actions if (a.kind, a.direction) != (HH, REVERSE) or a.site[0] in boundary]
 
 
 def budget_filter(actions: list[Action], n_wires: int, budget: int) -> list[Action]:
     """Reference for ``enumerate_actions(c, layered, budget)``: the space
     ``actions`` of either kind, filtered per action by its gate delta."""
-    return [a for a in actions if gate_count_delta(a, n_wires) <= budget]
+    return [a for a in actions if gate_count_delta(a.kind, a.direction, n_wires) <= budget]
 
 
 def reference_key(a: Action) -> str:
-    """Reference for ``action_key``: a table of one format per site tag,
+    """Reference for ``action_key``: a table of one format per template,
     written apart from ``action_key``'s branches."""
-    tag, *rest = a.site
     site = {
-        "pair": "{}-{}",
-        "all": "all:{}",
-        "cxins": "{}-{}:{}",
-        "rev": "{}",
-    }[tag].format(*rest)
+        (HH, FORWARD): "{}-{}",
+        (HH, REVERSE): "all:{}",
+        (CXCX, FORWARD): "{}-{}",
+        (CXCX, REVERSE): "{}-{}:0",
+        (CX_PAR, FORWARD): "{}-{}",
+        (CX_REV, FORWARD): "{}",
+    }[a.kind, a.direction].format(*a.site)
     return f"{a.kind}.{a.direction}@{site}"
 
 
 def uncached_action_key(a: Action) -> str:
     """Reference for ``action_key``'s cache: the formatter it runs once per
-    distinct action, copied from when every call formatted the key."""
+    distinct action, here run afresh on every call."""
     kind, direction, site = a
-    tag = site[0]
-    if tag == "pair":
-        return f"{kind}.{direction}@{site[1]}-{site[2]}"
-    if tag == "rev":
-        return f"{kind}.{direction}@{site[1]}"
-    if tag == "all":
-        return f"{kind}.{direction}@all:{site[1]}"
-    if tag == "cxins":
-        return f"{kind}.{direction}@{site[1]}-{site[2]}:{site[3]}"
-    raise ValueError(f"unknown site {site!r}")
+    if kind == CX_REV:
+        return f"{kind}.{direction}@{site[0]}"
+    if kind == HH and direction == REVERSE:
+        return f"{kind}.{direction}@all:{site[0]}"
+    if direction == REVERSE:
+        return f"{kind}.{direction}@{site[0]}-{site[1]}:0"
+    return f"{kind}.{direction}@{site[0]}-{site[1]}"
 
 
 def commutes_by_sets(a: Gate, b: Gate) -> bool:

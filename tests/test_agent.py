@@ -31,7 +31,10 @@ from qcopt.dvae import DvaeConfig, DvaeModel
 from qcopt.harness import benchmark_agent_config
 from qcopt.rewrite import (
     CX_REV,
+    CXCX,
     FORWARD,
+    HH,
+    REVERSE,
     Action,
     action_key,
     apply,
@@ -98,7 +101,7 @@ def test_encoder_abstraction_deterministic_and_cached(monkeypatch):
 
 def _toy_actions():
     actions = [
-        Action(CX_REV, FORWARD, ("rev", i)) for i in range(4)
+        Action(CX_REV, FORWARD, (i,)) for i in range(4)
     ]
     return actions, [action_key(a) for a in actions]
 
@@ -283,10 +286,10 @@ def test_available_actions_is_layered_space_on_bv2_start():
     assert set(actions) <= set(enumerate_actions(c))
     assert keys == [action_key(a) for a in actions]
     for a in actions:
-        tag = a.site[0]
-        if tag == "all":
-            assert a.site[1] in (0, len(c.gates))
-        assert tag != "cxins", "CNOT-pair insertion offered on a non-empty circuit"
+        if (a.kind, a.direction) == (HH, REVERSE):
+            assert a.site[0] in (0, len(c.gates))
+        assert (a.kind, a.direction) != (CXCX, REVERSE), (
+            "CNOT-pair insertion offered on a non-empty circuit")
 
 
 def test_available_actions_respect_gate_cap():
@@ -296,7 +299,7 @@ def test_available_actions_respect_gate_cap():
     assert len(actions) == len(keys)
     from qcopt.rewrite import gate_count_delta
 
-    assert all(len(c) + gate_count_delta(a, c.n_wires) <= 10 for a in actions)
+    assert all(len(c) + gate_count_delta(a.kind, a.direction, c.n_wires) <= 10 for a in actions)
 
 
 def test_available_actions_equal_the_per_action_budget_filter():

@@ -6,6 +6,7 @@ from dataclasses import fields
 import pytest
 
 from qcopt import cli, dvae, harness
+from qcopt.agent import ExactAbstraction, greedy_trajectory
 from qcopt.circuit import (
     BvSpec,
     Circuit,
@@ -65,7 +66,7 @@ def test_verify_draws_the_empty_circuit(monkeypatch, capsys):
     assert dispatch(["verify", "--circuits", "3"]) == 0
     assert "0 failures" in capsys.readouterr().out
     empty = Circuit(2, ())
-    assert seeded == [(empty, ("cxins", 0, 1, 0)), (empty, ("cxins", 1, 0, 0))]
+    assert seeded == [(empty, (0, 1)), (empty, (1, 0))]
 
 
 def test_unknown_flag_is_usage_error(capsys):
@@ -323,6 +324,16 @@ def test_phases_chain_through_their_files(tmp_path, capsys):
     # each phase reads the file the phase before it wrote
     base, vae, enc = tmp_path / "base", tmp_path / "vae", tmp_path / "enc"
     assert dispatch(["train-baseline", "--epochs", "5", "--out", str(base)]) == 0
+    # the summary gives the greedy rollout of the table just written
+    last = capsys.readouterr().out.splitlines()[-1]
+    pattern = r"l_s = \d+, best depth = \d+, greedy (\d+) steps to depth (\d+), corpus -> (.+)"
+    found = re.fullmatch(pattern, last)
+    spec = BvSpec(2, 0b11)
+    cfg = harness.benchmark_agent_config(spec, 5, 0)
+    table = harness.run_baseline(spec, cfg).qtable
+    steps = greedy_trajectory(bv_circuit(spec), table, ExactAbstraction(), cfg)
+    assert found and found[3] == f"{base}/corpus.txt"
+    assert (int(found[1]), int(found[2])) == (len(steps), steps[-1].depth)
     argv = ["train-vae", "--corpus", str(base / "corpus.txt"), "--vae-epochs", "1",
             "--corpus-cap", "10", "--d-h", "4", "--d-z", "2", "--out", str(vae)]
     assert dispatch(argv) == 0
@@ -334,7 +345,8 @@ def test_phases_chain_through_their_files(tmp_path, capsys):
     assert sorted(p.name for p in enc.iterdir()) == ["config.txt", "qtable.tsv"]
     # every key comes from one graph state's latent, so l_a cannot exceed their count
     last = capsys.readouterr().out.splitlines()[-1]
-    found = re.fullmatch(r"l_a = (\d+), best depth = \d+, (\d+) graph states", last)
+    pattern = r"l_a = (\d+), best depth = \d+, greedy \d+ steps to depth \d+, (\d+) graph states"
+    found = re.fullmatch(pattern, last)
     assert found and 1 <= int(found[1]) <= int(found[2])
 
 

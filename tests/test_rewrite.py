@@ -54,7 +54,7 @@ def template_sites(c, kind, direction):
 
 def test_hh_forward_adjacent_pair():
     assert template_sites(circ(1, Gate.h(0), Gate.h(0)), HH, FORWARD) == [
-        ("pair", 0, 1)
+        (0, 1)
     ]
 
 
@@ -65,17 +65,17 @@ def test_hh_forward_blocked_by_cnot():
 
 def test_hh_forward_sees_through_other_wires():
     c = circ(2, Gate.h(0), Gate.h(1), Gate.h(0))
-    assert template_sites(c, HH, FORWARD) == [("pair", 0, 2)]
+    assert template_sites(c, HH, FORWARD) == [(0, 2)]
 
 
 def test_hh_forward_triple_gives_consecutive_pairs():
     c = circ(1, Gate.h(0), Gate.h(0), Gate.h(0))
-    assert template_sites(c, HH, FORWARD) == [("pair", 0, 1), ("pair", 1, 2)]
+    assert template_sites(c, HH, FORWARD) == [(0, 1), (1, 2)]
 
 
 def test_cxcx_forward_pair():
     c = circ(2, Gate.cx(0, 1), Gate.cx(0, 1))
-    assert template_sites(c, CXCX, FORWARD) == [("pair", 0, 1)]
+    assert template_sites(c, CXCX, FORWARD) == [(0, 1)]
 
 
 def test_cxcx_forward_blocked_by_touching_gate():
@@ -85,13 +85,13 @@ def test_cxcx_forward_blocked_by_touching_gate():
 
 def test_cx_par_adjacent_same_control():
     c = circ(3, Gate.cx(0, 1), Gate.cx(0, 2))
-    assert template_sites(c, CX_PAR, FORWARD) == [("pair", 0, 1)]
+    assert template_sites(c, CX_PAR, FORWARD) == [(0, 1)]
 
 
 def test_cx_par_crosses_commuting_gates_only():
     # H(3) is support-disjoint from CNOT(0,2), so it may be crossed
     c = circ(4, Gate.cx(0, 1), Gate.h(3), Gate.cx(0, 2))
-    assert template_sites(c, CX_PAR, FORWARD) == [("pair", 0, 2)]
+    assert template_sites(c, CX_PAR, FORWARD) == [(0, 2)]
     # H(2) touches the moving CNOT's target: blocked
     c = circ(4, Gate.cx(0, 1), Gate.h(2), Gate.cx(0, 2))
     assert template_sites(c, CX_PAR, FORWARD) == []
@@ -99,76 +99,93 @@ def test_cx_par_crosses_commuting_gates_only():
 
 def test_cx_rev_forward_every_cnot():
     c = circ(3, Gate.h(0), Gate.cx(0, 1), Gate.cx(1, 2))
-    assert template_sites(c, CX_REV, FORWARD) == [("rev", 1), ("rev", 2)]
+    assert template_sites(c, CX_REV, FORWARD) == [(1,), (2,)]
 
 
 def test_cx_rev_reverse_never_enumerated():
     # undoing a reversal goes through CX_REV forward plus HH cancellations;
     # there is no CX_REV reverse direction to enumerate
-    c = apply(circ(2, Gate.cx(0, 1)), Action(CX_REV, FORWARD, ("rev", 0)))
+    c = apply(circ(2, Gate.cx(0, 1)), Action(CX_REV, FORWARD, (0,)))
     assert template_sites(c, CX_REV, REVERSE) == []
 
 
 def test_cx_par_has_no_reverse():
     c = circ(3, Gate.cx(0, 2), Gate.cx(0, 1))  # the result of a CX_PAR move
-    assert template_sites(c, CX_PAR, FORWARD) == [("pair", 0, 1)]
+    assert template_sites(c, CX_PAR, FORWARD) == [(0, 1)]
     assert template_sites(c, CX_PAR, REVERSE) == []
 
 
 def test_hh_reverse_positions_near_wire_gates():
     # an H layer on every wire at every gate-list position, and nothing else
     c = circ(2, Gate.h(0), Gate.cx(0, 1))
-    assert template_sites(c, HH, REVERSE) == [("all", 0), ("all", 1), ("all", 2)]
+    assert template_sites(c, HH, REVERSE) == [(0,), (1,), (2,)]
 
 
 # --- application ----------------------------------------------------------------
 
 
 def test_apply_cx_rev_forward():
-    c = apply(circ(2, Gate.cx(0, 1)), Action(CX_REV, FORWARD, ("rev", 0)))
+    c = apply(circ(2, Gate.cx(0, 1)), Action(CX_REV, FORWARD, (0,)))
     assert c.gates == (Gate.h(0), Gate.h(1), Gate.cx(1, 0), Gate.h(0), Gate.h(1))
 
 
 def test_apply_hh_forward_deletes_pair():
     c = apply(
-        circ(1, Gate.h(0), Gate.h(0)), Action(HH, FORWARD, ("pair", 0, 1))
+        circ(1, Gate.h(0), Gate.h(0)), Action(HH, FORWARD, (0, 1))
     )
     assert c.gates == ()
 
 
 def test_hh_insert_then_cancel_roundtrip():
     c0 = circ(2, Gate.cx(0, 1))
-    c1 = apply(c0, Action(HH, REVERSE, ("all", 1)))
+    c1 = apply(c0, Action(HH, REVERSE, (1,)))
     assert c1.gates == (Gate.cx(0, 1), Gate.h(0), Gate.h(1), Gate.h(0), Gate.h(1))
-    assert template_sites(c1, HH, FORWARD) == [("pair", 1, 3), ("pair", 2, 4)]
-    c2 = apply(c1, Action(HH, FORWARD, ("pair", 1, 3)))
+    assert template_sites(c1, HH, FORWARD) == [(1, 3), (2, 4)]
+    c2 = apply(c1, Action(HH, FORWARD, (1, 3)))
     assert c2.gates == (Gate.cx(0, 1), Gate.h(1), Gate.h(1))
-    c3 = apply(c2, Action(HH, FORWARD, ("pair", 1, 2)))
+    c3 = apply(c2, Action(HH, FORWARD, (1, 2)))
     assert c3 == c0
 
 
 def test_apply_all_wires_insertion():
-    c = apply(circ(2, Gate.cx(0, 1)), Action(HH, REVERSE, ("all", 1)))
+    c = apply(circ(2, Gate.cx(0, 1)), Action(HH, REVERSE, (1,)))
     assert c.gates == (Gate.cx(0, 1), Gate.h(0), Gate.h(1), Gate.h(0), Gate.h(1))
 
 
 def test_apply_cx_par_moves_gate():
     c = circ(4, Gate.cx(0, 1), Gate.h(3), Gate.cx(0, 2))
-    moved = apply(c, Action(CX_PAR, FORWARD, ("pair", 0, 2)))
+    moved = apply(c, Action(CX_PAR, FORWARD, (0, 2)))
     assert moved.gates == (Gate.cx(0, 1), Gate.cx(0, 2), Gate.h(3))
 
 
 def test_apply_stale_site_raises():
     c = circ(2, Gate.h(0), Gate.cx(0, 1), Gate.h(0))
     with pytest.raises(StaleSiteError):
-        apply(c, Action(HH, FORWARD, ("pair", 0, 2)))
+        apply(c, Action(HH, FORWARD, (0, 2)))
     with pytest.raises(StaleSiteError):
-        apply(c, Action(CX_REV, FORWARD, ("rev", 0)))
+        apply(c, Action(CX_REV, FORWARD, (0,)))
     # identical adjacent gates of the other template's kind
     with pytest.raises(StaleSiteError):
-        apply(circ(2, Gate.cx(0, 1), Gate.cx(0, 1)), Action(HH, FORWARD, ("pair", 0, 1)))
+        apply(circ(2, Gate.cx(0, 1), Gate.cx(0, 1)), Action(HH, FORWARD, (0, 1)))
     with pytest.raises(StaleSiteError):
-        apply(circ(1, Gate.h(0), Gate.h(0)), Action(CXCX, FORWARD, ("pair", 0, 1)))
+        apply(circ(1, Gate.h(0), Gate.h(0)), Action(CXCX, FORWARD, (0, 1)))
+
+
+def test_apply_refuses_a_site_of_the_wrong_length_or_an_unknown_template():
+    c = circ(2, Gate.h(0), Gate.h(0), Gate.cx(0, 1))
+    for a in (
+        Action(HH, FORWARD, (2,)),
+        Action(HH, FORWARD, (0, 1, 2)),
+        Action(HH, REVERSE, (0, 1)),
+        Action(CXCX, REVERSE, (0, 1, 0)),
+        Action(CX_PAR, FORWARD, ()),
+        Action(CX_REV, FORWARD, (2, 3)),
+        Action(CX_REV, REVERSE, (2,)),
+        Action(CX_PAR, REVERSE, (0, 1)),
+        Action("HX", FORWARD, (0, 1)),
+    ):
+        with pytest.raises(StaleSiteError):
+            apply(c, a)
 
 
 def test_apply_inserts_only_shared_gates():
@@ -184,8 +201,8 @@ def test_apply_inserts_only_shared_gates():
             for g in apply(c, a).gates:
                 if id(g) not in own:
                     assert g is (Gate.cx(*g.qubits) if g.is_cx else Gate.h(*g.qubits)), (a, g)
-                    inserting.add((a.kind, a.direction, a.site[0]))
-    assert inserting == {(HH, REVERSE, "all"), (CXCX, REVERSE, "cxins"), (CX_REV, FORWARD, "rev")}
+                    inserting.add((a.kind, a.direction))
+    assert inserting == {(HH, REVERSE), (CXCX, REVERSE), (CX_REV, FORWARD)}
 
 
 # --- enumeration ----------------------------------------------------------------
@@ -195,15 +212,15 @@ def test_enumerate_empty_circuit():
     actions = enumerate_actions(circ(2))
     kinds = {(a.kind, a.direction) for a in actions}
     assert kinds == {(HH, REVERSE), (CXCX, REVERSE)}
-    assert all(a.site[-1] == 0 for a in actions)  # every insertion at position 0
-    assert ("all", 0) in [a.site for a in actions]
+    assert all(action_key(a).endswith(":0") for a in actions)  # every insertion at position 0
+    assert (0,) in [a.site for a in actions if a.kind == HH]
 
 
 def test_enumerate_unoptimised_bv2():
     c = bv_circuit(BvSpec(2, 0b11))
     actions = enumerate_actions(c)
     rev_sites = [a.site for a in actions if a.kind == CX_REV]
-    assert ("rev", 3) in rev_sites and ("rev", 4) in rev_sites
+    assert (3,) in rev_sites and (4,) in rev_sites
     assert not any(
         a.kind == HH and a.direction == FORWARD for a in actions
     )
@@ -217,10 +234,10 @@ def test_action_keys_unique_and_stable():
         assert len(keys) == len(set(keys))
         assert keys == [reference_key(a) for a in actions]
     c = circ(3, Gate.cx(0, 1))
-    assert action_key(Action(CX_REV, FORWARD, ("rev", 0))) == "CX_REV.fwd@0"
-    assert action_key(Action(HH, REVERSE, ("all", 3))) == "HH.rev@all:3"
-    assert action_key(Action(CXCX, REVERSE, ("cxins", 0, 2, 1))) == "CXCX.rev@0-2:1"
-    assert action_key(Action(HH, FORWARD, ("pair", 1, 4))) == "HH.fwd@1-4"
+    assert action_key(Action(CX_REV, FORWARD, (0,))) == "CX_REV.fwd@0"
+    assert action_key(Action(HH, REVERSE, (3,))) == "HH.rev@all:3"
+    assert action_key(Action(CXCX, REVERSE, (0, 2))) == "CXCX.rev@0-2:0"
+    assert action_key(Action(HH, FORWARD, (1, 4))) == "HH.fwd@1-4"
 
 
 def test_layered_enumeration_equals_filtered_full_space():
@@ -231,14 +248,14 @@ def test_layered_enumeration_equals_filtered_full_space():
         layered = enumerate_actions(c, layered=True)
         assert layered == layered_filter(c, enumerate_actions(c)), state_string(c)
     sites = [a.site for a in enumerate_actions(circ(2), layered=True)]
-    assert sites == [("all", 0), ("cxins", 0, 1, 0), ("cxins", 1, 0, 0)]
+    assert sites == [(0,), (0, 1), (1, 0)]
     # a CNOT-free circuit that is not empty seeds no CNOT pair in either space
     cnot_free = circ(2, Gate.h(0), Gate.h(0))
     assert [a.site for a in enumerate_actions(cnot_free)] == [
-        ("pair", 0, 1), ("all", 0), ("all", 1), ("all", 2)
+        (0, 1), (0,), (1,), (2,)
     ]
     sites = [a.site for a in enumerate_actions(cnot_free, layered=True)]
-    assert sites == [("pair", 0, 1), ("all", 0), ("all", 2)]
+    assert sites == [(0, 1), (0,), (2,)]
 
 
 def test_one_pass_enumeration_equals_the_per_template_matchers():
@@ -294,15 +311,15 @@ def test_enumeration_deterministic():
 
 def test_action_key_cache_matches_uncached_formatter():
     # a key served from the cache equals the key formatted afresh, for every
-    # site kind of both spaces
-    tags = set()
+    # template of both spaces
+    templates = set()
     for i in range(200):
         c = random_icmh_circuit(2 + i % 4, i % 17, 1200 + i)
         for actions in (enumerate_actions(c), enumerate_actions(c, layered=True)):
             for a in actions:
                 assert action_key(a) == uncached_action_key(a), a
-                tags.add(a.site[0])
-    assert tags == {"pair", "rev", "all", "cxins"}
+                templates.add((a.kind, a.direction))
+    assert templates == set(rewrite._TEMPLATES)
 
 
 def test_a_repeated_run_adds_nothing_to_the_shared_tables():
@@ -338,7 +355,7 @@ def test_gate_count_deltas():
         c = random_icmh_circuit(3, 3 + seed % 8, seed)
         for a in enumerate_actions(c):
             out = apply(c, a)
-            assert len(out) - len(c) == gate_count_delta(a, c.n_wires), (a, c)
+            assert len(out) - len(c) == gate_count_delta(a.kind, a.direction, c.n_wires), (a, c)
             if a.kind == CX_PAR:
                 assert sorted(map(repr, out.gates)) == sorted(map(repr, c.gates))
 
@@ -368,6 +385,30 @@ def test_commutes_truth_table_matches_set_rule():
     for a in gates:
         for b in gates:
             assert commutes(a, b) == commutes_by_sets(a, b), (a, b)
+
+
+def test_commutes_is_sound_against_the_unitary():
+    # every ordered pair of the 16 gates on 4 wires: a pair the rule lets
+    # commute has equal unitaries in both orders, and the pairs that commute
+    # but are refused are exactly the identical pairs and the CNOT pairs
+    # that share only a target
+    gates = [Gate.h(q) for q in range(4)]
+    gates += [Gate.cx(c, t) for c in range(4) for t in range(4) if c != t]
+    refused = set()
+    for a in gates:
+        for b in gates:
+            same = np.allclose(unitary(circ(4, a, b)), unitary(circ(4, b, a)), atol=1e-12)
+            if commutes(a, b):
+                assert same, (a, b)
+            elif same:
+                refused.add((a, b))
+    identical = {(g, g) for g in gates}
+    shared_target = {
+        (a, b) for a in gates for b in gates
+        if a.is_cx and b.is_cx and a.target == b.target and a.control != b.control
+    }
+    assert len(identical) == 16 and len(shared_target) == 24
+    assert refused == identical | shared_target
 
 
 def test_bfs_reaches_depth_three_within_six_actions():
