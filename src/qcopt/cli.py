@@ -11,7 +11,8 @@ Subcommands, with the files each writes:
     train-encoded   phase 3, an agent with quantised-latent states from a
                     --model checkpoint: config.txt, qtable.tsv
     compare         all three phases over several seeds: config.txt,
-                    states.csv, depth_trace.csv, report.txt
+                    run.json (one JSON object: each cell's state counts,
+                    depth traces and greedy rollouts), report.txt
     verify          template-soundness, layered-subset, gate-budget,
                     DAG-validity and encode-equivalence suite; writes nothing
     grad-check      finite-difference check of the autoencoder loss; writes
@@ -38,7 +39,7 @@ from dataclasses import fields, replace
 import numpy as np
 
 from . import harness
-from .agent import EncoderAbstraction, ExactAbstraction, greedy_trajectory, qtable_to_tsv
+from .agent import EncoderAbstraction, ExactAbstraction, qtable_to_tsv
 from .circuit import (
     bv_circuit,
     depth,
@@ -52,9 +53,6 @@ from .dvae import DvaeConfig, DvaeModel, EncodeTable, backward, encode_np, load_
 from .harness import HarnessConfig
 from .nn import finite_diff_check
 from .rewrite import apply, enumerate_actions, gate_count_delta
-
-OUT_ROOT_ENV = "QCOPT_OUT_ROOT"
-
 
 class ConfigError(ValueError):
     pass
@@ -139,10 +137,7 @@ def config_text(cfg: HarnessConfig) -> str:
 
 
 def _out_dir(cfg: HarnessConfig, fallback: str) -> str:
-    if cfg.out_dir:
-        return cfg.out_dir
-    root = os.environ.get(OUT_ROOT_ENV, "runs")
-    return os.path.join(root, fallback)
+    return cfg.out_dir or os.path.join("runs", fallback)
 
 
 def _write(path: str, text: str):
@@ -159,13 +154,6 @@ def _config(args) -> HarnessConfig:
     """The run config of a subcommand that takes the config flags; a flag its
     parser does not define counts as unset."""
     return load_config(args.config, {k: getattr(args, k, None) for k in _FIELD_TYPES})
-
-
-def _greedy(spec, qtable, abstraction, agent_cfg) -> str:
-    """The steps and final depth of the table's greedy rollout from the BV start."""
-    start = bv_circuit(spec)
-    steps = greedy_trajectory(start, qtable, abstraction, agent_cfg)
-    return f"greedy {len(steps)} steps to depth {steps[-1].depth if steps else depth(start)}"
 
 
 # --- subcommands -----------------------------------------------------------------
@@ -193,8 +181,9 @@ def cmd_train_baseline(args) -> int:
     _write(os.path.join(out, "qtable.tsv"), qtable_to_tsv(result.qtable))
     save_corpus(result.corpus, os.path.join(out, "corpus.txt"))
     best = min(t.best_depth for t in result.traces)
-    greedy = _greedy(spec, result.qtable, ExactAbstraction(), agent_cfg)
-    print(f"l_s = {result.l_s}, best depth = {best}, {greedy}, corpus -> {out}/corpus.txt")
+    steps, final = harness.greedy_rollout(spec, result.qtable, ExactAbstraction(), agent_cfg)
+    print(f"l_s = {result.l_s}, best depth = {best}, greedy {steps} steps to depth {final}, "
+          f"corpus -> {out}/corpus.txt")
     return 0
 
 
@@ -236,8 +225,10 @@ def cmd_train_encoded(args) -> int:
     _echo_config(cfg, out)
     _write(os.path.join(out, "qtable.tsv"), qtable_to_tsv(result.qtable))
     best = min(t.best_depth for t in result.traces)
-    greedy = _greedy(spec, result.qtable, EncoderAbstraction(model, cfg.bin_width), agent_cfg)
-    print(f"l_a = {result.l_a}, best depth = {best}, {greedy}, {result.graph_states} graph states")
+    abstraction = EncoderAbstraction(model, cfg.bin_width)
+    steps, final = harness.greedy_rollout(spec, result.qtable, abstraction, agent_cfg)
+    print(f"l_a = {result.l_a}, best depth = {best}, greedy {steps} steps to depth {final}, "
+          f"{result.graph_states} graph states")
     return 0
 
 
@@ -248,7 +239,7 @@ def cmd_compare(args) -> int:
     harness.write_artifacts(reports, out)
     _echo_config(cfg, out)
     sys.stdout.write(harness.report_text(reports))
-    print(f"artifacts -> {out}/states.csv, depth_trace.csv, report.txt")
+    print(f"artifacts -> {out}/run.json, report.txt")
     return 0
 
 

@@ -3,29 +3,32 @@
 Phase 1 trains the exact-representation agent (gate-list string states) and
 harvests every Q-table state as a DAG corpus.  Phase 2 trains the DAG
 autoencoder on that corpus.  Phase 3 retrains an agent from scratch with the
-quantised-latent representation.  The state counts l_s and l_a and the depth
-traces of both agents feed the states/depth CSVs and a table-shaped text
-report; compression means l_a < l_s.
+quantised-latent representation.  The state counts l_s and l_a, the depth
+traces and the greedy rollouts of both agents feed the run record
+``run.json`` and a table-shaped text report; compression means l_a < l_s.
 """
 
 from __future__ import annotations
 
 import hashlib
+import json
 import os
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .agent import (
+    TARGET_DEPTH,
     AgentConfig,
     EncoderAbstraction,
     ExactAbstraction,
     EpisodeTrace,
     QTable,
     TrainResult,
+    greedy_trajectory,
     train_agent,
 )
-from .circuit import BvSpec, bv_circuit
+from .circuit import BvSpec, bv_circuit, depth
 from .dag import CircuitDag, dag_to_debug_text, to_dag
 from .dvae import DvaeConfig, DvaeModel, EpochStats, save_checkpoint, train
 
@@ -117,6 +120,8 @@ class BenchmarkReport:
     l_a: int
     baseline_trace: list[tuple[int, int]]  # (final_depth, best_depth) per episode
     encoded_trace: list[tuple[int, int]]
+    baseline_greedy: tuple[int, int]  # (steps, final depth) of the greedy rollout
+    encoded_greedy: tuple[int, int]
 
     @property
     def improvement(self) -> float:
@@ -194,6 +199,13 @@ def run_encoded(
     return EncodedResult(result.qtable, result.traces, len(abstraction.table.graphs))
 
 
+def greedy_rollout(spec: BvSpec, qtable: QTable, abstraction, cfg: AgentConfig) -> tuple[int, int]:
+    """The steps and final depth of the table's greedy rollout from the BV start."""
+    start = bv_circuit(spec)
+    steps = greedy_trajectory(start, qtable, abstraction, cfg)
+    return len(steps), steps[-1].depth if steps else depth(start)
+
+
 def dvae_config(hcfg: HarnessConfig, seed: int) -> DvaeConfig:
     return DvaeConfig(
         d_h=hcfg.dvae_d_h,
@@ -226,6 +238,10 @@ def run_cell(hcfg: HarnessConfig, seed: int) -> BenchmarkReport:
         l_a=encoded.l_a,
         baseline_trace=[(t.final_depth, t.best_depth) for t in baseline.traces],
         encoded_trace=[(t.final_depth, t.best_depth) for t in encoded.traces],
+        baseline_greedy=greedy_rollout(spec, baseline.qtable, ExactAbstraction(), agent_cfg),
+        encoded_greedy=greedy_rollout(
+            spec, encoded.qtable, EncoderAbstraction(model, hcfg.bin_width), agent_cfg
+        ),
     )
 
 
@@ -237,23 +253,11 @@ def run_benchmark(hcfg: HarnessConfig) -> list[BenchmarkReport]:
 # --- artifacts ----------------------------------------------------------------
 
 
-def states_csv(reports: list[BenchmarkReport]) -> str:
-    lines = ["bv_size,secret,epochs,seed,l_s,l_a,improvement_pct"]
-    for r in sorted(reports, key=lambda r: (r.bv_size, r.seed)):
-        lines.append(
-            f"{r.bv_size},{r.secret},{r.epochs},{r.seed},{r.l_s},{r.l_a},"
-            f"{100.0 * r.improvement:.4f}"
-        )
-    return "\n".join(lines) + "\n"
-
-
-def depth_trace_csv(reports: list[BenchmarkReport]) -> str:
-    lines = ["bv_size,seed,mode,episode,final_depth,best_depth"]
-    for r in sorted(reports, key=lambda r: (r.bv_size, r.seed)):
-        for mode, trace in (("exact", r.baseline_trace), ("encoder", r.encoded_trace)):
-            for episode, (final_d, best_d) in enumerate(trace):
-                lines.append(f"{r.bv_size},{r.seed},{mode},{episode},{final_d},{best_d}")
-    return "\n".join(lines) + "\n"
+def run_json(reports: list[BenchmarkReport]) -> str:
+    """The run record: one object whose ``cells`` hold every report's fields,
+    in (size, seed) order."""
+    cells = [asdict(r) for r in sorted(reports, key=lambda r: (r.bv_size, r.seed))]
+    return json.dumps({"cells": cells}, sort_keys=True) + "\n"
 
 
 def _median(values: list[float]) -> float:
@@ -266,12 +270,15 @@ def report_text(reports: list[BenchmarkReport]) -> str:
     out = []
     out.append("BV benchmark: Q-table size, exact (l_s) vs encoder (l_a) states")
     out.append("")
-    out.append(f"{'BV':>3} {'Epochs':>7} {'Seed':>5} {'l_s':>8} {'l_a':>8} {'Improv.':>9}")
+    out.append(f"{'BV':>3} {'Epochs':>7} {'Seed':>5} {'l_s':>8} {'l_a':>8} {'Improv.':>9} "
+               f"{'Exact greedy':>13} {'Enc. greedy':>12}")
     for r in sorted(reports, key=lambda r: (r.bv_size, r.seed)):
+        exact, enc = (f"{steps} to {d}" for steps, d in (r.baseline_greedy, r.encoded_greedy))
         out.append(
             f"{r.bv_size:>3} {r.epochs:>7} {r.seed:>5} {r.l_s:>8} {r.l_a:>8} "
-            f"{100.0 * r.improvement:>8.2f}%"
+            f"{100.0 * r.improvement:>8.2f}% {exact:>13} {enc:>12}"
         )
+    out.append(f"greedy: the rollout's steps to its final depth (the target is {TARGET_DEPTH})")
     out.append("")
     out.append(f"{'BV':>3} {'Epochs':>7} {'median l_s':>11} {'median l_a':>11} "
                f"{'median Improv.':>15} {'reference':>12}")
@@ -298,9 +305,6 @@ def report_text(reports: list[BenchmarkReport]) -> str:
 
 def write_artifacts(reports: list[BenchmarkReport], out_dir: str):
     os.makedirs(out_dir, exist_ok=True)
-    with open(os.path.join(out_dir, "states.csv"), "w", encoding="utf-8") as fh:
-        fh.write(states_csv(reports))
-    with open(os.path.join(out_dir, "depth_trace.csv"), "w", encoding="utf-8") as fh:
-        fh.write(depth_trace_csv(reports))
-    with open(os.path.join(out_dir, "report.txt"), "w", encoding="utf-8") as fh:
-        fh.write(report_text(reports))
+    for name, text in (("run.json", run_json(reports)), ("report.txt", report_text(reports))):
+        with open(os.path.join(out_dir, name), "w", encoding="utf-8") as fh:
+            fh.write(text)

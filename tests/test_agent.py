@@ -209,6 +209,17 @@ def test_run_episode_already_at_target():
     assert state_string(c) in q
 
 
+def test_bv2_has_a_depth_one_circuit_that_the_target_stops_at():
+    # CNOTs that share only a control take one moment, so BV2 (secret 0b11,
+    # depth 4 at the start) has a circuit of depth 1: TARGET_DEPTH is a stop
+    # rule, depth <= 3, not the optimum, and that circuit is offered nothing
+    start = bv_circuit(BvSpec(2, 0b11))
+    c = circ(3, Gate.cx(2, 0), Gate.cx(2, 1))
+    assert np.allclose(unitary(c), unitary(start), atol=1e-9)
+    assert (depth(start), depth(c)) == (4, 1)
+    assert agent._state_info(c, ExactAbstraction(), CFG, {}).actions == []
+
+
 def test_run_episode_rewards_rederivable_from_depths():
     cfg = AgentConfig(epochs=1, max_steps=20, seed=3)
     start = bv_circuit(BvSpec(2, 0b11))

@@ -16,7 +16,7 @@ from qcopt.circuit import (
     serialize_qasm,
     state_string,
 )
-from qcopt.cli import OUT_ROOT_ENV, config_text, dispatch, load_config
+from qcopt.cli import config_text, dispatch, load_config
 from qcopt.dag import dag_to_debug_text, save_corpus, to_dag
 from qcopt.dvae import DvaeConfig, DvaeModel, load_checkpoint, save_checkpoint
 from qcopt.harness import HarnessConfig
@@ -313,7 +313,6 @@ def test_train_vae_rejects_dags_no_circuit_makes(tmp_path, capsys):
 
 def test_gen_bv_writes_only_the_qasm_file(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
-    monkeypatch.delenv(OUT_ROOT_ENV, raising=False)
     out = tmp_path / "bv.qasm"
     assert dispatch(["gen-bv", "--n", "3", "--secret", "5", "--out", str(out)]) == 0
     assert out.read_text() == serialize_qasm(bv_circuit(BvSpec(3, 5)))
@@ -471,10 +470,21 @@ def test_compare_smoke_writes_requested_secret(tmp_path, capsys):
     argv = ["compare", "--n", "3", "--secret", "3", "--epochs", "5", "--seeds", "1",
             "--vae-epochs", "1", "--corpus-cap", "10", "--out", str(out)]
     assert dispatch(argv) == 0
-    row = (out / "states.csv").read_text().splitlines()[1].split(",")
-    assert row[:4] == ["3", "3", "5", "0"]
-    assert int(row[4]) > 1  # l_s: the agent left the start state
-    trace = (out / "depth_trace.csv").read_text().splitlines()
-    assert {line.split(",")[2] for line in trace[1:]} == {"exact", "encoder"}
+    assert sorted(p.name for p in out.iterdir()) == ["config.txt", "report.txt", "run.json"]
+    text = (out / "run.json").read_text()
+    assert text.endswith("}\n") and text.count("\n") == 1
+    [cell] = json.loads(text)["cells"]
+    assert [cell[k] for k in ("bv_size", "secret", "epochs", "seed")] == [3, 3, 5, 0]
+    assert cell["l_s"] > 1  # the agent left the start state
+    # both agents' traces, one (final, best) depth pair per episode
+    for trace in (cell["baseline_trace"], cell["encoded_trace"]):
+        assert len(trace) == cell["epochs"] and all(len(pair) == 2 for pair in trace)
     assert (out / "report.txt").is_file()
-    assert load_config(str(out / "config.txt"), {}).secret == 3
+    cfg = load_config(str(out / "config.txt"), {})
+    assert cfg.secret == 3
+    # the record holds the cell that the harness computes for the same config
+    ref = harness.run_cell(cfg, 0)
+    assert (cell["l_s"], cell["l_a"]) == (ref.l_s, ref.l_a)
+    assert (cell["baseline_greedy"], cell["encoded_greedy"]) == (
+        list(ref.baseline_greedy), list(ref.encoded_greedy)
+    )

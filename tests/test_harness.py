@@ -4,7 +4,7 @@ up here."""
 
 import hashlib
 import json
-from dataclasses import asdict
+from dataclasses import asdict, fields
 
 import numpy as np
 import pytest
@@ -14,6 +14,7 @@ from qcopt.agent import qtable_to_tsv
 from qcopt.circuit import BvSpec
 from qcopt.dvae import load_checkpoint
 from qcopt.harness import (
+    BenchmarkReport,
     HarnessConfig,
     benchmark_agent_config,
     dvae_config,
@@ -116,6 +117,27 @@ def test_encoded_run_builds_no_dag(encoder, monkeypatch):
 
 
 # --- report ---------------------------------------------------------------------
+
+
+def _cell(size, seed):
+    return BenchmarkReport(size, 1, 2, seed, 10, 4, [(5, 4), (4, 3)], [(4, 3), (3, 3)],
+                           (6, 3), (7, 3))
+
+
+def test_run_json_holds_every_report_field_in_size_seed_order():
+    text = harness.run_json([_cell(3, 0), _cell(2, 1), _cell(2, 0)])
+    record = json.loads(text)
+    assert text == json.dumps(record, sort_keys=True) + "\n"
+    assert list(record) == ["cells"]
+    assert [(c["bv_size"], c["seed"]) for c in record["cells"]] == [(2, 0), (2, 1), (3, 0)]
+    assert set(record["cells"][0]) == {f.name for f in fields(BenchmarkReport)}
+    # each fact once: the improvement is worked out from l_s and l_a
+    assert BenchmarkReport(**record["cells"][0]).improvement == 0.6
+
+
+def test_report_rows_give_each_agents_greedy_rollout():
+    row = harness.report_text([_cell(2, 0)]).splitlines()[3]
+    assert row.split() == ["2", "2", "0", "10", "4", "60.00%", "6", "to", "3", "7", "to", "3"]
 
 
 def test_report_reference_note_is_computed_from_the_table():
