@@ -113,7 +113,7 @@ def available_actions(c: Circuit, cfg: AgentConfig):
     and skips the CX_PAR scans when that template is over budget.
     """
     actions = enumerate_actions(c, layered=True, budget=cfg.max_gates - len(c.gates))
-    return actions, [action_key(a) for a in actions]
+    return actions, list(map(action_key, actions))
 
 
 def choose_action(

@@ -2,7 +2,8 @@
 
 The circuit is the RL environment's state carrier.  Gates are restricted to
 Hadamard and CNOT, and a gate is named by its wires: ``(q,)`` for H,
-``(control, target)`` for CNOT, with an ``is_cx`` flag stored beside them.
+``(control, target)`` for CNOT, with an ``is_cx`` flag, its key text and
+its wire bound stored beside them (see ``Gate``).
 The depth metric uses ASAP scheduling with one relaxation:
 CNOTs that share only their control qubit may occupy the same moment (this is
 the fan-out parallelism that makes the optimised Bernstein-Vazirani circuit
@@ -12,7 +13,7 @@ depth three).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -50,11 +51,25 @@ class Gate:
     ``Gate.h`` and ``Gate.cx`` return one shared gate per wire or wire pair,
     so a rewrite that inserts gates allocates no gate object.  A gate is
     frozen, so only ``is`` tells a shared gate from an equal fresh one.
+
+    Its ``text`` (``"cx 0 3"``, its part of ``state_string``) and
+    ``min_wires`` (the fewest wires that hold it, ``math.inf`` when
+    malformed) are set once, when it is built, so a state key is one join
+    and a circuit's check one comparison per gate.  Both follow from the
+    wires and kind, so they stay out of ``==``, ``hash`` and ``repr``.
     """
 
     qubits: tuple[int, ...]
     # stored, not derived from len(qubits): the rewrite matchers read it on every gate
     is_cx: bool
+    text: str = field(init=False, repr=False, compare=False)
+    min_wires: float = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        qs, cx = self.qubits, self.is_cx
+        object.__setattr__(self, "text", " ".join(["cx" if cx else "h", *map(str, qs)]))
+        well_formed = len(qs) == 1 + cx == len(set(qs)) and min(qs) >= 0
+        object.__setattr__(self, "min_wires", max(qs) + 1 if well_formed else math.inf)
 
     @staticmethod
     def h(q: int) -> "Gate":
@@ -87,15 +102,11 @@ class Circuit:
     def __post_init__(self):
         if self.n_wires < 1:
             raise CircuitError(f"circuit needs at least one wire, got {self.n_wires}")
-        # every rewrite builds a circuit, so the check is one test per kind;
-        # _gate_fault says what failed
+        # every rewrite builds a circuit, so the check is one comparison per
+        # gate; _gate_fault says what failed
         n = self.n_wires
         for g in self.gates:
-            qs = g.qubits
-            if g.is_cx:
-                if len(qs) != 2 or qs[0] == qs[1] or not (0 <= qs[0] < n and 0 <= qs[1] < n):
-                    raise CircuitError(_gate_fault(g, n))
-            elif len(qs) != 1 or not 0 <= qs[0] < n:
+            if g.min_wires > n:
                 raise CircuitError(_gate_fault(g, n))
 
     def with_gates(self, gates) -> "Circuit":
@@ -163,13 +174,7 @@ def state_string(c: Circuit) -> str:
 
     Uniquely identifies the gate sequence; the exact (non-lossy) RL state key.
     """
-    parts = []
-    for g in c.gates:
-        if g.is_cx:
-            parts.append(f"cx {g.qubits[0]} {g.qubits[1]}")
-        else:
-            parts.append(f"h {g.qubits[0]}")
-    return ", ".join(parts)
+    return ", ".join([g.text for g in c.gates])
 
 
 # --- depth -----------------------------------------------------------------

@@ -81,12 +81,6 @@ class StaleSiteError(ValueError):
     """The site does not match the circuit it is being applied to."""
 
 
-def action_key(a: Action) -> str:
-    """The action's Q-table key, formatted once per distinct action and
-    shared from then on."""
-    return _KEYS[a]
-
-
 def _format_key(a: Action) -> str:
     kind, direction, site = a
     if kind == CX_REV:
@@ -99,6 +93,9 @@ def _format_key(a: Action) -> str:
 
 
 _KEYS = Interned(_format_key)
+# action -> its Q-table key, formatted once per distinct action and shared
+# from then on; the table's own lookup, so a key list is one C-level map
+action_key = _KEYS.__getitem__
 
 
 def commutes(a: Gate, b: Gate) -> bool:

@@ -5,8 +5,9 @@ apart from ``rewrite``'s rule, the agent's layered action space as a filter
 over the full one, the gate budget as a per-action filter, action keys
 through a per-template format table and through the uncached formatter, the
 set-based commutation rule, forward-action BFS to a target depth, frozen
-copies of the ``max``-based ASAP scheduler and of the ``len``-numbered
-``to_dag`` that the faster versions in ``src/`` must match bit for bit,
+copies of the ``max``-based ASAP scheduler, of the ``len``-numbered
+``to_dag``, of the per-gate ``state_string`` and of ``Circuit``'s per-kind
+gate check, which the faster versions in ``src/`` must match exactly,
 hash-consing over
 ``to_dag``'s DAG as the reference for ``dag.hash_cons``, CNOT chains
 dense in helper nodes, and the numpy latent key that ``dvae.latent_key``
@@ -283,6 +284,25 @@ def bfs_optimize(
 # --- frozen references for the scheduler and the DAG builder ------------------
 # Copied unchanged from the versions they replaced, so every moment, node id
 # and edge of the current code can be compared against them.
+
+
+def reference_state_string(c: Circuit) -> str:
+    """Comma-joined lowercase gate list, each gate formatted from its wires."""
+    parts = []
+    for g in c.gates:
+        if g.is_cx:
+            parts.append(f"cx {g.qubits[0]} {g.qubits[1]}")
+        else:
+            parts.append(f"h {g.qubits[0]}")
+    return ", ".join(parts)
+
+
+def reference_gate_fits(g: Gate, n_wires: int) -> bool:
+    """Whether a circuit on ``n_wires`` wires may hold ``g``: one test per kind."""
+    qs = g.qubits
+    if g.is_cx:
+        return len(qs) == 2 and qs[0] != qs[1] and 0 <= qs[0] < n_wires and 0 <= qs[1] < n_wires
+    return len(qs) == 1 and 0 <= qs[0] < n_wires
 
 
 def reference_asap_moments(c: Circuit) -> list[int]:

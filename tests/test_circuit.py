@@ -4,13 +4,14 @@ from dataclasses import FrozenInstanceError
 import numpy as np
 import pytest
 
-from oracles import reference_asap_moments
+from oracles import reference_asap_moments, reference_gate_fits, reference_state_string
 from qcopt.circuit import (
     BvSpec,
     Circuit,
     CircuitError,
     Gate,
     Interned,
+    _gate_fault,
     asap_moments,
     bv_circuit,
     depth,
@@ -85,6 +86,24 @@ def test_gate_is_its_wires_and_cx_flag():
         Gate.h(0).is_cx = True
 
 
+def test_circuit_check_accepts_what_the_per_kind_test_accepts():
+    # every H and CNOT on wires -1..n, and gates with the wrong wire count;
+    # fresh gates, so the shared tables gain no malformed entry
+    for n in range(1, 7):
+        wires = range(-1, n + 1)
+        gates = [Gate((q,), False) for q in wires]
+        gates += [Gate((c, t), True) for c in wires for t in wires]
+        gates += [Gate((), False), Gate((0, 1), False), Gate((), True), Gate((0,), True),
+                  Gate((0, 1, 2), True)]
+        for g in gates:
+            if reference_gate_fits(g, n):
+                assert Circuit(n, (g, g)).gates == (g, g)
+            else:
+                with pytest.raises(CircuitError) as err:
+                    Circuit(n, (g,))
+                assert str(err.value) == _gate_fault(g, n), (g, n)
+
+
 def test_gate_constructors_share_one_gate_per_wires():
     # sharing shows only through `is`: the shared gate equals a fresh one
     for q in range(5):
@@ -150,6 +169,25 @@ def test_state_string_examples():
     assert state_string(circ(2, Gate.cx(0, 1), Gate.cx(1, 0))) == "cx 0 1, cx 1 0"
     assert state_string(circ(2)) == ""
     assert state_string(circ(3, Gate.h(2))) == "h 2"
+
+
+def test_state_string_equals_per_gate_reference():
+    rng = np.random.default_rng(30)
+    circuits = [
+        random_icmh_circuit(int(rng.integers(2, 7)), int(rng.integers(0, 31)), seed)
+        for seed in range(2000)
+    ]
+    circuits += [bv_circuit(BvSpec(k, s)) for k in range(2, 6) for s in range(1 << k)]
+    circuits.append(circ(3))
+    for c in circuits:
+        # the same gates built afresh, not taken from the shared tables
+        fresh = c.with_gates(Gate(g.qubits, g.is_cx) for g in c.gates)
+        assert all(f is not g for f, g in zip(fresh.gates, c.gates))
+        assert state_string(c) == state_string(fresh) == reference_state_string(c)
+        assert fresh == c and hash(fresh) == hash(c)
+    assert Gate((2, 0), True) == Gate.cx(2, 0) and hash(Gate((2, 0), True)) == hash(Gate.cx(2, 0))
+    assert Gate((3,), False) == Gate.h(3) and hash(Gate((3,), False)) == hash(Gate.h(3))
+    assert repr(Gate.h(0)) == "Gate(qubits=(0,), is_cx=False)"
 
 
 def test_state_string_injective_on_random_corpus():

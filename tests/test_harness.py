@@ -1,6 +1,6 @@
-"""Determinism gate: fixed-seed runs of the three phases on BV2 reproduce
-pinned digests, so a change that alters any Q-table or checkpoint byte shows
-up here."""
+"""Determinism gate: fixed-seed runs of the three phases on BV2, and of phase
+1 on BV3, reproduce pinned digests, so a change that alters any Q-table,
+harvested corpus or checkpoint byte shows up here."""
 
 import hashlib
 import json
@@ -68,6 +68,26 @@ def test_harvest_qtable_pinned(harvest):
     assert harvest.l_s == len(harvest.corpus) == 2320
     assert sha256(qtable_to_tsv(harvest.qtable).encode()) == (
         "9478c606fb23834cbebcace910bfd210f29355ac1e798a6db3ed2bc91f576c88"
+    )
+
+
+def test_harvest_corpus_pinned(harvest):
+    # every harvested DAG, not only the 20 sampled into the checkpoint
+    assert harness.corpus_hash(harvest.corpus) == (
+        "70d107c35a7a6807eac139bf6712118dfb7b8e0326a96b504df9707a9da8e7be"
+    )
+
+
+def test_bv3_baseline_qtable_and_corpus_pinned():
+    # the exact_bv3 benchmark's sub-seed-0 run
+    spec = BvSpec(3, 0b111)
+    result = run_baseline(spec, benchmark_agent_config(spec, 100, 0))
+    assert result.l_s == len(result.corpus) == 3256
+    assert sha256(qtable_to_tsv(result.qtable).encode()) == (
+        "e6806dbb4c236fc375684864c125b01b2ca7dd69bb049b759e7145155cb3b6ec"
+    )
+    assert harness.corpus_hash(result.corpus) == (
+        "2f952680444e6eba25c361eb3cfd4f76f60256b8bdf5cc937d647204fcf48506"
     )
 
 
